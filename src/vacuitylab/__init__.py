@@ -58,10 +58,13 @@ from .metrics import (
     aupr,
     aupr_baseline,
     aupr_reference,
+    aupr_scores,
     auroc,
     auroc_bruteforce,
+    auroc_scores,
     ece,
     evaluate_detection,
+    evaluate_scores,
     nll,
 )
 from .records import RecordParseError, parse_records, record_to_dict, serialize_records

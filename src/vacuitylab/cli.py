@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .experiments import (
     INVARIANCE_EVIDENCE,
+    MIXED,
     CardinalityMismatchError,
     ExpansionMode,
     ExpansionSpec,
@@ -23,12 +24,11 @@ from .experiments import (
     Orientation,
     Verdict,
     audit_cardinality,
+    evaluate_groups,
     mismatch_warning,
     run_expansion_experiment,
     run_restriction_experiment,
-    score_group,
 )
-from .metrics import evaluate_detection
 from .records import RecordParseError, parse_records, serialize_records
 from .report import (
     detection_result_dict,
@@ -195,17 +195,16 @@ def _cmd_metrics(args) -> int:
             _print_audit(report)
             print("refusing to score mismatched cardinalities (pass --allow-mismatch to override)")
             return EXIT_AUDIT_FAIL
-        if report.k_id == "MIXED" or report.k_ood == "MIXED":
+        if MIXED in (report.k_id, report.k_ood):
             _print_audit(report)
             print("mixed cardinality inside a group cannot be scored")
             return EXIT_AUDIT_FAIL
         _write_warnings(args.out, [mismatch_warning("metrics", report.k_id, report.k_ood)])
     metric = Metric(args.metric)
     orientation = Orientation(args.orientation)
-    samples = score_group(id_records + ood_records, metric, orientation)
-    k_id = report.k_id if isinstance(report.k_id, int) else -1
-    k_ood = report.k_ood if isinstance(report.k_ood, int) else -1
-    res = evaluate_detection(samples, metric_name=metric.value, k_id=k_id, k_ood=k_ood)
+    res = evaluate_groups(
+        id_records, ood_records, metric, orientation, int(report.k_id), int(report.k_ood)
+    )
     result = detection_result_dict(
         f"metrics_{metric.value}", f"{metric.value} ({orientation.value})", res, orientation.value
     )
@@ -298,7 +297,11 @@ def _cmd_report(args) -> int:
     if not paths:
         print(f"no *.result.json files in {results_dir}", file=sys.stderr)
         return EXIT_USAGE
-    results = [json.loads(p.read_text(encoding="utf-8")) for p in paths]
+    # audit.result.json and other non-experiment results carry no "kind"
+    results = [r for r in (json.loads(p.read_text(encoding="utf-8")) for p in paths) if "kind" in r]
+    if not results:
+        print(f"no renderable *.result.json files in {results_dir}", file=sys.stderr)
+        return EXIT_USAGE
     out = args.out if args.out is not None else results_dir
     written = emit_report(results, out, args.format)
     print(f"wrote {len(written)} files to {out}")

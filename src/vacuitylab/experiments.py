@@ -13,23 +13,15 @@ fresh ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .dirichlet import (
-    EvidenceRecord,
-    Group,
-    append_classes,
-    evidence_to_alpha,
-    expected_probabilities,
-    invariance_concentration,
-    max_probability,
-    normalized_entropy,
-    remove_class,
-    vacuity,
-)
-from .metrics import DetectionResult, ScoredSample, evaluate_detection
+import numpy as np
+
+from .dirichlet import EvidenceRecord, Group, remove_class
+from .metrics import DetectionResult, ScoredSample, evaluate_scores
 
 MIXED = "MIXED"
 
@@ -114,16 +106,42 @@ def audit_cardinality(
     )
 
 
-def score_record(record: EvidenceRecord, metric: Metric, orientation: Orientation) -> float:
-    state = evidence_to_alpha(record)
+def _evidence_matrix(records: Sequence[EvidenceRecord]) -> np.ndarray:
+    """The (n, K) evidence matrix of records that share one class count."""
+    return np.array([r.evidence for r in records], dtype=float)
+
+
+def _score_evidence(evidence: np.ndarray, metric: Metric, orientation: Orientation) -> np.ndarray:
+    """Detection score of every row of an (n, K) evidence matrix.
+
+    alpha = e + 1 and S = the row sum of alpha, summed the way
+    ``dirichlet_state`` sums one record, so each score equals the
+    per-record ``vacuity`` / ``max_probability`` / ``normalized_entropy``
+    value bit for bit.
+    """
+    alpha = evidence + 1.0
+    strength = alpha.sum(axis=1)
+    if not np.isfinite(strength).all():
+        raise ValueError("evidence and its sum S must be finite")
+    id_positive = orientation is Orientation.ID_POSITIVE
     if metric is Metric.VACUITY:
-        u = vacuity(state)
-        return 1.0 / u if orientation is Orientation.ID_POSITIVE else u
+        u = alpha.shape[1] / strength
+        return 1.0 / u if id_positive else u
     if metric is Metric.MP:
-        mp = max_probability(state)
-        return mp if orientation is Orientation.ID_POSITIVE else 1.0 - mp
-    h = normalized_entropy(expected_probabilities(state))
-    return 1.0 - h if orientation is Orientation.ID_POSITIVE else h
+        mp = alpha.max(axis=1) / strength
+        return mp if id_positive else 1.0 - mp
+    p = alpha / strength[:, None]
+    h = np.clip((-(p * np.log2(p))).sum(axis=1) / math.log2(alpha.shape[1]), 0.0, 1.0)
+    return 1.0 - h if id_positive else h
+
+
+def _labels(records: Sequence[EvidenceRecord], orientation: Orientation) -> np.ndarray:
+    positive = Group.ID if orientation is Orientation.ID_POSITIVE else Group.OOD
+    return np.fromiter((r.group is positive for r in records), dtype=int, count=len(records))
+
+
+def score_record(record: EvidenceRecord, metric: Metric, orientation: Orientation) -> float:
+    return float(_score_evidence(_evidence_matrix([record]), metric, orientation)[0])
 
 
 def score_group(
@@ -135,19 +153,17 @@ def score_group(
 
     ID_POSITIVE labels ID records 1 and scores with 1/u, MP, or
     1 - H/log2(K); OOD_POSITIVE flips the labels and uses u, 1 - MP, or
-    H/log2(K). Either orientation yields the same AUROC.
+    H/log2(K). Either orientation yields the same AUROC. Records may mix
+    class counts.
     """
-    positive = Group.ID if orientation is Orientation.ID_POSITIVE else Group.OOD
+    labels = _labels(records, orientation)
     return [
-        ScoredSample(
-            score=score_record(r, metric, orientation),
-            label=1 if r.group is positive else 0,
-        )
-        for r in records
+        ScoredSample(score=score_record(r, metric, orientation), label=int(label))
+        for r, label in zip(records, labels)
     ]
 
 
-def _evaluate(
+def evaluate_groups(
     id_records: Sequence[EvidenceRecord],
     ood_records: Sequence[EvidenceRecord],
     metric: Metric,
@@ -155,8 +171,15 @@ def _evaluate(
     k_id: int,
     k_ood: int,
 ) -> DetectionResult:
-    samples = score_group(list(id_records) + list(ood_records), metric, orientation)
-    return evaluate_detection(samples, metric_name=metric.value, k_id=k_id, k_ood=k_ood)
+    """Detection metrics of two groups, each of one class count, scored as evidence matrices.
+
+    Labels follow each record's ``group`` field, as in ``score_group``.
+    """
+    scores = np.concatenate(
+        [_score_evidence(_evidence_matrix(g), metric, orientation) for g in (id_records, ood_records)]
+    )
+    labels = _labels(list(id_records) + list(ood_records), orientation)
+    return evaluate_scores(scores, labels, metric.value, k_id, k_ood)
 
 
 @dataclass(frozen=True)
@@ -195,13 +218,20 @@ class ExpansionRun:
         return self.rows[0]
 
 
-def _expand_record(record: EvidenceRecord, count: int, appended_evidence: float | str) -> EvidenceRecord:
+def _append_columns(evidence: np.ndarray, count: int, appended_evidence: float | str) -> np.ndarray:
+    """Evidence matrix with ``count`` appended class columns; the original columns are copied.
+
+    Scores are recomputed from the widened rows, never from the closed form
+    (S + m)/(K + m), which can differ from the row sum in the last ulp.
+    """
     if appended_evidence == INVARIANCE_EVIDENCE:
-        # The invariance value is record-local; S/K stays constant across
+        # The invariance value S/K - 1 is per row; S/K stays constant across
         # repeated appends, so one value covers all `count` new classes.
-        _, value = invariance_concentration(evidence_to_alpha(record))
-        return append_classes(record, count, value)
-    return append_classes(record, count, float(appended_evidence))
+        alpha = evidence + 1.0
+        fill = alpha.sum(axis=1, keepdims=True) / evidence.shape[1] - 1.0
+    else:
+        fill = float(appended_evidence)
+    return np.hstack([evidence, np.broadcast_to(fill, (len(evidence), count))])
 
 
 def run_expansion_experiment(
@@ -227,17 +257,26 @@ def run_expansion_experiment(
         if k <= base_k:
             raise ValueError(f"k_target {k} must exceed the baseline K={base_k}")
 
-    rows = [_evaluate(id_records, ood_records, metric, orientation, base_k, base_k)]
+    def score(evidence: np.ndarray) -> np.ndarray:
+        return _score_evidence(evidence, metric, orientation)
+
+    def evaluate(id_scores: np.ndarray, ood_scores: np.ndarray, k_id: int, k_ood: int):
+        scores = np.concatenate([id_scores, ood_scores])
+        return evaluate_scores(scores, labels, metric.value, k_id, k_ood)
+
+    id_evidence = _evidence_matrix(id_records)
+    ood_evidence = _evidence_matrix(ood_records)
+    labels = _labels(list(id_records) + list(ood_records), orientation)
+    id_scores = score(id_evidence)
+    rows = [evaluate(id_scores, score(ood_evidence), base_k, base_k)]
     for k_target in spec.k_targets:
         count = k_target - base_k
-        expanded_ood = [_expand_record(r, count, spec.appended_evidence) for r in ood_records]
+        ood_scores = score(_append_columns(ood_evidence, count, spec.appended_evidence))
         if spec.mode is ExpansionMode.MATCHED:
-            expanded_id = [_expand_record(r, count, spec.appended_evidence) for r in id_records]
-            k_id = k_target
+            expanded_id = _append_columns(id_evidence, count, spec.appended_evidence)
+            rows.append(evaluate(score(expanded_id), ood_scores, k_target, k_target))
         else:
-            expanded_id = list(id_records)
-            k_id = base_k
-        rows.append(_evaluate(expanded_id, expanded_ood, metric, orientation, k_id, k_target))
+            rows.append(evaluate(id_scores, ood_scores, base_k, k_target))
     return ExpansionRun(
         mode=spec.mode,
         metric=metric,
@@ -294,7 +333,7 @@ def run_restriction_experiment(
         raise ValueError(f"removed_class_index {removed_class_index} out of range for K={k_wide}")
 
     warnings = []
-    as_is = _evaluate(id_records, five_class_records, metric, orientation, int(k_id), int(k_wide))
+    as_is = evaluate_groups(id_records, five_class_records, metric, orientation, int(k_id), int(k_wide))
     if k_id != k_wide:
         warnings.append(mismatch_warning("restriction_as_is", k_id, k_wide))
 
@@ -309,7 +348,7 @@ def run_restriction_experiment(
     if not restricted:
         raise ValueError("removing that class excluded every record")
     k_removed = int(k_wide) - 1
-    removed = _evaluate(id_records, restricted, metric, orientation, int(k_id), k_removed)
+    removed = evaluate_groups(id_records, restricted, metric, orientation, int(k_id), k_removed)
     if k_id != k_removed:
         warnings.append(mismatch_warning("restriction_removed", k_id, k_removed))
 

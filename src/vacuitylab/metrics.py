@@ -1,9 +1,16 @@
 """From-scratch detection and calibration metrics.
 
 AUROC is the probability-of-correct-ranking form (ties get half credit),
-computed via rank sums with midranks in O(n log n). AUPR is step-wise
-average precision with tie groups collapsed to a single threshold; no
-trapezoidal interpolation, which can be optimistic.
+computed as a rank sum with midranks (Hanley & McNeil 1982) in
+O(n log n). AUPR is step-wise average precision with tie groups collapsed
+to a single threshold (Davis & Goadrich 2006); no trapezoidal
+interpolation, which can be optimistic.
+
+The implementation works on arrays: ``auroc_scores``, ``aupr_scores`` and
+``evaluate_scores`` take a float score vector and a 0/1 label vector, find
+tie runs from the sorted scores, and never loop in Python. ``auroc``,
+``aupr`` and ``evaluate_detection`` are adapters that take a list of
+``ScoredSample`` and call them.
 
 ``auroc_bruteforce`` and ``aupr_reference`` are deliberately naive
 (O(n^2) pairwise / full recount per threshold) and exist as oracles for
@@ -53,60 +60,53 @@ def _scores_labels(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndar
     return scores, labels
 
 
-def _midranks(sorted_scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    n = len(sorted_scores)
-    ranks = np.empty(n, dtype=float)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[i : j + 1] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _tie_run_ends(sorted_scores: np.ndarray) -> np.ndarray:
+    """Exclusive end index of each run of equal values in a sorted vector."""
+    return np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1, len(sorted_scores))
 
 
-def auroc(samples: Sequence[ScoredSample]) -> float:
-    """Probability a random positive outranks a random negative (ties half)."""
-    scores, labels = _scores_labels(samples)
+def auroc_scores(scores: np.ndarray, labels: np.ndarray) -> float:
+    """AUROC of a score vector against 0/1 labels: the rank-sum form with midranks."""
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auroc needs at least one positive and one negative sample")
     order = np.argsort(scores, kind="mergesort")
-    ranks = _midranks(scores[order])
+    ends = _tie_run_ends(scores[order])
+    starts = np.append(0, ends[:-1])
+    # a run over sorted positions i..j (0-based) shares the 1-based rank (i + j)/2 + 1
+    ranks = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     rank_sum = float(ranks[labels[order] == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def aupr(samples: Sequence[ScoredSample]) -> float:
-    """Step-wise average precision over descending-score thresholds."""
-    scores, labels = _scores_labels(samples)
+def aupr_scores(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Step-wise average precision of a score vector against 0/1 labels.
+
+    Each tie group is one threshold. The step terms are added with a
+    sequential cumsum, left to right like a running total; ``np.sum``
+    would add them pairwise and can differ in the last ulp.
+    """
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise ValueError("aupr needs at least one positive sample")
     order = np.argsort(-scores, kind="mergesort")
-    s = scores[order]
-    l = labels[order]
-    n = len(s)
-    ap = 0.0
-    tp = 0
-    seen = 0
-    prev_recall = 0.0
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and s[j + 1] == s[i]:
-            j += 1
-        tp += int(l[i : j + 1].sum())
-        seen += j - i + 1
-        recall = tp / n_pos
-        precision = tp / seen
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return ap
+    ends = _tie_run_ends(scores[order])
+    tp = np.cumsum(labels[order])[ends - 1]
+    recall = tp / n_pos
+    precision = tp / ends
+    steps = (recall - np.append(0.0, recall[:-1])) * precision
+    return float(np.cumsum(steps)[-1])
+
+
+def auroc(samples: Sequence[ScoredSample]) -> float:
+    """Probability a random positive outranks a random negative (ties half)."""
+    return auroc_scores(*_scores_labels(samples))
+
+
+def aupr(samples: Sequence[ScoredSample]) -> float:
+    """Step-wise average precision over descending-score thresholds."""
+    return aupr_scores(*_scores_labels(samples))
 
 
 def aupr_baseline(n_positive: int, n_negative: int) -> float:
@@ -116,19 +116,23 @@ def aupr_baseline(n_positive: int, n_negative: int) -> float:
     return n_positive / (n_positive + n_negative)
 
 
-def evaluate_detection(
-    samples: Sequence[ScoredSample],
+def evaluate_scores(
+    scores: np.ndarray,
+    labels: np.ndarray,
     metric_name: str,
     k_id: int,
     k_ood: int,
 ) -> DetectionResult:
-    """Compute AUROC, AUPR and the prevalence baseline for one sample set."""
-    _, labels = _scores_labels(samples)
+    """Compute AUROC, AUPR and the prevalence baseline for a score vector and 0/1 labels."""
+    if not np.isfinite(scores).all():
+        raise ValueError(f"scores must be finite, got {scores[~np.isfinite(scores)][0]}")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     return DetectionResult(
-        auroc=auroc(samples),
-        aupr=aupr(samples),
+        auroc=auroc_scores(scores, labels),
+        aupr=aupr_scores(scores, labels),
         aupr_baseline=aupr_baseline(n_pos, n_neg),
         n_positive=n_pos,
         n_negative=n_neg,
@@ -136,6 +140,16 @@ def evaluate_detection(
         k_id=k_id,
         k_ood=k_ood,
     )
+
+
+def evaluate_detection(
+    samples: Sequence[ScoredSample],
+    metric_name: str,
+    k_id: int,
+    k_ood: int,
+) -> DetectionResult:
+    """Compute AUROC, AUPR and the prevalence baseline for one sample set."""
+    return evaluate_scores(*_scores_labels(samples), metric_name, k_id, k_ood)
 
 
 def ece(confidences, correctness, bins: int = 15) -> float:

@@ -44,16 +44,25 @@ def _parse_line(path, lineno: int, obj: dict) -> EvidenceRecord:
             path, lineno, "each line needs exactly one of 'evidence' or 'logits'"
         )
     values = obj["evidence"] if has_evidence else obj["logits"]
-    if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+    # bool is an int subclass, but JSON true/false is not a number
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
         raise RecordParseError(path, lineno, "evidence/logits must be a numeric array")
+    try:
+        finite = all(math.isfinite(v) for v in values)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise RecordParseError(path, lineno, "evidence/logits must be finite")
     if has_logits:
-        if any(not math.isfinite(v) for v in values):
-            raise RecordParseError(path, lineno, "logits must be finite")
         evidence = tuple(float(e) for e in softplus_evidence(values))
     else:
         evidence = tuple(float(v) for v in values)
+    if not math.isfinite(sum(evidence) + len(evidence)):
+        raise RecordParseError(path, lineno, "total strength S = sum(evidence + 1) overflows")
     label = obj.get("label")
-    if label is not None and not isinstance(label, int):
+    if label is not None and (not isinstance(label, int) or isinstance(label, bool)):
         raise RecordParseError(path, lineno, "label must be an integer index")
     try:
         return EvidenceRecord(

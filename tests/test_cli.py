@@ -249,6 +249,46 @@ class TestReport:
         empty.mkdir()
         assert main(["report", str(empty)]) == 1
 
+    def test_audit_result_is_skipped(self, files, capsys):
+        out = str(files["out"])
+        assert main(["audit", str(files["id"]), str(files["ood"]), "--out", out]) == 0
+        assert main(["report", out]) == 1
+        assert "no renderable" in capsys.readouterr().err
+        args = [str(files["id"]), str(files["ood"]), "--mode", "matched", "--k-max", "6", "--out", out]
+        assert main(["expand", *args]) == 0
+        capsys.readouterr()
+        assert main(["report", out, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("wrote 4 files")
+
+
+BAD_EVIDENCE_LINES = {
+    "inf": '"evidence": [1, Infinity]',
+    "nan": '"evidence": [NaN, 1]',
+    "sum-overflow": '"evidence": [1e308, 1e308]',
+    "logit-sum-overflow": '"logits": [1e308, 1e308]',
+    "bool": '"evidence": [true, false]',
+}
+
+
+@pytest.mark.parametrize("line", BAD_EVIDENCE_LINES.values(), ids=BAD_EVIDENCE_LINES.keys())
+@pytest.mark.parametrize(
+    "command",
+    [["metrics"], ["expand", "--mode", "ood-only", "--k-max", "3", "--orientation", "ood-pos"]],
+    ids=["metrics", "expand-ood-pos"],
+)
+def test_bad_evidence_is_input_error(tmp_path, capsys, line, command):
+    good = tmp_path / "id.jsonl"
+    good.write_text('{"id": "a", "group": "id", "classes": ["A", "B"], "evidence": [3, 1]}\n')
+    bad = tmp_path / "ood.jsonl"
+    bad.write_text(
+        '{"id": "b", "group": "ood", "classes": ["A", "B"], "evidence": [1, 1]}\n'
+        '{"id": "c", "group": "ood", "classes": ["A", "B"], ' + line + "}\n"
+    )
+    out = tmp_path / "out"
+    assert main([command[0], str(good), str(bad), *command[1:], "--out", str(out)]) == 1
+    assert f"{bad}:2:" in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):

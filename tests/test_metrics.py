@@ -18,6 +18,7 @@ from vacuitylab.metrics import (
     auroc_bruteforce,
     ece,
     evaluate_detection,
+    evaluate_scores,
     nll,
 )
 
@@ -214,6 +215,16 @@ class TestEvaluateDetection:
         assert res.n_negative == 3
         assert res.aupr_baseline == pytest.approx(0.4)
         assert res.metric_name == "vacuity"
+
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_array_evaluator_rejects_nonfinite_scores(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_scores(np.array([0.9, bad, 0.1]), np.array([1, 0, 0]), "vacuity", 4, 4)
+
+    def test_array_evaluator_rejects_bad_labels(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            evaluate_scores(np.array([0.9, 0.5, 0.1]), np.array([1, 2, 0]), "vacuity", 4, 4)
 
 
 class TestScoredSampleValidation:

@@ -98,6 +98,45 @@ class TestParse:
         with pytest.raises(RecordParseError, match="finite"):
             parse_records(path)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            '"evidence": [1, Infinity]',
+            '"evidence": [NaN, 1]',
+            '"evidence": [1e400, 1]',
+            '"evidence": [1' + "0" * 400 + ', 1]',
+            '"evidence": [1e308, 1e308]',
+            '"logits": [1e308, 1e308]',
+        ],
+        ids=["inf", "nan", "float-overflow", "int-overflow", "sum-overflow", "logit-sum-overflow"],
+    )
+    def test_nonfinite_evidence_or_strength_names_line(self, tmp_path, values):
+        path = tmp_path / "r.jsonl"
+        path.write_text(
+            json.dumps(GOOD_EVIDENCE)
+            + '\n{"id": "q", "group": "id", "classes": ["A", "B"], '
+            + values
+            + "}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(RecordParseError, match=r":2: .*(finite|overflows)"):
+            parse_records(path)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"evidence": [True, False]}, "numeric array"),
+            ({"logits": [0.5, True]}, "numeric array"),
+            ({"evidence": [1, 2], "label": True}, "integer index"),
+        ],
+        ids=["evidence", "logits", "label"],
+    )
+    def test_json_booleans_are_not_numbers(self, tmp_path, fields, message):
+        line = {"id": "q", "group": "id", "classes": ["A", "B"], **fields}
+        path = write_lines(tmp_path / "r.jsonl", [GOOD_EVIDENCE, line])
+        with pytest.raises(RecordParseError, match=rf":2: .*{message}"):
+            parse_records(path)
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse_is_exact(self, tmp_path):
