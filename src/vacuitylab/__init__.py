@@ -57,17 +57,21 @@ from .metrics import (
     accuracy,
     aupr,
     aupr_baseline,
-    aupr_reference,
     aupr_scores,
     auroc,
-    auroc_bruteforce,
     auroc_scores,
     ece,
     evaluate_detection,
     evaluate_scores,
     nll,
 )
-from .records import RecordParseError, parse_records, record_to_dict, serialize_records
+from .records import (
+    RecordBatch,
+    RecordParseError,
+    parse_records,
+    record_to_dict,
+    serialize_records,
+)
 from .special import digamma, log_gamma, trigamma
 from .synthetic import (
     PopulationParams,

@@ -14,6 +14,9 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from .dirichlet import Group
 from .experiments import (
     INVARIANCE_EVIDENCE,
     MIXED,
@@ -144,7 +147,21 @@ def build_parser() -> _Parser:
 
 
 def _load_groups(args):
-    return parse_records(args.id_file), parse_records(args.ood_file)
+    """Both record files as batches; a record's group must match its file's role."""
+    batches = []
+    for path, role, group in ((args.id_file, "id_file", Group.ID), (args.ood_file, "ood_file", Group.OOD)):
+        batch = parse_records(path)
+        wrong = np.flatnonzero(batch.ood != (group is Group.OOD))
+        if len(wrong):
+            row = wrong[0]
+            raise RecordParseError(
+                path,
+                int(batch.lines[row]),
+                f"record {batch.ids[row]!r} is in group {batch[row].group.value!r}, "
+                f"but the {role} holds {group.value!r} records",
+            )
+        batches.append(batch)
+    return batches
 
 
 def _print_audit(report) -> None:

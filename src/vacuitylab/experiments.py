@@ -7,8 +7,10 @@ class while ID scores stand still, so AUROC/AUPR climb without any change
 in model predictions. Appending to *both* groups is a rank-preserving
 reparameterization and leaves both metrics bit-identical.
 
-All experiment functions treat input records as read-only and return
-fresh ones.
+Every experiment takes each group as a ``RecordBatch`` (what
+``parse_records`` returns) or as a list of records, which is converted to
+one batch on entry, and reads the batch's columns. Inputs are never
+modified.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .dirichlet import EvidenceRecord, Group, remove_class
+from .dirichlet import EvidenceRecord
 from .metrics import DetectionResult, ScoredSample, evaluate_scores
+from .records import RecordBatch, as_batch
+
+Records = RecordBatch | Sequence[EvidenceRecord]
 
 MIXED = "MIXED"
 
@@ -73,31 +78,28 @@ class AuditReport:
         }
 
 
-def _group_k(records: Sequence[EvidenceRecord]) -> int | str:
-    ks = {r.k for r in records}
-    return ks.pop() if len(ks) == 1 else MIXED
+def _group_k(batch: RecordBatch) -> int | str:
+    k = batch.class_count()
+    return MIXED if k is None else k
 
 
-def audit_cardinality(
-    id_records: Sequence[EvidenceRecord], ood_records: Sequence[EvidenceRecord]
-) -> AuditReport:
+def audit_cardinality(id_records: Records, ood_records: Records) -> AuditReport:
     """PASS iff every record in both groups shares one class count."""
-    if not id_records or not ood_records:
+    id_batch, ood_batch = as_batch(id_records), as_batch(ood_records)
+    if not len(id_batch) or not len(ood_batch):
         raise ValueError("both record groups must be non-empty")
-    k_id = _group_k(id_records)
-    k_ood = _group_k(ood_records)
+    k_id = _group_k(id_batch)
+    k_ood = _group_k(ood_batch)
     ok = k_id != MIXED and k_id == k_ood
     detail: tuple[tuple[str, int], ...] = ()
     if not ok:
         # offenders are everything deviating from the most common K over
         # both groups (ties resolved toward the smaller K)
-        counts: dict[int, int] = {}
-        for r in list(id_records) + list(ood_records):
-            counts[r.k] = counts.get(r.k, 0) + 1
-        reference = min(k for k, c in counts.items() if c == max(counts.values()))
-        detail = tuple(
-            (r.id, r.k) for r in list(id_records) + list(ood_records) if r.k != reference
-        )
+        ks = np.concatenate([id_batch.k, ood_batch.k])
+        values, counts = np.unique(ks, return_counts=True)
+        reference = values[np.argmax(counts)]
+        ids = id_batch.ids + ood_batch.ids
+        detail = tuple((ids[i], int(ks[i])) for i in np.flatnonzero(ks != reference))
     return AuditReport(
         k_id=k_id,
         k_ood=k_ood,
@@ -106,9 +108,9 @@ def audit_cardinality(
     )
 
 
-def _evidence_matrix(records: Sequence[EvidenceRecord]) -> np.ndarray:
+def _evidence_matrix(records: Records) -> np.ndarray:
     """The (n, K) evidence matrix of records that share one class count."""
-    return np.array([r.evidence for r in records], dtype=float)
+    return as_batch(records).evidence
 
 
 def _score_evidence(evidence: np.ndarray, metric: Metric, orientation: Orientation) -> np.ndarray:
@@ -135,13 +137,15 @@ def _score_evidence(evidence: np.ndarray, metric: Metric, orientation: Orientati
     return 1.0 - h if id_positive else h
 
 
-def _labels(records: Sequence[EvidenceRecord], orientation: Orientation) -> np.ndarray:
-    positive = Group.ID if orientation is Orientation.ID_POSITIVE else Group.OOD
-    return np.fromiter((r.group is positive for r in records), dtype=int, count=len(records))
+def _labels(batch: RecordBatch, orientation: Orientation) -> np.ndarray:
+    """1 for the rows of the positive group, as each row's ``group`` says."""
+    positive = ~batch.ood if orientation is Orientation.ID_POSITIVE else batch.ood
+    return positive.astype(int)
 
 
 def score_record(record: EvidenceRecord, metric: Metric, orientation: Orientation) -> float:
-    return float(_score_evidence(_evidence_matrix([record]), metric, orientation)[0])
+    evidence = np.array([record.evidence], dtype=float)
+    return float(_score_evidence(evidence, metric, orientation)[0])
 
 
 def score_group(
@@ -156,7 +160,7 @@ def score_group(
     H/log2(K). Either orientation yields the same AUROC. Records may mix
     class counts.
     """
-    labels = _labels(records, orientation)
+    labels = _labels(as_batch(records), orientation)
     return [
         ScoredSample(score=score_record(r, metric, orientation), label=int(label))
         for r, label in zip(records, labels)
@@ -164,8 +168,8 @@ def score_group(
 
 
 def evaluate_groups(
-    id_records: Sequence[EvidenceRecord],
-    ood_records: Sequence[EvidenceRecord],
+    id_records: Records,
+    ood_records: Records,
     metric: Metric,
     orientation: Orientation,
     k_id: int,
@@ -175,10 +179,9 @@ def evaluate_groups(
 
     Labels follow each record's ``group`` field, as in ``score_group``.
     """
-    scores = np.concatenate(
-        [_score_evidence(_evidence_matrix(g), metric, orientation) for g in (id_records, ood_records)]
-    )
-    labels = _labels(list(id_records) + list(ood_records), orientation)
+    batches = (as_batch(id_records), as_batch(ood_records))
+    scores = np.concatenate([_score_evidence(b.evidence, metric, orientation) for b in batches])
+    labels = np.concatenate([_labels(b, orientation) for b in batches])
     return evaluate_scores(scores, labels, metric.value, k_id, k_ood)
 
 
@@ -235,8 +238,8 @@ def _append_columns(evidence: np.ndarray, count: int, appended_evidence: float |
 
 
 def run_expansion_experiment(
-    id_records: Sequence[EvidenceRecord],
-    ood_records: Sequence[EvidenceRecord],
+    id_records: Records,
+    ood_records: Records,
     spec: ExpansionSpec,
     metric: Metric,
     orientation: Orientation = Orientation.ID_POSITIVE,
@@ -246,7 +249,8 @@ def run_expansion_experiment(
     OOD_ONLY appends classes to the OOD group only; MATCHED appends to
     both groups. The baseline K must be uniform across both groups.
     """
-    report = audit_cardinality(id_records, ood_records)
+    id_batch, ood_batch = as_batch(id_records), as_batch(ood_records)
+    report = audit_cardinality(id_batch, ood_batch)
     if report.verdict is not Verdict.PASS:
         raise CardinalityMismatchError(
             f"baseline cardinality mismatch (K_ID={report.k_id}, K_OOD={report.k_ood}); "
@@ -264,9 +268,9 @@ def run_expansion_experiment(
         scores = np.concatenate([id_scores, ood_scores])
         return evaluate_scores(scores, labels, metric.value, k_id, k_ood)
 
-    id_evidence = _evidence_matrix(id_records)
-    ood_evidence = _evidence_matrix(ood_records)
-    labels = _labels(list(id_records) + list(ood_records), orientation)
+    id_evidence = id_batch.evidence
+    ood_evidence = ood_batch.evidence
+    labels = np.concatenate([_labels(id_batch, orientation), _labels(ood_batch, orientation)])
     id_scores = score(id_evidence)
     rows = [evaluate(id_scores, score(ood_evidence), base_k, base_k)]
     for k_target in spec.k_targets:
@@ -308,9 +312,9 @@ class RestrictionResult:
 
 
 def run_restriction_experiment(
-    five_class_records: Sequence[EvidenceRecord],
+    five_class_records: Records,
     removed_class_index: int,
-    id_records: Sequence[EvidenceRecord],
+    id_records: Records,
     metric: Metric,
     orientation: Orientation = Orientation.ID_POSITIVE,
 ) -> RestrictionResult:
@@ -319,42 +323,40 @@ def run_restriction_experiment(
     Records whose gold label is the removed class are excluded from the
     "removed" run (they would have no valid answer), and the AUPR baseline
     is recomputed from the new counts. The as-is run deliberately compares
-    mismatched cardinalities and always carries a warning record.
+    mismatched cardinalities and always carries a warning record. The
+    removal is a column drop on the evidence matrix plus a gold-label row
+    mask.
     """
-    if not five_class_records or not id_records:
+    wide, id_batch = as_batch(five_class_records), as_batch(id_records)
+    if not len(wide) or not len(id_batch):
         raise ValueError("both record groups must be non-empty")
-    k_wide = _group_k(five_class_records)
+    k_wide = _group_k(wide)
     if k_wide == MIXED:
         raise ValueError("five_class_records must share one class count")
-    k_id = _group_k(id_records)
+    k_id = _group_k(id_batch)
     if k_id == MIXED:
         raise ValueError("id_records must share one class count")
     if not 0 <= removed_class_index < int(k_wide):
         raise ValueError(f"removed_class_index {removed_class_index} out of range for K={k_wide}")
 
     warnings = []
-    as_is = evaluate_groups(id_records, five_class_records, metric, orientation, int(k_id), int(k_wide))
+    as_is = evaluate_groups(id_batch, wide, metric, orientation, int(k_id), int(k_wide))
     if k_id != k_wide:
         warnings.append(mismatch_warning("restriction_as_is", k_id, k_wide))
 
-    restricted = []
-    excluded = []
-    for record in five_class_records:
-        reduced = remove_class(record, removed_class_index)
-        if reduced is None:
-            excluded.append(record.id)
-        else:
-            restricted.append(reduced)
-    if not restricted:
+    # a record whose gold label is the removed class has no valid answer left
+    excluded = wide.labelled & (wide.labels == removed_class_index)
+    if excluded.all():
         raise ValueError("removing that class excluded every record")
+    restricted = wide.take(~excluded).drop_class(removed_class_index)
     k_removed = int(k_wide) - 1
-    removed = evaluate_groups(id_records, restricted, metric, orientation, int(k_id), k_removed)
+    removed = evaluate_groups(id_batch, restricted, metric, orientation, int(k_id), k_removed)
     if k_id != k_removed:
         warnings.append(mismatch_warning("restriction_removed", k_id, k_removed))
 
     return RestrictionResult(
         as_is=as_is,
         removed=removed,
-        excluded_ids=tuple(excluded),
+        excluded_ids=tuple(wide.ids[i] for i in np.flatnonzero(excluded)),
         warnings=tuple(warnings),
     )

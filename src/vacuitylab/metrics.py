@@ -11,10 +11,6 @@ The implementation works on arrays: ``auroc_scores``, ``aupr_scores`` and
 tie runs from the sorted scores, and never loop in Python. ``auroc``,
 ``aupr`` and ``evaluate_detection`` are adapters that take a list of
 ``ScoredSample`` and call them.
-
-``auroc_bruteforce`` and ``aupr_reference`` are deliberately naive
-(O(n^2) pairwise / full recount per threshold) and exist as oracles for
-the fast paths.
 """
 
 from __future__ import annotations
@@ -209,39 +205,3 @@ def accuracy(predictions, gold_labels) -> float:
             raise ValueError(f"gold label {g} out of range for {len(row)} classes")
         hits += int(int(np.argmax(row)) == g)
     return hits / len(rows)
-
-
-def auroc_bruteforce(samples: Sequence[ScoredSample]) -> float:
-    """O(n^2) pairwise AUROC with half credit for ties (oracle)."""
-    scores, labels = _scores_labels(samples)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    if len(pos) == 0 or len(neg) == 0:
-        raise ValueError("auroc needs at least one positive and one negative sample")
-    credit = 0.0
-    for p in pos:
-        for q in neg:
-            if p > q:
-                credit += 1.0
-            elif p == q:
-                credit += 0.5
-    return credit / (len(pos) * len(neg))
-
-
-def aupr_reference(samples: Sequence[ScoredSample]) -> float:
-    """AUPR by explicit threshold sweep with full recounting (oracle)."""
-    scores, labels = _scores_labels(samples)
-    n_pos = int(labels.sum())
-    if n_pos == 0:
-        raise ValueError("aupr needs at least one positive sample")
-    thresholds = sorted(set(scores.tolist()), reverse=True)
-    ap = 0.0
-    prev_recall = 0.0
-    for t in thresholds:
-        tp = int(((scores >= t) & (labels == 1)).sum())
-        fp = int(((scores >= t) & (labels == 0)).sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-    return ap

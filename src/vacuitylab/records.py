@@ -8,22 +8,32 @@ One JSON object per line:
 Each line carries exactly one of ``evidence`` (non-negative reals) or
 ``logits`` (any reals; passed through softplus on ingestion, so the
 softplus happens in exactly one place). ``label`` is an optional gold
-index. Parse errors report the offending line number.
+index. Record ids must be unique within a file.
+
+``parse_records`` reads a file once into a ``RecordBatch`` of columns.
+The per-line loop only decodes JSON and checks each line's structure;
+the numeric checks (finite values, e >= 0, finite S, K >= 2, one class
+name per value, label in range) and the duplicate-id check run once per
+file on the columns. Every error names the file and the line, and a file
+with several defects reports the earliest line, whichever kind it is.
 """
 
 from __future__ import annotations
 
 import json
+import json.scanner
 import math
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .dirichlet import EvidenceRecord, Group
-from .losses import softplus_evidence
 
 
 class RecordParseError(ValueError):
-    """A record file line that cannot be turned into an EvidenceRecord."""
+    """A record file line that cannot be turned into a record."""
 
     def __init__(self, path, lineno: int, message: str):
         super().__init__(f"{path}:{lineno}: {message}")
@@ -31,65 +41,348 @@ class RecordParseError(ValueError):
         self.lineno = lineno
 
 
-def _parse_line(path, lineno: int, obj: dict) -> EvidenceRecord:
-    if not isinstance(obj, dict):
-        raise RecordParseError(path, lineno, "expected a JSON object")
-    for key in ("id", "group", "classes"):
-        if key not in obj:
-            raise RecordParseError(path, lineno, f"missing field {key!r}")
-    has_evidence = "evidence" in obj
-    has_logits = "logits" in obj
-    if has_evidence == has_logits:
-        raise RecordParseError(
-            path, lineno, "each line needs exactly one of 'evidence' or 'logits'"
+@dataclass(frozen=True, eq=False)
+class RecordBatch:
+    """Records as read-only columns, one row per record, in file order.
+
+    ``values`` holds every row's evidence back to back (row i has ``k[i]``
+    entries); when all rows share one class count, ``evidence`` is the same
+    buffer viewed as an ``(n, K)`` matrix. ``labels`` is -1 where
+    ``labelled`` is False. ``class_names`` lists each distinct class-name
+    tuple once and ``class_index`` points every row at its own. Iterating
+    yields one ``EvidenceRecord`` view per row.
+    """
+
+    ids: list[str]
+    ood: np.ndarray  # bool: True for group "ood"
+    class_names: tuple[tuple[str, ...], ...]
+    class_index: np.ndarray
+    k: np.ndarray
+    values: np.ndarray
+    labels: np.ndarray
+    labelled: np.ndarray
+    lines: np.ndarray  # 1-based source line of each row
+    path: str | None = None
+
+    def __post_init__(self) -> None:
+        columns = (self.ood, self.class_index, self.k, self.values, self.labels, self.labelled, self.lines)
+        for column in columns:
+            column.setflags(write=False)
+
+    @classmethod
+    def from_records(cls, records: Iterable[EvidenceRecord]) -> RecordBatch:
+        """Columns of already-validated records; lines count from 1 in list order."""
+        records = list(records)
+        names: dict[tuple[str, ...], int] = {}
+        flat: list[float] = []
+        for r in records:
+            flat += r.evidence
+        labels = [r.gold_label for r in records]
+        class_index = [names.setdefault(r.class_names, len(names)) for r in records]
+        return cls(
+            ids=[r.id for r in records],
+            ood=np.array([r.group is Group.OOD for r in records], dtype=bool),
+            class_names=tuple(names),
+            class_index=np.array(class_index, dtype=np.intp),
+            k=np.array([r.k for r in records], dtype=np.intp),
+            values=np.array(flat, dtype=float),
+            labels=np.array([-1 if g is None else g for g in labels], dtype=np.int64),
+            labelled=np.array([g is not None for g in labels], dtype=bool),
+            lines=np.arange(1, len(records) + 1),
         )
-    values = obj["evidence"] if has_evidence else obj["logits"]
-    # bool is an int subclass, but JSON true/false is not a number
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
-        raise RecordParseError(path, lineno, "evidence/logits must be a numeric array")
-    try:
-        finite = all(math.isfinite(v) for v in values)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise RecordParseError(path, lineno, "evidence/logits must be finite")
-    if has_logits:
-        evidence = tuple(float(e) for e in softplus_evidence(values))
-    else:
-        evidence = tuple(float(v) for v in values)
-    if not math.isfinite(sum(evidence) + len(evidence)):
-        raise RecordParseError(path, lineno, "total strength S = sum(evidence + 1) overflows")
-    label = obj.get("label")
-    if label is not None and (not isinstance(label, int) or isinstance(label, bool)):
-        raise RecordParseError(path, lineno, "label must be an integer index")
-    try:
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _record(self, row: int, start: int) -> EvidenceRecord:
         return EvidenceRecord(
-            id=str(obj["id"]),
-            group=Group(obj["group"]),
-            class_names=tuple(obj["classes"]),
-            evidence=evidence,
-            gold_label=label,
+            id=self.ids[row],
+            group=Group.OOD if self.ood[row] else Group.ID,
+            class_names=self.class_names[self.class_index[row]],
+            evidence=self.values[start : start + self.k[row]].tolist(),
+            gold_label=int(self.labels[row]) if self.labelled[row] else None,
         )
-    except ValueError as exc:
-        raise RecordParseError(path, lineno, str(exc)) from exc
+
+    def __iter__(self) -> Iterator[EvidenceRecord]:
+        starts = (np.cumsum(self.k) - self.k).tolist()
+        return (self._record(row, start) for row, start in enumerate(starts))
+
+    def __getitem__(self, row: int) -> EvidenceRecord:
+        row = range(len(self))[row]
+        return self._record(row, int(self.k[:row].sum()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RecordBatch):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def class_count(self) -> int | None:
+        """The class count every row shares, or None when rows differ (or there are none)."""
+        ks = np.unique(self.k)
+        return int(ks[0]) if len(ks) == 1 else None
+
+    @property
+    def evidence(self) -> np.ndarray:
+        """The read-only (n, K) evidence matrix of a batch whose rows share one K."""
+        if len(self) == 0:
+            return self.values.reshape(0, 0)
+        k = self.class_count()
+        if k is None:
+            raise ValueError("rows have different class counts; no single evidence matrix")
+        return self.values.reshape(len(self), k)
+
+    def take(self, rows) -> RecordBatch:
+        """The sub-batch of the given row indices (or boolean row mask), in that order."""
+        rows = np.asarray(rows)
+        rows = np.flatnonzero(rows) if rows.dtype == bool else rows.astype(np.intp, copy=False)
+        return replace(
+            self,
+            ids=[self.ids[i] for i in rows.tolist()],
+            ood=self.ood[rows],
+            class_index=self.class_index[rows],
+            k=self.k[rows],
+            values=self.values[_flat_index(self.k, rows)],
+            labels=self.labels[rows],
+            labelled=self.labelled[rows],
+            lines=self.lines[rows],
+        )
+
+    def drop_class(self, index: int) -> RecordBatch:
+        """The batch with class ``index`` dropped from every row (one shared K > 2).
+
+        Gold labels after the dropped position move down by one. No row may
+        still carry the dropped class as its gold label: exclude those first.
+        """
+        k = self.class_count()
+        if k is None:
+            raise ValueError("rows must share one class count")
+        if not 0 <= index < k:
+            raise ValueError(f"class_index {index} out of range for K={k}")
+        if k <= 2:
+            raise ValueError("cannot remove a class from a 2-class record")
+        if (self.labelled & (self.labels == index)).any():
+            raise ValueError(f"rows labelled with class {index} must be excluded first")
+        return replace(
+            self,
+            class_names=tuple(names[:index] + names[index + 1 :] for names in self.class_names),
+            k=self.k - 1,
+            values=np.delete(self.evidence, index, axis=1).ravel(),
+            labels=self.labels - (self.labels > index),
+        )
 
 
-def parse_records(path) -> list[EvidenceRecord]:
-    """Read a line-delimited record file; blank lines are ignored."""
-    records = []
+def as_batch(records: RecordBatch | Sequence[EvidenceRecord]) -> RecordBatch:
+    """A batch as is, or the columns of a list of records."""
+    return records if isinstance(records, RecordBatch) else RecordBatch.from_records(records)
+
+
+def _flat_index(k: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions in the flat value buffer of the given rows' entries, row after row."""
+    starts = np.cumsum(k) - k
+    widths = k[rows]
+    out_starts = np.cumsum(widths) - widths
+    return np.repeat(starts[rows] - out_starts, widths) + np.arange(int(widths.sum()))
+
+
+_REQUIRED_ORDER = ("id", "group", "classes")
+_REQUIRED = frozenset(_REQUIRED_ORDER)
+_ID, _OOD = Group.ID.value, Group.OOD.value
+_VALUES_PROBLEM = "evidence/logits must be a numeric array"
+_CLASSES_PROBLEM = "classes must be an array of strings"
+_scan = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _structure_problem(obj) -> str | None:
+    """What is wrong with the shape and types of one decoded line, if anything."""
+    if type(obj) is not dict:
+        return "expected a JSON object"
+    if not _REQUIRED <= obj.keys():
+        return f"missing field {next(key for key in _REQUIRED_ORDER if key not in obj)!r}"
+    has_evidence = "evidence" in obj
+    if has_evidence == ("logits" in obj):
+        return "each line needs exactly one of 'evidence' or 'logits'"
+    values = obj["evidence"] if has_evidence else obj["logits"]
+    if type(values) is not list:
+        return _VALUES_PROBLEM
+    for v in values:
+        # bool is an int subclass, but JSON true/false is not a number
+        if type(v) is not float and type(v) is not int:
+            return _VALUES_PROBLEM
+    if type(obj["classes"]) is not list:
+        return _CLASSES_PROBLEM
+    label = obj.get("label")
+    if label is not None and type(label) is not int:
+        return "label must be an integer index"
+    return None
+
+
+def _decode(text: str):
+    """``json.loads`` of one stripped line, without its per-call overhead."""
+    try:
+        obj, end = _scan(text, 0)
+        if end == len(text):
+            return obj
+    except StopIteration:
+        pass
+    return json.loads(text)  # raises the JSONDecodeError that names the defect
+
+
+def _float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def _as_floats(flat: list) -> np.ndarray:
+    try:
+        return np.array(flat, dtype=float)
+    except OverflowError:
+        return np.array([_float(v) for v in flat], dtype=float)
+
+
+def _as_labels(raw: list) -> np.ndarray:
+    labels = [-1 if g is None else g for g in raw]
+    try:
+        return np.array(labels, dtype=np.int64)
+    except OverflowError:  # out of range anyway; the error message quotes the raw value
+        return np.array([g if abs(g) < 2**62 else -1 for g in labels], dtype=np.int64)
+
+
+def parse_records(path) -> RecordBatch:
+    """Read a line-delimited record file into one batch; blank lines are ignored."""
+    ids, groups, classes, flat, k, logits, labels, lines = [], [], [], [], [], [], [], []
+    names: dict[tuple, int] = {}
+    failure = None
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped:
                 continue
             try:
-                obj = json.loads(stripped)
+                obj = _decode(stripped)
             except json.JSONDecodeError as exc:
-                raise RecordParseError(path, lineno, f"invalid JSON ({exc.msg})") from exc
-            records.append(_parse_line(path, lineno, obj))
-    return records
+                failure = RecordParseError(path, lineno, f"invalid JSON ({exc.msg})")
+                break
+            except RecursionError:
+                failure = RecordParseError(path, lineno, "invalid JSON (nested too deeply)")
+                break
+            problem = _structure_problem(obj)
+            if problem is None:
+                try:
+                    classes.append(names.setdefault(tuple(obj["classes"]), len(names)))
+                except TypeError:  # an array or object among the class names
+                    problem = _CLASSES_PROBLEM
+            if problem is not None:
+                failure = RecordParseError(path, lineno, problem)
+                break
+            has_evidence = "evidence" in obj
+            values = obj["evidence"] if has_evidence else obj["logits"]
+            ids.append(obj["id"])
+            groups.append(obj["group"])
+            flat += values
+            k.append(len(values))
+            logits.append(not has_evidence)
+            labels.append(obj.get("label"))
+            lines.append(lineno)
+    # Only the rows before a structural failure were kept, so a numeric
+    # defect among them lies on an earlier line and is the one reported.
+    batch = _validated(
+        RecordBatch(
+            ids=[str(i) for i in ids],
+            ood=np.array([g == _OOD for g in groups], dtype=bool),
+            class_names=tuple(names),
+            class_index=np.array(classes, dtype=np.intp),
+            k=np.array(k, dtype=np.intp),
+            values=_as_floats(flat),
+            labels=_as_labels(labels),
+            labelled=np.array([g is not None for g in labels], dtype=bool),
+            lines=np.array(lines, dtype=np.intp),
+            path=str(path),
+        ),
+        np.array(logits, dtype=bool),
+        groups,
+        labels,
+    )
+    if failure is not None:
+        raise failure
+    return batch
+
+
+def _duplicates(ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
+    """Mask of rows whose id appeared on an earlier row, and each id's first row."""
+    duplicate = np.zeros(len(ids), dtype=bool)
+    first: dict[str, int] = {}
+    if len(set(ids)) < len(ids):
+        for row, rid in enumerate(ids):
+            duplicate[row] = first.setdefault(rid, row) != row
+    return duplicate, first
+
+
+def _validated(batch: RecordBatch, logits: np.ndarray, groups: list, labels: list) -> RecordBatch:
+    """The batch with softplus applied to its logits rows, once every per-file check passed.
+
+    One softplus call covers every logits row; each K block is then
+    checked as one matrix, with S summed as the scorer sums it. The error names the earliest
+    line with any defect and, on that line, the first defect in the order
+    the checks are listed below.
+    """
+    n = len(batch)
+    finite = np.isfinite(batch.values)
+    values = batch.values.copy()
+    soft = np.repeat(logits, batch.k)
+    nonfinite = np.zeros(n, dtype=bool)
+    overflow = np.zeros(n, dtype=bool)
+    negative = np.zeros(n, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged below
+        values[soft] = np.logaddexp(0.0, values[soft])
+        for k in np.unique(batch.k).tolist():
+            rows = np.flatnonzero(batch.k == k)
+            index = _flat_index(batch.k, rows)
+            block = values[index].reshape(len(rows), k)
+            nonfinite[rows] = ~finite[index].reshape(len(rows), k).all(axis=1)
+            overflow[rows] = ~np.isfinite((block + 1.0).sum(axis=1))
+            negative[rows] = (block < 0).any(axis=1)
+    ids, k = batch.ids, batch.k
+    bad_names = np.array([not all(type(c) is str for c in key) for key in batch.class_names], dtype=bool)
+    class_counts = np.array([len(key) for key in batch.class_names], dtype=np.intp)
+    duplicate, first_row = _duplicates(ids)
+
+    def first_negative(row: int) -> int:
+        start = int(k[:row].sum())
+        return int(np.argmax(values[start : start + k[row]] < 0))
+
+    checks = [
+        (nonfinite, lambda i: "evidence/logits must be finite"),
+        (overflow, lambda i: "total strength S = sum(evidence + 1) overflows"),
+        (
+            ~batch.ood & np.array([g != _ID for g in groups], dtype=bool),
+            lambda i: f"{groups[i]!r} is not a valid Group",
+        ),
+        (bad_names[batch.class_index], lambda i: _CLASSES_PROBLEM),
+        (
+            class_counts[batch.class_index] != k,
+            lambda i: (
+                f"record {ids[i]!r}: evidence length {k[i]} != "
+                f"class count {class_counts[batch.class_index[i]]}"
+            ),
+        ),
+        (k < 2, lambda i: f"record {ids[i]!r}: needs at least 2 classes"),
+        (negative, lambda i: f"record {ids[i]!r}: negative evidence at index {first_negative(i)}"),
+        (
+            batch.labelled & ((batch.labels < 0) | (batch.labels >= k)),
+            lambda i: f"record {ids[i]!r}: gold_label {labels[i]} out of range",
+        ),
+        (
+            duplicate,
+            lambda i: f"duplicate id {ids[i]!r} (first on line {batch.lines[first_row[ids[i]]]})",
+        ),
+    ]
+    found = [(int(np.argmax(bad)), c) for c, (bad, _) in enumerate(checks) if bad.any()]
+    if found:
+        row, c = min(found)
+        raise RecordParseError(batch.path, int(batch.lines[row]), checks[c][1](row))
+    return replace(batch, values=values)
 
 
 def record_to_dict(record: EvidenceRecord) -> dict:

@@ -23,9 +23,7 @@ from vacuitylab import (
     TrainingMode,
     append_classes,
     aupr,
-    aupr_reference,
     auroc,
-    auroc_bruteforce,
     digamma,
     dirichlet_state,
     edl_mse_loss,
@@ -44,6 +42,8 @@ from vacuitylab import (
 )
 from vacuitylab.cli import main
 from vacuitylab.records import serialize_records
+
+from oracles import aupr_reference, auroc_bruteforce
 
 EULER_GAMMA = 0.57721566490153286061
 

@@ -22,8 +22,6 @@ from vacuitylab import (
     Orientation,
     ScoredSample,
     append_classes,
-    aupr_reference,
-    auroc_bruteforce,
     evidence_to_alpha,
     expected_probabilities,
     generate_evidence_population,
@@ -37,6 +35,8 @@ from vacuitylab import (
 from vacuitylab.cli import main
 from vacuitylab.experiments import _append_columns, _evidence_matrix, _score_evidence
 from vacuitylab.records import serialize_records
+
+from oracles import aupr_reference, auroc_bruteforce
 
 
 def per_record_score(record, metric, orientation):

@@ -307,3 +307,31 @@ class TestUsageErrors:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{broken\n")
         assert main(["audit", str(bad), str(files["ood"])]) == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["audit"], ["metrics"], ["expand", "--mode", "ood-only", "--k-max", "3"], ["restrict", "--remove-class", "0"]],
+    ids=["audit", "metrics", "expand", "restrict"],
+)
+@pytest.mark.parametrize("role", ["id", "ood"])
+def test_group_must_match_file_role(tmp_path, capsys, command, role):
+    """A record filed on the wrong side is an input error, not an OOD score or an ID-side K."""
+    lines = {
+        "id": ['{"id": "a", "group": "id", "classes": ["A", "B"], "evidence": [3, 1]}'],
+        "ood": ['{"id": "b", "group": "ood", "classes": ["A", "B"], "evidence": [1, 1]}'],
+    }
+    other = "ood" if role == "id" else "id"
+    lines[role].append(
+        '{"id": "c", "group": "%s", "classes": ["A", "B"], "evidence": [2, 1]}' % other
+    )
+    paths = {}
+    for group, group_lines in lines.items():
+        paths[group] = tmp_path / f"{group}.jsonl"
+        paths[group].write_text("\n".join(group_lines) + "\n")
+    out = tmp_path / "out"
+    argv = [command[0], str(paths["id"]), str(paths["ood"]), *command[1:], "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{paths[role]}:2: record 'c' is in group '{other}'" in err
+    assert not out.exists()

@@ -1,0 +1,147 @@
+"""CLI fuzz: arbitrary JSON-ish record lines never crash the CLI.
+
+Every outcome exits 0, 1 or 2, nothing escapes ``main`` as an exception
+(which would reach stderr as a traceback), and a file that is not a valid
+record file for its side is exit 1 with an error naming ``path:line``.
+"""
+
+import contextlib
+import io
+import json
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from vacuitylab.cli import main
+from vacuitylab.records import RecordParseError, parse_records
+
+NAMES = ["A", "B", "C", "D", "E"]
+KEYS = ["id", "group", "classes", "evidence", "logits", "label"]
+NUMBERS = (
+    st.integers(-3, 40)
+    | st.floats(-5.0, 1e3, allow_nan=False)
+    | st.sampled_from([True, False, None, 1e308, 1e400, -1e400, float("nan"), 10**400])
+)
+JSON_ISH = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def record_objects(draw, role):
+    """Mostly valid records for one side, with the odd wrong group, bad value or missing key."""
+    k = draw(st.integers(2, 5))
+    n_values = k if draw(st.integers(0, 5)) else draw(st.integers(0, 6))  # sometimes ragged
+    obj = {
+        "id": draw(st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h", 7])),
+        "group": role if draw(st.integers(0, 7)) else draw(st.sampled_from(["id", "ood", "x", 1])),
+        "classes": NAMES[:k],
+        draw(st.sampled_from(["evidence", "logits"])): (
+            draw(st.lists(st.integers(0, 9) | st.floats(0.0, 50.0), min_size=n_values, max_size=n_values))
+            if draw(st.integers(0, 5))
+            else draw(st.lists(NUMBERS, min_size=n_values, max_size=n_values))
+        ),
+    }
+    if draw(st.booleans()):
+        obj["label"] = draw(st.integers(-1, k) | st.sampled_from([True, "A", 1.0]))
+    if not draw(st.integers(0, 9)):
+        del obj[draw(st.sampled_from(list(obj)))]
+    return json.dumps(obj)
+
+
+RAW_LINES = st.sampled_from(
+    [
+        "",
+        "   ",
+        "[1, 2]",
+        "3",
+        '"text"',
+        "null",
+        "{broken",
+        '{"id": "r", "group": "ood", "classes": ["A", "B"], "evidence": [1e308, 1e308]}',
+        '{"id": "s", "group": "ood", "classes": ["A", "B"], "logits": [NaN, Infinity]}',
+        '{"id": "t", "group": "id", "classes": ["A", "B"], "evidence": [1' + "0" * 400 + ", 1]}",
+        '{"id": "u", "group": "id", "classes": ["A", "B"], "evidence": [1, 2], "extra": [[]]}',
+        "[" * 5000 + "]" * 5000,
+    ]
+)
+
+
+@st.composite
+def valid_file(draw, role):
+    """Well-formed records with unique ids; K is one per file unless ``mixed`` is drawn.
+
+    Now and then one record carries the other side's group.
+    """
+    k = draw(st.integers(2, 5))
+    mixed = not draw(st.integers(0, 4))
+    other = "ood" if role == "id" else "id"
+    out = []
+    for i in range(draw(st.integers(1, 6))):
+        k_row = draw(st.integers(2, 5)) if mixed else k
+        group = role if draw(st.integers(0, 11)) else other
+        obj = {"id": f"{role}{i}", "group": group, "classes": NAMES[:k_row]}
+        value = st.integers(0, 9) | st.floats(0.0, 50.0)
+        obj[draw(st.sampled_from(["evidence", "logits"]))] = draw(
+            st.lists(value, min_size=k_row, max_size=k_row)
+        )
+        if draw(st.booleans()):
+            obj["label"] = draw(st.integers(0, k_row - 1))
+        out.append(json.dumps(obj))
+    return out
+
+
+def lines(role):
+    return valid_file(role) | st.lists(
+        st.one_of(
+            record_objects(role),
+            record_objects(role),
+            RAW_LINES,
+            st.dictionaries(st.sampled_from(KEYS), JSON_ISH, max_size=6).map(json.dumps),
+        ),
+        max_size=6,
+    )
+
+
+COMMANDS = [
+    ["audit"],
+    ["metrics"],
+    ["metrics", "--allow-mismatch", "--metric", "entropy"],
+    ["expand", "--mode", "ood-only", "--k-max", "6", "--evidence", "invariance"],
+    ["restrict", "--remove-class", "1", "--orientation", "ood-pos"],
+]
+
+
+def input_error(path: Path, ood: bool) -> bool:
+    """True when the file is not a valid record file for its side."""
+    try:
+        batch = parse_records(path)
+    except RecordParseError:
+        return True
+    return bool((batch.ood != ood).any())
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(id_lines=lines("id"), ood_lines=lines("ood"))
+def test_cli_survives_arbitrary_record_lines(id_lines, ood_lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "id.jsonl", Path(tmp) / "ood.jsonl"]
+        for path, content in zip(paths, (id_lines, ood_lines)):
+            path.write_text("".join(line + "\n" for line in content), encoding="utf-8")
+        bad = [p for p, ood in zip(paths, (False, True)) if input_error(p, ood)]
+        for command in COMMANDS:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), np.errstate(all="ignore"):
+                code = main([command[0], *map(str, paths), *command[1:], "--out", str(Path(tmp) / "out")])
+            err = stderr.getvalue()
+            assert code in (0, 1, 2), (command, code, err)
+            assert "Traceback" not in err
+            if bad:
+                assert code == 1, (command, code, err)
+                assert re.search(re.escape(str(bad[0])) + r":\d+: ", err), (command, err)

@@ -13,14 +13,14 @@ from vacuitylab.metrics import (
     accuracy,
     aupr,
     aupr_baseline,
-    aupr_reference,
     auroc,
-    auroc_bruteforce,
     ece,
     evaluate_detection,
     evaluate_scores,
     nll,
 )
+
+from oracles import aupr_reference, auroc_bruteforce
 
 
 def samples_from(scores, labels):

@@ -3,9 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vacuitylab import RecordParseError, parse_records, serialize_records
+from vacuitylab import RecordBatch, RecordParseError, parse_records, remove_class, serialize_records
 from vacuitylab.records import record_to_dict
 
 
@@ -82,6 +85,12 @@ class TestParse:
             [{"id": "q", "group": "test", "classes": ["A", "B"], "evidence": [1, 2]}],
         )
         with pytest.raises(RecordParseError):
+            parse_records(path)
+
+    def test_deeply_nested_json_names_line(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text(json.dumps(GOOD_EVIDENCE) + "\n" + "[" * 5000 + "]" * 5000 + "\n", encoding="utf-8")
+        with pytest.raises(RecordParseError, match=r":2: invalid JSON \(nested too deeply\)"):
             parse_records(path)
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -171,3 +180,166 @@ class TestRoundTrip:
 
         rec = EvidenceRecord(id="q", group="ood", class_names=["A", "B"], evidence=[1, 2])
         assert "label" not in record_to_dict(rec)
+
+
+class TestDuplicateIds:
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        other = dict(GOOD_EVIDENCE, id="q2")
+        path.write_text(
+            "\n".join([json.dumps(GOOD_EVIDENCE), json.dumps(other), "", json.dumps(GOOD_EVIDENCE)]) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(RecordParseError, match=r":4: duplicate id 'q1' \(first on line 1\)"):
+            parse_records(path)
+
+    def test_same_id_in_two_files_is_fine(self, tmp_path):
+        a = write_lines(tmp_path / "a.jsonl", [GOOD_EVIDENCE])
+        b = write_lines(tmp_path / "b.jsonl", [dict(GOOD_EVIDENCE, group="ood")])
+        assert parse_records(a).ids == parse_records(b).ids == ["q1"]
+
+
+@st.composite
+def record_files(draw):
+    """Record lines with K 2-12, evidence or logits, int or float values, optional labels."""
+    mixed = draw(st.booleans())
+    file_k = draw(st.integers(2, 12))
+    lines = []
+    for i in range(draw(st.integers(1, 25))):
+        k = draw(st.integers(2, 12)) if mixed else file_k
+        obj = {"id": f"r{i}", "group": draw(st.sampled_from(["id", "ood"])),
+               "classes": [f"c{j}" for j in range(k)]}
+        if draw(st.booleans()):
+            value = st.integers(-30, 30) | st.floats(-700.0, 700.0, allow_nan=False)
+            obj["logits"] = draw(st.lists(value, min_size=k, max_size=k))
+        else:
+            value = st.integers(0, 10**6) | st.floats(0.0, 1e12, allow_nan=False)
+            obj["evidence"] = draw(st.lists(value, min_size=k, max_size=k))
+        if draw(st.booleans()):
+            obj["label"] = draw(st.integers(0, k - 1))
+        lines.append(json.dumps(obj))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("   ")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_columns(text):
+    """Per-line reference: json.loads, then np.logaddexp(0, x) on each logits line."""
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        obj = json.loads(line)
+        if "logits" in obj:
+            evidence = np.logaddexp(0.0, np.array(obj["logits"], dtype=float))
+        else:
+            evidence = np.array(obj["evidence"], dtype=float)
+        rows.append((lineno, obj, evidence))
+    return rows
+
+
+class TestBatchColumns:
+    @settings(max_examples=80, deadline=None)
+    @given(text=record_files())
+    def test_columns_match_per_line_oracle_bit_for_bit(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("batch") / "r.jsonl"
+        path.write_text(text, encoding="utf-8")
+        batch = parse_records(path)
+        rows = oracle_columns(text)
+        assert len(batch) == len(rows)
+        assert batch.lines.tolist() == [lineno for lineno, _, _ in rows]
+        assert batch.ids == [obj["id"] for _, obj, _ in rows]
+        assert batch.ood.tolist() == [obj["group"] == "ood" for _, obj, _ in rows]
+        assert [batch.class_names[i] for i in batch.class_index] == [
+            tuple(obj["classes"]) for _, obj, _ in rows
+        ]
+        assert batch.k.tolist() == [len(ev) for _, _, ev in rows]
+        assert batch.values.tobytes() == np.concatenate([ev for _, _, ev in rows]).tobytes()
+        assert batch.labelled.tolist() == ["label" in obj for _, obj, _ in rows]
+        assert batch.labels.tolist() == [obj.get("label", -1) for _, obj, _ in rows]
+        if len(set(batch.k.tolist())) == 1:
+            assert batch.evidence.tobytes() == np.stack([ev for _, _, ev in rows]).tobytes()
+        for record, (_, obj, ev) in zip(batch, rows):
+            assert record.evidence == tuple(ev.tolist())
+            assert record.gold_label == obj.get("label")
+
+
+GOOD_LINE = '{"id": "ok%d", "group": "id", "classes": ["A", "B", "C"], "evidence": [1, 2, 3]}'
+# kind -> (line with that defect, message); "%d" keeps ids apart
+DEFECTS = {
+    "json": ('{"id": "j%d", "group": "id"', "invalid JSON"),
+    "object": ("[%d, 1]", "expected a JSON object"),
+    "missing": ('{"id": "m%d", "classes": ["A", "B"], "evidence": [1, 2]}', "missing field 'group'"),
+    "bool": ('{"id": "b%d", "group": "id", "classes": ["A", "B"], "evidence": [true, 1]}',
+             "numeric array"),
+    "label-type": ('{"id": "t%d", "group": "id", "classes": ["A", "B"], "evidence": [1, 2], '
+                   '"label": "A"}', "integer index"),
+    "negative": ('{"id": "n%d", "group": "id", "classes": ["A", "B"], "evidence": [1, -2]}',
+                 "negative evidence at index 1"),
+    "nan": ('{"id": "f%d", "group": "id", "classes": ["A", "B"], "logits": [NaN, 2]}', "finite"),
+    "overflow": ('{"id": "o%d", "group": "id", "classes": ["A", "B"], "evidence": [1e308, 1e308]}',
+                 "overflows"),
+    "group": ('{"id": "g%d", "group": "test", "classes": ["A", "B"], "evidence": [1, 2]}',
+              "not a valid Group"),
+    "one-class": ('{"id": "k%d", "group": "id", "classes": ["A"], "evidence": [1]}', "at least 2"),
+    "ragged": ('{"id": "r%d", "group": "id", "classes": ["A", "B"], "evidence": [1, 2, 3]}',
+               "class count"),
+    "label-range": ('{"id": "l%d", "group": "id", "classes": ["A", "B"], "evidence": [1, 2], '
+                    '"label": 2}', "out of range"),
+    "duplicate": (GOOD_LINE.replace("ok%d", "ok0"), "duplicate id 'ok0'"),
+}
+
+
+@pytest.mark.parametrize("first", DEFECTS)
+def test_earliest_defective_line_is_reported(tmp_path, first):
+    """Structural and numeric defects alike: the earlier line wins, as in a line-by-line parse."""
+    for second in DEFECTS:
+        templates = [GOOD_LINE, DEFECTS[first][0], GOOD_LINE, DEFECTS[second][0]]
+        lines = [t.replace("%d", str(n)) for n, t in enumerate(templates)]
+        path = tmp_path / f"{first}-{second}.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(RecordParseError) as info:
+            parse_records(path)
+        assert info.value.lineno == 2, (first, second, str(info.value))
+        assert DEFECTS[first][1] in str(info.value), (first, second, str(info.value))
+
+
+class TestBatchTransforms:
+    def make_batch(self, tmp_path):
+        lines = [
+            {"id": f"q{i}", "group": "ood", "classes": ["A", "B", "C", "D"],
+             "evidence": [i, 2 * i, 0.5, 3], **({"label": i % 4} if i % 3 else {})}
+            for i in range(12)
+        ]
+        return parse_records(write_lines(tmp_path / "r.jsonl", lines))
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    def test_drop_class_matches_remove_class(self, tmp_path, index):
+        batch = self.make_batch(tmp_path)
+        keep = ~(batch.labelled & (batch.labels == index))
+        reduced = batch.take(keep).drop_class(index)
+        expected = [remove_class(r, index) for r in batch]
+        assert list(reduced) == [r for r in expected if r is not None]
+        assert reduced.evidence.shape == (int(keep.sum()), 3)
+        assert reduced.lines.tolist() == batch.lines[keep].tolist()
+
+    def test_drop_class_refuses_rows_labelled_with_it(self, tmp_path):
+        with pytest.raises(ValueError, match="excluded first"):
+            self.make_batch(tmp_path).drop_class(1)
+
+    def test_take_keeps_order_and_views(self, tmp_path):
+        batch = self.make_batch(tmp_path)
+        assert list(batch.take([5, 2])) == [batch[5], batch[2]]
+        assert len(batch.take([])) == 0
+
+    def test_from_records_round_trips(self, tmp_path):
+        batch = self.make_batch(tmp_path)
+        assert RecordBatch.from_records(list(batch)) == batch
+
+    def test_mixed_k_has_no_single_matrix(self, tmp_path):
+        lines = [GOOD_EVIDENCE, {"id": "q2", "group": "id", "classes": ["A", "B"], "evidence": [1, 2]}]
+        batch = parse_records(write_lines(tmp_path / "r.jsonl", lines))
+        assert batch.k.tolist() == [4, 2]
+        assert batch[1].evidence == (1.0, 2.0)
+        with pytest.raises(ValueError, match="different class counts"):
+            batch.evidence
