@@ -72,7 +72,7 @@ from .records import (
     record_to_dict,
     serialize_records,
 )
-from .special import digamma, log_gamma, trigamma
+from .special import digamma, digamma_trigamma, log_gamma, trigamma
 from .synthetic import (
     PopulationParams,
     generate_evidence_population,
@@ -83,6 +83,7 @@ from .synthetic import (
 from .toy import (
     LossBreakdown,
     RbfFeaturizer,
+    ToyBatch,
     ToyModelGrads,
     ToyModelParams,
     ToyTrainConfig,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -64,8 +65,10 @@ def _evidence_value(text: str):
     try:
         value = float(text)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(
-            f"expected a number or {INVARIANCE_EVIDENCE!r}, got {text!r}"
+            f"expected a finite number or {INVARIANCE_EVIDENCE!r}, got {text!r}"
         )
     return value
 

@@ -113,6 +113,14 @@ def _evidence_matrix(records: Records) -> np.ndarray:
     return as_batch(records).evidence
 
 
+class _NonFiniteStrength(ValueError):
+    """``row`` is the first row of the scored matrix whose S is not finite."""
+
+    def __init__(self, row: int):
+        super().__init__("evidence and its sum S must be finite")
+        self.row = row
+
+
 def _score_evidence(evidence: np.ndarray, metric: Metric, orientation: Orientation) -> np.ndarray:
     """Detection score of every row of an (n, K) evidence matrix.
 
@@ -123,8 +131,9 @@ def _score_evidence(evidence: np.ndarray, metric: Metric, orientation: Orientati
     """
     alpha = evidence + 1.0
     strength = alpha.sum(axis=1)
-    if not np.isfinite(strength).all():
-        raise ValueError("evidence and its sum S must be finite")
+    finite = np.isfinite(strength)
+    if not finite.all():
+        raise _NonFiniteStrength(int(np.argmin(finite)))
     id_positive = orientation is Orientation.ID_POSITIVE
     if metric is Metric.VACUITY:
         u = alpha.shape[1] / strength
@@ -202,8 +211,10 @@ class ExpansionSpec:
                     f"appended_evidence must be a non-negative number or "
                     f"{INVARIANCE_EVIDENCE!r}, got {self.appended_evidence!r}"
                 )
-        elif self.appended_evidence < 0:
-            raise ValueError("appended_evidence must be >= 0")
+        elif not 0 <= self.appended_evidence < math.inf:
+            raise ValueError(
+                f"appended_evidence must be a finite number >= 0, got {self.appended_evidence}"
+            )
 
 
 @dataclass(frozen=True)
@@ -237,6 +248,7 @@ def _append_columns(evidence: np.ndarray, count: int, appended_evidence: float |
     return np.hstack([evidence, np.broadcast_to(fill, (len(evidence), count))])
 
 
+@np.errstate(over="ignore")  # an S that overflows is reported with its record, not as a warning
 def run_expansion_experiment(
     id_records: Records,
     ood_records: Records,
@@ -261,8 +273,18 @@ def run_expansion_experiment(
         if k <= base_k:
             raise ValueError(f"k_target {k} must exceed the baseline K={base_k}")
 
-    def score(evidence: np.ndarray) -> np.ndarray:
-        return _score_evidence(evidence, metric, orientation)
+    def score(batch: RecordBatch, evidence: np.ndarray, count: int) -> np.ndarray:
+        """Scores with ``count`` classes appended; an S that overflows names its record."""
+        if count:
+            evidence = _append_columns(evidence, count, spec.appended_evidence)
+        try:
+            return _score_evidence(evidence, metric, orientation)
+        except _NonFiniteStrength as exc:
+            row = exc.row
+            raise ValueError(
+                f"{batch.path or '<records>'}:{batch.lines[row]}: record {batch.ids[row]!r}: "
+                f"evidence sum S is not finite at K={base_k + count}"
+            ) from None
 
     def evaluate(id_scores: np.ndarray, ood_scores: np.ndarray, k_id: int, k_ood: int):
         scores = np.concatenate([id_scores, ood_scores])
@@ -271,14 +293,14 @@ def run_expansion_experiment(
     id_evidence = id_batch.evidence
     ood_evidence = ood_batch.evidence
     labels = np.concatenate([_labels(id_batch, orientation), _labels(ood_batch, orientation)])
-    id_scores = score(id_evidence)
-    rows = [evaluate(id_scores, score(ood_evidence), base_k, base_k)]
+    id_scores = score(id_batch, id_evidence, 0)
+    rows = [evaluate(id_scores, score(ood_batch, ood_evidence, 0), base_k, base_k)]
     for k_target in spec.k_targets:
         count = k_target - base_k
-        ood_scores = score(_append_columns(ood_evidence, count, spec.appended_evidence))
+        ood_scores = score(ood_batch, ood_evidence, count)
         if spec.mode is ExpansionMode.MATCHED:
-            expanded_id = _append_columns(id_evidence, count, spec.appended_evidence)
-            rows.append(evaluate(score(expanded_id), ood_scores, k_target, k_target))
+            expanded_id_scores = score(id_batch, id_evidence, count)
+            rows.append(evaluate(expanded_id_scores, ood_scores, k_target, k_target))
         else:
             rows.append(evaluate(id_scores, ood_scores, base_k, k_target))
     return ExpansionRun(

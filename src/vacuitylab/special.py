@@ -1,8 +1,9 @@
 """Special functions needed by the Dirichlet KL machinery.
 
 ``log_gamma`` uses the Lanczos approximation (g = 7, 9 coefficients);
-``digamma`` and ``trigamma`` use the ascending recurrence to shift the
-argument above 10 followed by the asymptotic (Bernoulli-number) series.
+``digamma_trigamma`` shifts the argument above 10 with the ascending
+recurrence, then evaluates both asymptotic (Bernoulli-number) series;
+``digamma`` and ``trigamma`` are its one-output forms.
 All three are accurate to at least 10 significant digits on [0.5, 1e4]
 and accept scalars or arrays of positive reals.
 """
@@ -64,52 +65,48 @@ def log_gamma(x):
     return float(out[0]) if scalar else out
 
 
-def digamma(x):
-    """Logarithmic derivative of the gamma function for x > 0."""
-    arr = np.asarray(x, dtype=float)
-    _validate_positive(arr, "digamma")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float).copy()
+def digamma_trigamma(x):
+    """psi(x) and psi'(x) for x > 0 from one shared argument shift.
 
-    acc = np.zeros_like(arr)
+    Each recurrence step takes 1/x off psi and adds 1/x^2 to psi'.
+    """
+    arr = np.asarray(x, dtype=float)
+    _validate_positive(arr, "digamma_trigamma")
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr).astype(float)
+
+    psi = np.zeros_like(arr)
+    psi1 = np.zeros_like(arr)
     low = arr < _ASYMPTOTIC_CUTOFF
     while low.any():
-        acc[low] -= 1.0 / arr[low]
-        arr[low] += 1.0
+        psi -= np.where(low, 1.0 / arr, 0.0)
+        psi1 += np.where(low, 1.0 / (arr * arr), 0.0)
+        arr += low
         low = arr < _ASYMPTOTIC_CUTOFF
 
+    u = 1.0 / (arr * arr)
     # psi(x) ~ ln x - 1/(2x) - 1/(12x^2) + 1/(120x^4) - 1/(252x^6)
     #          + 1/(240x^8) - 1/(132x^10) + 691/(32760x^12)
-    u = 1.0 / (arr * arr)
-    series = u * (
+    psi_series = u * (
         1.0 / 12.0
         - u * (1.0 / 120.0 - u * (1.0 / 252.0 - u * (1.0 / 240.0 - u * (1.0 / 132.0 - u * 691.0 / 32760.0))))
     )
-    out = acc + np.log(arr) - 0.5 / arr - series
-    return float(out[0]) if scalar else out
-
-
-def trigamma(x):
-    """First derivative of digamma for x > 0 (used by KL gradients)."""
-    arr = np.asarray(x, dtype=float)
-    _validate_positive(arr, "trigamma")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float).copy()
-
-    acc = np.zeros_like(arr)
-    low = arr < _ASYMPTOTIC_CUTOFF
-    while low.any():
-        acc[low] += 1.0 / (arr[low] * arr[low])
-        arr[low] += 1.0
-        low = arr < _ASYMPTOTIC_CUTOFF
-
+    psi = psi + np.log(arr) - 0.5 / arr - psi_series
     # psi'(x) ~ 1/x + 1/(2x^2) + 1/(6x^3) - 1/(30x^5) + 1/(42x^7)
     #           - 1/(30x^9) + 5/(66x^11)
-    u = 1.0 / (arr * arr)
-    series = (
+    psi1 += (
         1.0 / arr
         + 0.5 * u
         + u / arr * (1.0 / 6.0 - u * (1.0 / 30.0 - u * (1.0 / 42.0 - u * (1.0 / 30.0 - u * 5.0 / 66.0))))
     )
-    out = acc + series
-    return float(out[0]) if scalar else out
+    return (float(psi[0]), float(psi1[0])) if scalar else (psi, psi1)
+
+
+def digamma(x):
+    """Logarithmic derivative of the gamma function for x > 0."""
+    return digamma_trigamma(x)[0]
+
+
+def trigamma(x):
+    """First derivative of digamma for x > 0 (used by KL gradients)."""
+    return digamma_trigamma(x)[1]

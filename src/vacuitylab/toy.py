@@ -15,13 +15,13 @@ test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .losses import softplus_evidence
-from .special import digamma, log_gamma, trigamma
+from . import losses
+from .special import log_gamma
 
 
 class TrainingMode(str, Enum):
@@ -30,11 +30,18 @@ class TrainingMode(str, Enum):
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss stops being finite.
 
-    def __init__(self, step: int, message: str):
-        super().__init__(f"training diverged at step {step}: {message}")
+    ``last_finite_loss`` is the total loss of the step before, or None if
+    the first step already diverged.
+    """
+
+    def __init__(self, step: int, message: str, last_finite_loss: float | None = None):
+        super().__init__(
+            f"training diverged at step {step}: {message} (last finite loss: {last_finite_loss})"
+        )
         self.step = step
+        self.last_finite_loss = last_finite_loss
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,11 @@ class ToyModelParams:
 
 @dataclass(frozen=True)
 class ToyModelGrads:
-    weights: np.ndarray
-    bias: np.ndarray
+    """One loss evaluation's terms and gradients (None when ``loss.total`` is not finite)."""
+
+    loss: LossBreakdown
+    weights: np.ndarray | None
+    bias: np.ndarray | None
     sigma_weights: np.ndarray | None = None
     sigma_bias: np.ndarray | None = None
 
@@ -124,64 +134,92 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def _noise(rng_seed: int, shape: tuple[int, int]) -> np.ndarray:
-    return np.random.default_rng(rng_seed).standard_normal(shape)
+@dataclass(frozen=True)
+class ToyBatch:
+    """A validated batch with its per-run invariants: one-hot labels and log G(K)."""
+
+    x: np.ndarray
+    y_onehot: np.ndarray
+    log_gamma_k: float
+
+    @classmethod
+    def of(cls, params: ToyModelParams, features, labels) -> "ToyBatch":
+        if isinstance(features, ToyBatch):
+            if labels is not None:
+                raise ValueError("labels must be None when features is a ToyBatch")
+            return features
+        x = np.asarray(features, dtype=float)
+        y = np.asarray(labels, dtype=int)
+        if x.ndim != 2 or x.shape[1] != params.feature_dim:
+            raise ValueError(f"features must be (n, {params.feature_dim})")
+        if y.shape != (x.shape[0],):
+            raise ValueError("labels must be a vector matching the batch size")
+        if x.shape[0] == 0:
+            raise ValueError("batch must not be empty")
+        if (y < 0).any() or (y >= params.n_classes).any():
+            raise ValueError("labels out of range")
+        return cls(x, np.eye(params.n_classes)[y], log_gamma(float(params.n_classes)))
 
 
-def _validate_batch(params: ToyModelParams, features, labels):
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    if x.ndim != 2 or x.shape[1] != params.feature_dim:
-        raise ValueError(f"features must be (n, {params.feature_dim})")
-    if y.shape != (x.shape[0],):
-        raise ValueError("labels must be a vector matching the batch size")
-    if x.shape[0] == 0:
-        raise ValueError("batch must not be empty")
-    if (y < 0).any() or (y >= params.n_classes).any():
-        raise ValueError("labels out of range")
-    return x, y
-
-
-def _forward(
-    params: ToyModelParams, x: np.ndarray, rng_seed: int, training: bool
-) -> dict:
+def _forward(params: ToyModelParams, x: np.ndarray, rng_seed: int, training: bool) -> dict:
     """Shared forward pass; IB noise is reparameterized with a seeded rng."""
     mu = x @ params.weights.T + params.bias
     out = {"mu": mu}
     if params.mode is TrainingMode.EDL:
         z = mu
-        out["sigma"] = None
-        out["eps"] = None
     else:
         sigma_raw = x @ params.sigma_weights.T + params.sigma_bias
-        sigma = softplus_evidence(sigma_raw)
+        sigma = losses.softplus_evidence(sigma_raw)
         scale = 1.0 if training else params.sigma_mult
-        eps = _noise(rng_seed, mu.shape)
+        eps = np.random.default_rng(rng_seed).standard_normal(mu.shape)
         z = mu + scale * sigma * eps
         out.update(sigma_raw=sigma_raw, sigma=sigma, eps=eps, scale=scale)
-    alpha = softplus_evidence(z) + 1.0
+    alpha = losses.softplus_evidence(z) + 1.0
     out.update(z=z, alpha=alpha)
     return out
 
 
-def _batch_mse(alpha: np.ndarray, y_onehot: np.ndarray) -> float:
-    s = alpha.sum(axis=1, keepdims=True)
-    p = alpha / s
-    squared = ((y_onehot - p) ** 2).sum(axis=1)
-    variance = (alpha * (s - alpha)).sum(axis=1) / (s[:, 0] ** 2 * (s[:, 0] + 1.0))
-    return float((squared + variance).mean())
+def _evaluate(params, batch: ToyBatch, lam, beta, rng_seed, training, gradient):
+    """One forward pass: the loss terms, then the gradients if asked for and the loss is finite."""
+    x, y_onehot = batch.x, batch.y_onehot
+    fwd = _forward(params, x, rng_seed, training)
+    alpha = fwd["alpha"]
+    mse = float(losses.expected_brier(alpha, y_onehot).mean())
+    if params.mode is TrainingMode.EDL:
+        alpha_tilde = y_onehot + (1.0 - y_onehot) * alpha
+        kl_rows, psi1 = losses.kl_to_uniform_rows(alpha_tilde, batch.log_gamma_k)
+        kl = float(kl_rows.mean())
+        loss = LossBreakdown(mse_term=mse, kl_term=kl, ib_info_term=0.0,
+                             lambda_weight=lam, beta_weight=0.0, total=mse + lam * kl)
+    else:
+        mu, sigma = fwd["mu"], fwd["sigma"]
+        info = float(losses.ib_info_rows(mu, sigma).mean())
+        loss = LossBreakdown(mse_term=mse, kl_term=0.0, ib_info_term=info,
+                             lambda_weight=0.0, beta_weight=beta, total=mse + beta * info)
+    if not gradient or not math.isfinite(loss.total):
+        return ToyModelGrads(loss=loss, weights=None, bias=None)
 
+    n = x.shape[0]
+    d_alpha = losses.expected_brier_grad(alpha, y_onehot)
+    if params.mode is TrainingMode.EDL:
+        # alpha_tilde keeps the wrong-class concentrations only
+        d_kl = losses.kl_to_uniform_grad(alpha_tilde, psi1) * (1.0 - y_onehot)
+        d_alpha = d_alpha + lam * d_kl
+        d_logits = d_alpha * _sigmoid(fwd["z"])
+        return ToyModelGrads(loss=loss, weights=d_logits.T @ x / n, bias=d_logits.mean(axis=0))
 
-def _batch_kl_to_uniform(alpha_tilde: np.ndarray) -> float:
-    totals = alpha_tilde.sum(axis=1)
-    k = alpha_tilde.shape[1]
-    per_row = (
-        log_gamma(totals)
-        - log_gamma(float(k))
-        - log_gamma(alpha_tilde).sum(axis=1)
-        + ((alpha_tilde - 1.0) * (digamma(alpha_tilde) - digamma(totals)[:, None])).sum(axis=1)
+    eps, scale = fwd["eps"], fwd["scale"]
+    d_z = d_alpha * _sigmoid(fwd["z"])
+    d_mu = d_z + beta * mu
+    d_sigma = d_z * (scale * eps) + beta * (sigma - 1.0 / sigma)
+    d_sigma_raw = d_sigma * _sigmoid(fwd["sigma_raw"])
+    return ToyModelGrads(
+        loss=loss,
+        weights=d_mu.T @ x / n,
+        bias=d_mu.mean(axis=0),
+        sigma_weights=d_sigma_raw.T @ x / n,
+        sigma_bias=d_sigma_raw.mean(axis=0),
     )
-    return float(per_row.mean())
 
 
 def total_loss(
@@ -199,47 +237,10 @@ def total_loss(
     In IB mode the latent noise is z = mu + sigma * eps with eps drawn from
     a generator seeded by ``rng_seed`` (so repeat calls are bitwise equal);
     with ``training=False`` the noise is scaled by ``params.sigma_mult``.
+    ``features`` may be a :class:`ToyBatch`, with ``labels`` None.
     """
-    x, y = _validate_batch(params, features, labels)
-    y_onehot = np.eye(params.n_classes)[y]
-    fwd = _forward(params, x, rng_seed, training)
-    mse = _batch_mse(fwd["alpha"], y_onehot)
-    if params.mode is TrainingMode.EDL:
-        alpha_tilde = y_onehot + (1.0 - y_onehot) * fwd["alpha"]
-        kl = _batch_kl_to_uniform(alpha_tilde)
-        total = mse + lambda_weight * kl
-        return LossBreakdown(
-            mse_term=mse,
-            kl_term=kl,
-            ib_info_term=0.0,
-            lambda_weight=lambda_weight,
-            beta_weight=0.0,
-            total=total,
-        )
-    mu, sigma = fwd["mu"], fwd["sigma"]
-    info = float(
-        (0.5 * ((mu**2).sum(axis=1) + (sigma**2).sum(axis=1) - 2.0 * np.log(sigma).sum(axis=1))).mean()
-    )
-    total = mse + beta_weight * info
-    return LossBreakdown(
-        mse_term=mse,
-        kl_term=0.0,
-        ib_info_term=info,
-        lambda_weight=0.0,
-        beta_weight=beta_weight,
-        total=total,
-    )
-
-
-def _mse_alpha_grad(alpha: np.ndarray, y_onehot: np.ndarray) -> np.ndarray:
-    """d/d alpha of the expected-Brier term, per example (before the batch mean)."""
-    s = alpha.sum(axis=1, keepdims=True)
-    p = alpha / s
-    q = (alpha**2).sum(axis=1, keepdims=True)
-    denom = s**2 * (s + 1.0)
-    g_squared = (2.0 / s) * ((p - y_onehot) - ((p - y_onehot) * p).sum(axis=1, keepdims=True))
-    g_variance = ((2.0 * s - 2.0 * alpha) * denom - (s**2 - q) * (3.0 * s**2 + 2.0 * s)) / denom**2
-    return g_squared + g_variance
+    batch = ToyBatch.of(params, features, labels)
+    return _evaluate(params, batch, lambda_weight, beta_weight, rng_seed, training, False).loss
 
 
 def loss_gradient(
@@ -251,36 +252,13 @@ def loss_gradient(
     rng_seed: int,
     training: bool = True,
 ) -> ToyModelGrads:
-    """Analytic gradient of ``total_loss`` with the IB noise held fixed by seed."""
-    x, y = _validate_batch(params, features, labels)
-    n = x.shape[0]
-    y_onehot = np.eye(params.n_classes)[y]
-    fwd = _forward(params, x, rng_seed, training)
-    alpha = fwd["alpha"]
+    """Analytic gradient of ``total_loss`` with the IB noise held fixed by seed.
 
-    d_alpha = _mse_alpha_grad(alpha, y_onehot)
-    if params.mode is TrainingMode.EDL:
-        alpha_tilde = y_onehot + (1.0 - y_onehot) * alpha
-        totals = alpha_tilde.sum(axis=1, keepdims=True)
-        k = params.n_classes
-        d_kl = ((alpha_tilde - 1.0) * trigamma(alpha_tilde) - (totals - k) * trigamma(totals)) * (
-            1.0 - y_onehot
-        )
-        d_alpha = d_alpha + lambda_weight * d_kl
-        d_logits = d_alpha * _sigmoid(fwd["z"])
-        return ToyModelGrads(weights=d_logits.T @ x / n, bias=d_logits.mean(axis=0))
-
-    mu, sigma, eps, scale = fwd["mu"], fwd["sigma"], fwd["eps"], fwd["scale"]
-    d_z = d_alpha * _sigmoid(fwd["z"])
-    d_mu = d_z + beta_weight * mu
-    d_sigma = d_z * (scale * eps) + beta_weight * (sigma - 1.0 / sigma)
-    d_sigma_raw = d_sigma * _sigmoid(fwd["sigma_raw"])
-    return ToyModelGrads(
-        weights=d_mu.T @ x / n,
-        bias=d_mu.mean(axis=0),
-        sigma_weights=d_sigma_raw.T @ x / n,
-        sigma_bias=d_sigma_raw.mean(axis=0),
-    )
+    The same forward pass yields the loss, returned as ``grads.loss``.
+    ``features`` may be a :class:`ToyBatch`, with ``labels`` None.
+    """
+    batch = ToyBatch.of(params, features, labels)
+    return _evaluate(params, batch, lambda_weight, beta_weight, rng_seed, training, True)
 
 
 @dataclass(frozen=True)
@@ -377,32 +355,21 @@ def train_toy(config: ToyTrainConfig, points, labels) -> ToyTrainResult:
     feats = featurizer.transform(pts)
     params = init_params(config.mode, n_classes, feats.shape[1], config.sigma_mult)
 
+    batch = ToyBatch.of(params, feats, y)
     root = np.random.SeedSequence(config.seed)
     step_seeds = root.generate_state(max(config.steps, 1), dtype=np.uint64)
 
+    heads = ("weights", "bias", "sigma_weights", "sigma_bias")
+    heads = heads if config.mode is TrainingMode.IB_EDL else heads[:2]
+    last_finite_loss = None
     for step in range(config.steps):
         lam = config.lambda_at(step)
-        seed = int(step_seeds[step])
-        loss = total_loss(params, feats, y, lam, config.beta_weight, seed)
-        if not math.isfinite(loss.total):
-            raise TrainingDiverged(step, f"loss = {loss.total}")
-        grads = loss_gradient(params, feats, y, lam, config.beta_weight, seed)
-        params = ToyModelParams(
-            weights=params.weights - config.learning_rate * grads.weights,
-            bias=params.bias - config.learning_rate * grads.bias,
-            mode=params.mode,
-            sigma_weights=(
-                None
-                if grads.sigma_weights is None
-                else params.sigma_weights - config.learning_rate * grads.sigma_weights
-            ),
-            sigma_bias=(
-                None
-                if grads.sigma_bias is None
-                else params.sigma_bias - config.learning_rate * grads.sigma_bias
-            ),
-            sigma_mult=params.sigma_mult,
-        )
+        grads = loss_gradient(params, batch, None, lam, config.beta_weight, int(step_seeds[step]))
+        if not math.isfinite(grads.loss.total):
+            raise TrainingDiverged(step, f"loss = {grads.loss.total}", last_finite_loss)
+        last_finite_loss = grads.loss.total
+        lr = config.learning_rate
+        params = replace(params, **{h: getattr(params, h) - lr * getattr(grads, h) for h in heads})
 
     alpha_id = predict_alpha(params, featurizer, pts)
     probes = far_probe_points(pts)
@@ -415,7 +382,7 @@ def train_toy(config: ToyTrainConfig, points, labels) -> ToyTrainResult:
         "mean_id_vacuity": _mean_vacuity(alpha_id),
         "mean_far_ood_vacuity": _mean_vacuity(alpha_far),
         "final_loss": total_loss(
-            params, feats, y, final_lambda, config.beta_weight, 0, training=False
+            params, batch, None, final_lambda, config.beta_weight, 0, training=False
         ).total,
     }
     return ToyTrainResult(params=params, featurizer=featurizer, summary=summary)

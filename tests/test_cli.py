@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes (0 ok / 1 usage / 2 audit fail), files."""
 
 import json
+import warnings
 
 import pytest
 
@@ -335,3 +336,35 @@ def test_group_must_match_file_role(tmp_path, capsys, command, role):
     err = capsys.readouterr().err
     assert f"{paths[role]}:2: record 'c' is in group '{other}'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, evidence, k_target",
+    [("ood-only", "invariance", 4), ("ood-only", "1e308", 3), ("matched", "1e308", 3)],
+)
+def test_expansion_overflow_names_record_and_k(tmp_path, capsys, mode, evidence, k_target):
+    """A row that parses with a finite S can overflow once classes are appended."""
+    good = tmp_path / "id.jsonl"
+    good.write_text('{"id": "a", "group": "id", "classes": ["A", "B"], "evidence": [3, 1]}\n')
+    bad = tmp_path / "ood.jsonl"
+    bad.write_text(
+        '{"id": "b", "group": "ood", "classes": ["A", "B"], "evidence": [1, 1]}\n'
+        '{"id": "c", "group": "ood", "classes": ["A", "B"], "evidence": [1e308, 0]}\n'
+    )
+    out = tmp_path / "out"
+    argv = ["expand", str(good), str(bad), "--mode", mode, "--k-max", "4", "--evidence", evidence]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", str(out)]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert f"{bad}:2:" in err and "'c'" in err and f"K={k_target}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+def test_non_finite_evidence_is_usage_error(files, capsys, value):
+    argv = ["expand", str(files["id"]), str(files["ood"]), "--mode", "ood-only", "--k-max", "6"]
+    assert main([*argv, f"--evidence={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--evidence" in err and value in err

@@ -257,3 +257,9 @@ class TestRestriction:
         assert result.as_is.auroc > 0.85
         assert abs(result.removed.auroc - 0.5) < 0.1
         assert result.as_is.auroc - result.removed.auroc > 0.3
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_spec_rejects_non_finite_appended_evidence(value):
+    with pytest.raises(ValueError, match="finite"):
+        ExpansionSpec(mode=ExpansionMode.OOD_ONLY, k_targets=(5,), appended_evidence=value)

@@ -8,8 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vacuitylab.special import digamma, log_gamma, trigamma
+from vacuitylab.special import digamma, digamma_trigamma, log_gamma, trigamma
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -119,3 +121,88 @@ class TestTrigamma:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             trigamma(-0.5)
+
+
+def _reference_shifted(x, term):
+    """The separate per-function recurrence: shift each x below 10 up by one, adding term(x)."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float)).copy()
+    acc = np.zeros_like(arr)
+    low = arr < 10.0
+    while low.any():
+        acc[low] += term(arr[low])
+        arr[low] += 1.0
+        low = arr < 10.0
+    return acc, arr
+
+
+def reference_digamma(x):
+    acc, arr = _reference_shifted(x, lambda a: -(1.0 / a))
+    u = 1.0 / (arr * arr)
+    series = u * (
+        1.0 / 12.0
+        - u * (1.0 / 120.0 - u * (1.0 / 252.0 - u * (1.0 / 240.0 - u * (1.0 / 132.0 - u * 691.0 / 32760.0))))
+    )
+    return acc + np.log(arr) - 0.5 / arr - series
+
+
+def reference_trigamma(x):
+    acc, arr = _reference_shifted(x, lambda a: 1.0 / (a * a))
+    u = 1.0 / (arr * arr)
+    return acc + (
+        1.0 / arr
+        + 0.5 * u
+        + u / arr * (1.0 / 6.0 - u * (1.0 / 30.0 - u * (1.0 / 42.0 - u * (1.0 / 30.0 - u * 5.0 / 66.0))))
+    )
+
+
+POSITIVE = st.floats(1e-3, 1e4, allow_nan=False, allow_infinity=False)
+BELOW_CUTOFF = st.floats(1e-3, 10.0, exclude_max=True)
+ABOVE_CUTOFF = st.floats(10.0, 1e4)
+
+
+@st.composite
+def special_arguments(draw):
+    """A scalar, or a 1-D or 2-D array, some of them mixing values on both sides of the cutoff."""
+    if draw(st.booleans()):
+        return draw(POSITIVE)
+    shape = draw(st.sampled_from([(1,), (7,), (3, 4), (5, 1), (1, 6)]))
+    n = int(np.prod(shape))
+    values = draw(st.lists(POSITIVE, min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        values[0] = draw(BELOW_CUTOFF)
+        values[-1] = draw(ABOVE_CUTOFF)
+    return np.array(values).reshape(shape)
+
+
+def as_bytes(value) -> bytes:
+    return np.atleast_1d(np.asarray(value, dtype=float)).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(special_arguments())
+def test_shared_pass_equals_separate_recurrences_bit_for_bit(x):
+    psi, psi1 = digamma_trigamma(x)
+    assert np.shape(psi) == np.shape(psi1) == np.shape(x)
+    assert isinstance(psi, float) == np.isscalar(x)
+    expected_psi = reference_digamma(x).reshape(np.shape(x))
+    expected_psi1 = reference_trigamma(x).reshape(np.shape(x))
+    assert as_bytes(psi) == as_bytes(digamma(x)) == as_bytes(expected_psi)
+    assert as_bytes(psi1) == as_bytes(trigamma(x)) == as_bytes(expected_psi1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 30), st.data())
+def test_stacked_evaluation_equals_column_evaluations(k, n, data):
+    """[alpha_tilde | S] as one (n, K+1) array gives each column's own bits."""
+    values = data.draw(st.lists(st.floats(1.0, 1e3), min_size=n * k, max_size=n * k))
+    alpha_tilde = np.array(values).reshape(n, k)
+    totals = alpha_tilde.sum(axis=1)
+    stacked = np.concatenate([alpha_tilde, totals[:, None]], axis=1)
+    psi, psi1 = digamma_trigamma(stacked)
+    assert psi[:, :k].tobytes() == digamma(alpha_tilde).tobytes()
+    assert psi1[:, :k].tobytes() == trigamma(alpha_tilde).tobytes()
+    assert np.ascontiguousarray(psi[:, k]).tobytes() == digamma(totals).tobytes()
+    assert np.ascontiguousarray(psi1[:, k]).tobytes() == trigamma(totals).tobytes()
+    lg = log_gamma(stacked)
+    assert lg[:, :k].tobytes() == log_gamma(alpha_tilde).tobytes()
+    assert np.ascontiguousarray(lg[:, k]).tobytes() == log_gamma(totals).tobytes()

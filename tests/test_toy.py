@@ -7,7 +7,10 @@ accuracy on separated blobs and the vacuity gap between the data region
 and far-away probes.
 """
 
+import hashlib
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from vacuitylab import (
     total_loss,
     train_toy,
 )
+from vacuitylab.cli import main
 
 REL_TOL = 1e-5
 ABS_FLOOR = 1e-8
@@ -261,6 +265,21 @@ class TestTrainToy:
             train_toy(config, points, labels)
         assert excinfo.value.step >= 0
 
+    def test_divergence_reports_last_finite_loss(self):
+        points, labels = generate_toy_classification(60, 4.0, seed=2)
+        config = ToyTrainConfig(
+            mode=TrainingMode.IB_EDL, steps=500, learning_rate=1e9, beta_weight=1.0, seed=2
+        )
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(TrainingDiverged) as excinfo:
+            warnings.simplefilter("always")
+            train_toy(config, points, labels)
+        assert excinfo.value.step == 2
+        last = excinfo.value.last_finite_loss
+        assert math.isfinite(last) and repr(last) in str(excinfo.value)
+        # the diverging step stops at its loss: no gradient formula adds warnings
+        assert sum(issubclass(w.category, RuntimeWarning) for w in caught) <= 1
+        assert TrainingDiverged(0, "loss = nan").last_finite_loss is None
+
     def test_dataset_preconditions(self):
         points, labels = generate_toy_classification(10, 4.0, seed=0)
         with pytest.raises(ValueError, match="50 points"):
@@ -296,3 +315,45 @@ class TestParamsValidation:
         assert config.lambda_at(5000) == 1.0
         constant = ToyTrainConfig(lambda_weight=0.7, lambda_ramp_steps=None)
         assert constant.lambda_at(0) == 0.7
+
+
+# sha256 of the final parameters (weights, bias, then sigma head bytes) and of
+# the `train-toy` stdout, pinned from the two-pass implementation that
+# evaluated the loss and the gradient in separate forward passes
+TRAINING_GOLDEN = {
+    ("edl", 11): (
+        "e13d43d7e0ef28e022fff22d1212659f787bcd25e3a7512c2d4670972d8887d0",
+        "47dc877ec44e28d0d15b4ce91aec3b314a1761fd7e95621e1b789cd389f9717c",
+    ),
+    ("edl", 23): (
+        "28cae9d04ef1cfeaa45166117cacbe41b75c6beda41cf720a46b8fc81628aef5",
+        "75f2fdb6a218232cce491359549e2feb7ed739e43fbdc070474193c68efa18ce",
+    ),
+    ("ib-edl", 11): (
+        "93dc25dfc435ce7a082900045249c42ca0311a743574cc8e7b5726161404b8c7",
+        "aef280f502f10f9f097d5fc839220a77f4036693aebf8265d2c0e056b3c542d3",
+    ),
+    ("ib-edl", 23): (
+        "3e3edb6176404332806210993a30fc12b27cf0ab3a4e94cc3fd0e26cd7d29876",
+        "c4380b6f3a848ca04fb39c0842cb0b06bb38376a670fa3db731d7216310dceeb",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode, seed", TRAINING_GOLDEN.keys())
+def test_training_bits_are_pinned(tmp_path, capsys, mode, seed):
+    params_digest, stdout_digest = TRAINING_GOLDEN[(mode, seed)]
+    points, labels = generate_toy_classification(250, 6.0, seed=seed)
+    result = train_toy(ToyTrainConfig(mode=TrainingMode(mode), steps=500, seed=seed), points, labels)
+    p = result.params
+    h = hashlib.sha256()
+    for array in (p.weights, p.bias, p.sigma_weights, p.sigma_bias):
+        if array is not None:
+            h.update(np.ascontiguousarray(array).tobytes())
+    assert h.hexdigest() == params_digest
+
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({"mode": mode, "steps": 500, "n_per_class": 250, "seed": seed}))
+    capsys.readouterr()
+    assert main(["train-toy", "--config", str(config)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
