@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 usage or internal error,
 2 cardinality-audit failure. Scoring mismatched class cardinalities is
-opt-in via --allow-mismatch and always leaves a machine-readable warning
-record, because the tool exists to demonstrate that artefact, not to
+opt-in via `metrics --allow-mismatch` and always leaves a machine-readable
+warning record, because the tool exists to demonstrate that artefact, not to
 commit it silently.
 """
 
@@ -55,6 +55,18 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 1 on bad usage; a subcommand declares its options only when it is parsed."""
+
+    def __init__(self, *args, options=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pending = options
+
+    def parse_known_args(self, args=None, namespace=None):
+        for names, kwargs in self._pending:
+            self.add_argument(*names, **kwargs)
+        self._pending = ()
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):  # exit 1 on bad usage instead of argparse's 2
         raise _UsageError(message)
 
@@ -73,79 +85,59 @@ def _evidence_value(text: str):
     return value
 
 
-def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--out", metavar="DIR", default=None, help="directory for emitted files")
-    common.add_argument("--format", choices=["md", "csv", "json"], default="md")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument(
-        "--allow-mismatch",
-        action="store_true",
-        help="permit scoring with K_ID != K_OOD (a warning record is always emitted)",
-    )
+def _arg(*names, **kwargs) -> tuple:
+    return names, kwargs
 
+
+# Options that several commands read, each declared once; build_parser lists every command's options.
+_OUT = _arg("--out", metavar="DIR", help="directory for emitted files")
+_FORMAT = _arg("--format", choices=["md", "csv", "json"], default="md")
+_FILES = [_arg("id_file"), _arg("ood_file")]
+_SCORED_FILES = [
+    *_FILES,
+    _arg("--metric", choices=[m.value for m in Metric], default=Metric.VACUITY.value),
+    _arg("--orientation", choices=[o.value for o in Orientation], default=Orientation.ID_POSITIVE.value),
+]
+_CONFIG = [_arg("--config", required=True, metavar="FILE"), _arg("--seed", type=int, help="override the config seed")]
+
+
+def build_parser() -> _Parser:
     parser = _Parser(prog="vacuitylab", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
-
-    p = sub.add_parser("audit", parents=[common], help="check that K_ID equals K_OOD")
-    p.add_argument("id_file")
-    p.add_argument("ood_file")
-    p.set_defaults(func=_cmd_audit)
-
-    p = sub.add_parser("metrics", parents=[common], help="detection metrics on two record files")
-    p.add_argument("id_file")
-    p.add_argument("ood_file")
-    p.add_argument("--metric", choices=[m.value for m in Metric], default=Metric.VACUITY.value)
-    p.add_argument(
-        "--orientation",
-        choices=[o.value for o in Orientation],
-        default=Orientation.ID_POSITIVE.value,
-    )
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("expand", parents=[common], help="class-cardinality expansion sweep")
-    p.add_argument("id_file")
-    p.add_argument("ood_file")
-    p.add_argument("--mode", choices=[m.value for m in ExpansionMode], required=True)
-    p.add_argument("--k-max", type=int, required=True, help="largest expanded class count")
-    p.add_argument(
-        "--evidence",
-        type=_evidence_value,
-        default=0.0,
-        help=f"evidence for appended classes (number or {INVARIANCE_EVIDENCE!r})",
-    )
-    p.add_argument("--metric", choices=[m.value for m in Metric], default=Metric.VACUITY.value)
-    p.add_argument(
-        "--orientation",
-        choices=[o.value for o in Orientation],
-        default=Orientation.ID_POSITIVE.value,
-    )
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("restrict", parents=[common], help="remove one class from the OOD set")
-    p.add_argument("id_file")
-    p.add_argument("ood_file")
-    p.add_argument("--remove-class", type=int, required=True, metavar="IDX")
-    p.add_argument("--metric", choices=[m.value for m in Metric], default=Metric.VACUITY.value)
-    p.add_argument(
-        "--orientation",
-        choices=[o.value for o in Orientation],
-        default=Orientation.ID_POSITIVE.value,
-    )
-    p.set_defaults(func=_cmd_restrict)
-
-    p = sub.add_parser("simulate", parents=[common], help="generate a synthetic population")
-    p.add_argument("--config", required=True, metavar="FILE")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("train-toy", parents=[common], help="train the toy evidential classifier")
-    p.add_argument("--config", required=True, metavar="FILE")
-    p.set_defaults(func=_cmd_train_toy)
-
-    p = sub.add_parser("report", parents=[common], help="re-render reports from *.result.json")
-    p.add_argument("results_dir")
-    p.set_defaults(func=_cmd_report)
-
+    commands = [
+        ("audit", _cmd_audit, "check that K_ID equals K_OOD", _FILES),
+        ("metrics", _cmd_metrics, "detection metrics on two record files", [
+            *_SCORED_FILES,
+            _FORMAT,
+            _arg(
+                "--allow-mismatch",
+                action="store_true",
+                help="permit scoring with K_ID != K_OOD (a warning record is always emitted)",
+            ),
+        ]),
+        ("expand", _cmd_expand, "class-cardinality expansion sweep", [
+            *_SCORED_FILES,
+            _arg("--mode", choices=[m.value for m in ExpansionMode], required=True),
+            _arg("--k-max", type=int, required=True, help="largest expanded class count"),
+            _arg(
+                "--evidence",
+                type=_evidence_value,
+                default=0.0,
+                help=f"evidence for appended classes (number or {INVARIANCE_EVIDENCE!r})",
+            ),
+            _FORMAT,
+        ]),
+        ("restrict", _cmd_restrict, "remove one class from the OOD set", [
+            *_SCORED_FILES,
+            _arg("--remove-class", type=int, required=True, metavar="IDX"),
+            _FORMAT,
+        ]),
+        ("simulate", _cmd_simulate, "generate a synthetic population", _CONFIG),
+        ("train-toy", _cmd_train_toy, "train the toy evidential classifier", _CONFIG),
+        ("report", _cmd_report, "re-render reports from *.result.json", [_arg("results_dir"), _FORMAT]),
+    ]
+    for name, func, summary, options in commands:
+        sub.add_parser(name, help=summary, options=[_OUT, *options]).set_defaults(func=func)
     return parser
 
 
@@ -157,10 +149,11 @@ def _load_groups(args):
         wrong = np.flatnonzero(batch.ood != (group is Group.OOD))
         if len(wrong):
             row = wrong[0]
+            found = Group.OOD if batch.ood[row] else Group.ID
             raise RecordParseError(
                 path,
                 int(batch.lines[row]),
-                f"record {batch.ids[row]!r} is in group {batch[row].group.value!r}, "
+                f"record {batch.ids[row]!r} is in group {found.value!r}, "
                 f"but the {role} holds {group.value!r} records",
             )
         batches.append(batch)
@@ -346,10 +339,7 @@ def main(argv=None) -> int:
     except CardinalityMismatchError as exc:
         print(f"cardinality mismatch: {exc}", file=sys.stderr)
         return EXIT_AUDIT_FAIL
-    except (RecordParseError, TrainingDiverged) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, TypeError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

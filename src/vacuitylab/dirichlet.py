@@ -11,7 +11,6 @@ total strength S = sum(alpha), vacuity u = K / S.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,9 +22,6 @@ class Group(str, Enum):
 
     ID = "id"
     OOD = "ood"
-
-
-_SYNTHETIC_NAME = re.compile(r"^X\d+$")
 
 
 @dataclass(frozen=True)

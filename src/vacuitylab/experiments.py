@@ -146,6 +146,28 @@ def _score_evidence(evidence: np.ndarray, metric: Metric, orientation: Orientati
     return 1.0 - h if id_positive else h
 
 
+@np.errstate(over="ignore")  # an S that overflows is reported with its record, not as a warning
+def _batch_scores(
+    batch: RecordBatch,
+    metric: Metric,
+    orientation: Orientation,
+    count: int = 0,
+    appended_evidence: float | str = 0.0,
+) -> np.ndarray:
+    """Scores of a batch's rows with ``count`` classes appended; an S that overflows names its record."""
+    evidence = batch.evidence
+    if count:
+        evidence = _append_columns(evidence, count, appended_evidence)
+    try:
+        return _score_evidence(evidence, metric, orientation)
+    except _NonFiniteStrength as exc:
+        row = exc.row
+        raise ValueError(
+            f"{batch.path or '<records>'}:{batch.lines[row]}: record {batch.ids[row]!r}: "
+            f"evidence sum S is not finite at K={evidence.shape[1]}"
+        ) from None
+
+
 def _labels(batch: RecordBatch, orientation: Orientation) -> np.ndarray:
     """1 for the rows of the positive group, as each row's ``group`` says."""
     positive = ~batch.ood if orientation is Orientation.ID_POSITIVE else batch.ood
@@ -153,8 +175,7 @@ def _labels(batch: RecordBatch, orientation: Orientation) -> np.ndarray:
 
 
 def score_record(record: EvidenceRecord, metric: Metric, orientation: Orientation) -> float:
-    evidence = np.array([record.evidence], dtype=float)
-    return float(_score_evidence(evidence, metric, orientation)[0])
+    return float(_batch_scores(RecordBatch.from_records([record]), metric, orientation)[0])
 
 
 def score_group(
@@ -169,11 +190,13 @@ def score_group(
     H/log2(K). Either orientation yields the same AUROC. Records may mix
     class counts.
     """
-    labels = _labels(as_batch(records), orientation)
-    return [
-        ScoredSample(score=score_record(r, metric, orientation), label=int(label))
-        for r, label in zip(records, labels)
-    ]
+    batch = as_batch(records)
+    scores = np.empty(len(batch))
+    for k in np.unique(batch.k).tolist():
+        rows = np.flatnonzero(batch.k == k)
+        scores[rows] = _batch_scores(batch.take(rows), metric, orientation)
+    labels = _labels(batch, orientation)
+    return [ScoredSample(score=float(s), label=int(label)) for s, label in zip(scores, labels)]
 
 
 def evaluate_groups(
@@ -189,7 +212,7 @@ def evaluate_groups(
     Labels follow each record's ``group`` field, as in ``score_group``.
     """
     batches = (as_batch(id_records), as_batch(ood_records))
-    scores = np.concatenate([_score_evidence(b.evidence, metric, orientation) for b in batches])
+    scores = np.concatenate([_batch_scores(b, metric, orientation) for b in batches])
     labels = np.concatenate([_labels(b, orientation) for b in batches])
     return evaluate_scores(scores, labels, metric.value, k_id, k_ood)
 
@@ -248,7 +271,6 @@ def _append_columns(evidence: np.ndarray, count: int, appended_evidence: float |
     return np.hstack([evidence, np.broadcast_to(fill, (len(evidence), count))])
 
 
-@np.errstate(over="ignore")  # an S that overflows is reported with its record, not as a warning
 def run_expansion_experiment(
     id_records: Records,
     ood_records: Records,
@@ -273,34 +295,21 @@ def run_expansion_experiment(
         if k <= base_k:
             raise ValueError(f"k_target {k} must exceed the baseline K={base_k}")
 
-    def score(batch: RecordBatch, evidence: np.ndarray, count: int) -> np.ndarray:
-        """Scores with ``count`` classes appended; an S that overflows names its record."""
-        if count:
-            evidence = _append_columns(evidence, count, spec.appended_evidence)
-        try:
-            return _score_evidence(evidence, metric, orientation)
-        except _NonFiniteStrength as exc:
-            row = exc.row
-            raise ValueError(
-                f"{batch.path or '<records>'}:{batch.lines[row]}: record {batch.ids[row]!r}: "
-                f"evidence sum S is not finite at K={base_k + count}"
-            ) from None
+    def score(batch: RecordBatch, count: int) -> np.ndarray:
+        return _batch_scores(batch, metric, orientation, count, spec.appended_evidence)
 
     def evaluate(id_scores: np.ndarray, ood_scores: np.ndarray, k_id: int, k_ood: int):
         scores = np.concatenate([id_scores, ood_scores])
         return evaluate_scores(scores, labels, metric.value, k_id, k_ood)
 
-    id_evidence = id_batch.evidence
-    ood_evidence = ood_batch.evidence
     labels = np.concatenate([_labels(id_batch, orientation), _labels(ood_batch, orientation)])
-    id_scores = score(id_batch, id_evidence, 0)
-    rows = [evaluate(id_scores, score(ood_batch, ood_evidence, 0), base_k, base_k)]
+    id_scores = score(id_batch, 0)
+    rows = [evaluate(id_scores, score(ood_batch, 0), base_k, base_k)]
     for k_target in spec.k_targets:
         count = k_target - base_k
-        ood_scores = score(ood_batch, ood_evidence, count)
+        ood_scores = score(ood_batch, count)
         if spec.mode is ExpansionMode.MATCHED:
-            expanded_id_scores = score(id_batch, id_evidence, count)
-            rows.append(evaluate(expanded_id_scores, ood_scores, k_target, k_target))
+            rows.append(evaluate(score(id_batch, count), ood_scores, k_target, k_target))
         else:
             rows.append(evaluate(id_scores, ood_scores, base_k, k_target))
     return ExpansionRun(

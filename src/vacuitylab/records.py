@@ -118,8 +118,10 @@ class RecordBatch:
 
     def class_count(self) -> int | None:
         """The class count every row shares, or None when rows differ (or there are none)."""
-        ks = np.unique(self.k)
-        return int(ks[0]) if len(ks) == 1 else None
+        if not len(self.k):
+            return None
+        k = int(self.k.min())
+        return k if k == self.k.max() else None
 
     @property
     def evidence(self) -> np.ndarray:

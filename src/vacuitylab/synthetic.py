@@ -112,8 +112,8 @@ def overlap_population_params(seed: int = 0, n_id: int = 500, n_ood: int = 500, 
     The stock parameters separate ID from OOD almost perfectly (baseline
     AUROC ~0.99), which leaves no headroom to show how OOD-only class
     expansion inflates the score. These shapes put the baseline near 0.6
-    so the inflation staircase is visible; used by the expansion demos
-    and the acceptance suite.
+    so the inflation staircase is visible; the README demo's population
+    config holds these values, and the acceptance suite uses it.
     """
     return PopulationParams(
         n_id=n_id,

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes (0 ok / 1 usage / 2 audit fail), files."""
 
+import hashlib
 import json
 import warnings
 
@@ -308,6 +309,62 @@ class TestUsageErrors:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{broken\n")
         assert main(["audit", str(bad), str(files["ood"])]) == 1
+
+
+# a valid invocation of each command, so that the flag under test is the only usage error
+BASE_ARGV = {
+    "audit": ["audit", "id.jsonl", "ood.jsonl"],
+    "metrics": ["metrics", "id.jsonl", "ood.jsonl"],
+    "expand": ["expand", "id.jsonl", "ood.jsonl", "--mode", "ood-only", "--k-max", "6"],
+    "restrict": ["restrict", "id.jsonl", "ood.jsonl", "--remove-class", "0"],
+    "simulate": ["simulate", "--config", "population.json"],
+    "train-toy": ["train-toy", "--config", "toy.json"],
+    "report": ["report", "results"],
+}
+FLAG_ARGV = {"--format": ["--format", "json"], "--seed": ["--seed", "3"], "--allow-mismatch": ["--allow-mismatch"]}
+DROPPED_FLAGS = [
+    *[(command, "--format") for command in ("audit", "simulate", "train-toy")],
+    *[(command, "--seed") for command in ("audit", "metrics", "expand", "restrict", "report")],
+    *[(command, "--allow-mismatch") for command in BASE_ARGV if command != "metrics"],
+]
+
+
+@pytest.mark.parametrize("command, flag", DROPPED_FLAGS)
+def test_flag_a_command_does_not_read_is_usage_error(capsys, command, flag):
+    assert main([*BASE_ARGV[command], *FLAG_ARGV[flag]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unrecognized arguments: ") and flag in err
+
+
+# sha256 of the files the expansion demo script wrote (seed 0, --k-max 8) before the CLI replaced it
+DEMO_SHA256 = {
+    "expansion_matched.md": "30525373eccdd336e3ffa41747e33e44413eddba87b7649b177a0fe3f080d894",
+    "expansion_matched.result.json": "aa50c00dc0c3fc0b8d0e3038de553f5efaf214f03a903f03afdf79a7834f6d58",
+    "expansion_matched_sweep.csv": "d27b79a3e693cc948ac70be67e953de4fee0534783b5eb104599236031de8d80",
+    "expansion_matched_sweep.svg": "03b54c2ef4c9cf00665d3d5bc90a9d8f5ef850f90eafc89865d7703dc2eb3c32",
+    "expansion_ood_only.md": "5671eb687b6865555bfa408ac80fe8ff87bc017dfcace1d23fafa9ca2ded4b57",
+    "expansion_ood_only.result.json": "60233014ecaefa4f18b07328fd80064ed3355e8d98517c9cee4d92e5d333fa7e",
+    "expansion_ood_only_sweep.csv": "7993c966907ba1abe9c0f63d37c64a07dfdc36ffcee57145ab7059f489fcfff0",
+    "expansion_ood_only_sweep.svg": "fa574fb730d3d2369b0d3ca791a5cfdfb6b3ba47ceb56ef6697cb3587b8d21f2",
+    "id_records.jsonl": "0dd0dd4cef848fcc9830c1c8ff787476759ba18f2b7465d38bb94a6142c00491",
+    "ood_records.jsonl": "72165f23f10a667c1bb154d595fd6a81adb8d3a9a6dc436c4fe4b7b520a80e06",
+}
+
+
+def test_readme_demo_bytes_are_pinned(tmp_path):
+    """The README demo: simulate the overlap population, then expand OOD-only and matched."""
+    config = tmp_path / "overlap.json"
+    config.write_text(json.dumps({
+        "n_id": 500, "n_ood": 500, "k": 4, "id_correct_shape": 6.0, "id_wrong_shape": 0.8,
+        "ood_shape": 2.0, "scale": 1.0, "seed": 0,
+    }))
+    demo = tmp_path / "demo"
+    assert main(["simulate", "--config", str(config), "--out", str(demo)]) == 0
+    files = [str(demo / "id_records.jsonl"), str(demo / "ood_records.jsonl")]
+    for mode in ("ood-only", "matched"):
+        assert main(["expand", *files, "--mode", mode, "--k-max", "8", "--out", str(demo)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in demo.iterdir()}
+    assert digests == DEMO_SHA256
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ while OOD-only zero-evidence expansion raises every OOD vacuity and can
 only help the detector.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from vacuitylab import (
     score_record,
     vacuity,
 )
+from vacuitylab.experiments import evaluate_groups
 
 
 def rec(rid, evidence, group="id", gold=None):
@@ -263,3 +266,45 @@ class TestRestriction:
 def test_spec_rejects_non_finite_appended_evidence(value):
     with pytest.raises(ValueError, match="finite"):
         ExpansionSpec(mode=ExpansionMode.OOD_ONLY, k_targets=(5,), appended_evidence=value)
+
+
+class TestOverflowNamesRecord:
+    """An in-memory S that overflows is named on every scoring path, with no numpy warning."""
+
+    ID_RECORDS = [rec("a", [3.0, 1.0])]
+    OOD_RECORDS = [rec("b", [1.0, 1.0], "ood"), rec("c", [1e308, 1e308], "ood")]
+
+    @pytest.mark.parametrize(
+        "call, line, k",
+        [
+            (lambda i, o: evaluate_groups(i, o, Metric.VACUITY, Orientation.ID_POSITIVE, 2, 2), 2, 2),
+            (lambda i, o: score_record(o[1], Metric.MP, Orientation.OOD_POSITIVE), 1, 2),
+            (lambda i, o: score_group(o, Metric.NORM_ENTROPY), 2, 2),
+            (
+                lambda i, o: run_expansion_experiment(
+                    i, o, ExpansionSpec(ExpansionMode.MATCHED, (3,)), Metric.VACUITY
+                ),
+                2,
+                2,
+            ),
+            (
+                lambda i, o: run_restriction_experiment(
+                    [rec("w", [1.0, 1.0, 1.0], "ood"), rec("c", [1e308, 1e308, 0.0], "ood")],
+                    2,
+                    i,
+                    Metric.VACUITY,
+                ),
+                2,
+                3,
+            ),
+        ],
+        ids=["evaluate_groups", "score_record", "score_group", "expansion", "restriction"],
+    )
+    def test_overflow_is_named(self, call, line, k):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as info:
+                call(self.ID_RECORDS, self.OOD_RECORDS)
+        assert str(info.value) == f"<records>:{line}: record 'c': evidence sum S is not finite at K={k}"
+        assert caught == []
+

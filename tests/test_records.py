@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vacuitylab import RecordBatch, RecordParseError, parse_records, remove_class, serialize_records
+from vacuitylab.dirichlet import EvidenceRecord
 from vacuitylab.records import record_to_dict
 
 
@@ -343,3 +344,16 @@ class TestBatchTransforms:
         assert batch[1].evidence == (1.0, 2.0)
         with pytest.raises(ValueError, match="different class counts"):
             batch.evidence
+
+    @pytest.mark.parametrize(
+        "ks, expected",
+        [([], None), ([4], 4), ([3, 3, 3], 3), ([4, 2], None), ([2, 4, 4], None), ([5, 5, 2, 5], None)],
+    )
+    def test_class_count(self, ks, expected):
+        batch = RecordBatch.from_records(
+            EvidenceRecord(id=f"q{i}", group="id", class_names="ABCDE"[:k], evidence=[1.0] * k)
+            for i, k in enumerate(ks)
+        )
+        assert batch.class_count() == expected
+        if expected is not None:
+            assert batch.evidence.shape == (len(ks), expected)
