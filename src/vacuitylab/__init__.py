@@ -4,27 +4,13 @@ Vacuity (K / total Dirichlet strength) depends on the evaluated class
 count, so detection scores computed over different class counts for the
 ID and OOD sides are not comparable: expanding only the OOD side inflates
 AUROC/AUPR without any change in model predictions. This package provides
-the per-record uncertainty math, from-scratch detection and calibration
-metrics, the experiments that expose the inflation artefact, and a CLI
-that refuses mismatched comparisons unless explicitly overridden.
+columnar prediction sets (``RecordBatch``) scored as (n, K) evidence
+matrices, from-scratch detection and calibration metrics, the experiments
+that expose the inflation artefact, and a CLI that refuses mismatched
+comparisons unless explicitly overridden.
 """
 
-from .dirichlet import (
-    DirichletState,
-    EvidenceRecord,
-    Group,
-    UncertaintyScores,
-    append_classes,
-    dirichlet_state,
-    evidence_to_alpha,
-    expected_probabilities,
-    invariance_concentration,
-    max_probability,
-    normalized_entropy,
-    remove_class,
-    uncertainty_scores,
-    vacuity,
-)
+from .dirichlet import EvidenceRecord, Group, append_classes, remove_class
 from .experiments import (
     INVARIANCE_EVIDENCE,
     MIXED,
@@ -44,13 +30,7 @@ from .experiments import (
     score_group,
     score_record,
 )
-from .losses import (
-    adjusted_alpha,
-    edl_mse_loss,
-    ib_info_loss,
-    kl_to_uniform,
-    softplus_evidence,
-)
+from .losses import softplus_evidence
 from .metrics import (
     DetectionResult,
     ScoredSample,
@@ -65,13 +45,7 @@ from .metrics import (
     evaluate_scores,
     nll,
 )
-from .records import (
-    RecordBatch,
-    RecordParseError,
-    parse_records,
-    record_to_dict,
-    serialize_records,
-)
+from .records import RecordBatch, RecordParseError, parse_records, serialize_records
 from .special import digamma, digamma_trigamma, log_gamma, trigamma
 from .synthetic import (
     PopulationParams,

@@ -42,8 +42,14 @@ from .report import (
     restriction_result_dict,
     warnings_jsonl,
 )
-from .synthetic import PopulationParams, generate_evidence_population, generate_toy_classification
-from .toy import ToyTrainConfig, TrainingDiverged, TrainingMode, train_toy
+from .synthetic import (
+    PopulationParams,
+    generate_evidence_population,
+    generate_toy_classification,
+    require_int,
+    require_number,
+)
+from .toy import ToyTrainConfig, TrainingDiverged, train_toy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -261,16 +267,33 @@ def _cmd_restrict(args) -> int:
     return EXIT_OK
 
 
-def _read_config(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+def _read_json(path):
+    """The JSON value in a file; a file that is not UTF-8 or not JSON is an error naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start}: not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _configured(args, build):
+    """``build(config)`` on the --config object, --seed applied; any bad value is an error naming the file."""
+    config = _read_json(args.config)
+    if type(config) is not dict:
+        raise ValueError(f"{args.config}: expected a JSON object")
+    if args.seed is not None:
+        config["seed"] = args.seed
+    try:
+        return build(config)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:
-    config = _read_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    params = PopulationParams(**config)
+    params = _configured(args, lambda config: PopulationParams(**config))
     id_records, ood_records = generate_evidence_population(params)
     out = Path(args.out) if args.out is not None else Path(".")
     out.mkdir(parents=True, exist_ok=True)
@@ -283,15 +306,15 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _toy_config(config: dict):
+    # train_toy needs at least 50 points per class
+    n_per_class = require_int("n_per_class", config.pop("n_per_class", 250), 50)
+    separation = float(require_number("separation", config.pop("separation", 6.0), positive=True))
+    return ToyTrainConfig(**config), n_per_class, separation
+
+
 def _cmd_train_toy(args) -> int:
-    config = dict(_read_config(args.config))
-    n_per_class = int(config.pop("n_per_class", 250))
-    separation = float(config.pop("separation", 6.0))
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if "mode" in config:
-        config["mode"] = TrainingMode(config["mode"])
-    train_config = ToyTrainConfig(**config)
+    train_config, n_per_class, separation = _configured(args, _toy_config)
     points, labels = generate_toy_classification(n_per_class, separation, train_config.seed)
     result = train_toy(train_config, points, labels)
     summary = dict(result.summary, n_per_class=n_per_class, separation=separation)
@@ -311,7 +334,7 @@ def _cmd_report(args) -> int:
         print(f"no *.result.json files in {results_dir}", file=sys.stderr)
         return EXIT_USAGE
     # audit.result.json and other non-experiment results carry no "kind"
-    results = [r for r in (json.loads(p.read_text(encoding="utf-8")) for p in paths) if "kind" in r]
+    results = [r for r in map(_read_json, paths) if "kind" in r]
     if not results:
         print(f"no renderable *.result.json files in {results_dir}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,8 +1,9 @@
-"""Evidence -> Dirichlet calculus and per-record uncertainty quantities.
+"""One prediction as a record, and its class expansion and restriction.
 
-Every function here is a pure function of its inputs. Records and states
-are immutable; class expansion and restriction return new records and
-never touch the original evidence (fixed-predictions contract).
+Records are immutable; class expansion and restriction return new records
+and never touch the original evidence (fixed-predictions contract). The
+library scores predictions as ``records.RecordBatch`` columns; a record is
+the row form that ``RecordBatch.from_records`` accepts.
 
 Conventions: per-class evidence e_i >= 0, concentration alpha_i = e_i + 1,
 total strength S = sum(alpha), vacuity u = K / S.
@@ -13,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 
 class Group(str, Enum):
@@ -57,100 +56,6 @@ class EvidenceRecord:
     @property
     def k(self) -> int:
         return len(self.evidence)
-
-
-@dataclass(frozen=True)
-class DirichletState:
-    """Dirichlet concentration vector with its derived strength and K."""
-
-    alpha: np.ndarray
-    strength: float
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.alpha.ndim != 1 or self.k != len(self.alpha):
-            raise ValueError("alpha must be 1-D with k entries")
-        if (self.alpha < 1.0).any():
-            raise ValueError("every alpha_i must be >= 1 (evidence is non-negative)")
-        total = float(self.alpha.sum())
-        if abs(total - self.strength) > 1e-12 * max(1.0, abs(total)):
-            raise ValueError(f"strength {self.strength} != sum(alpha) {total}")
-
-
-def dirichlet_state(alpha) -> DirichletState:
-    """Build a validated DirichletState from a concentration vector."""
-    arr = np.array(alpha, dtype=float)
-    arr.setflags(write=False)
-    return DirichletState(alpha=arr, strength=float(arr.sum()), k=len(arr))
-
-
-@dataclass(frozen=True)
-class UncertaintyScores:
-    """All per-record uncertainty quantities used for OOD scoring."""
-
-    vacuity: float
-    max_probability: float
-    normalized_entropy: float
-
-
-def evidence_to_alpha(record: EvidenceRecord) -> DirichletState:
-    """Map per-class evidence to Dirichlet concentrations: alpha_i = e_i + 1."""
-    evidence = np.asarray(record.evidence, dtype=float)
-    return dirichlet_state(evidence + 1.0)
-
-
-def expected_probabilities(state: DirichletState) -> np.ndarray:
-    """Expected class probabilities p_i = alpha_i / S."""
-    return np.asarray(state.alpha) / state.strength
-
-
-def vacuity(state: DirichletState) -> float:
-    """Uncertainty mass u = K / S; 1 exactly when all evidence is zero."""
-    return state.k / state.strength
-
-
-def max_probability(state: DirichletState) -> float:
-    """Largest expected class probability max_i alpha_i / S."""
-    return float(np.max(state.alpha)) / state.strength
-
-
-def normalized_entropy(probs) -> float:
-    """Shannon entropy in bits divided by log2(K), in [0, 1].
-
-    Requires a probability vector (non-negative, sums to 1 within 1e-9);
-    0 * log 0 is treated as 0.
-    """
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or len(p) < 2:
-        raise ValueError("probs must be a 1-D vector with at least 2 entries")
-    if np.isnan(p).any() or (p < 0).any():
-        raise ValueError("probs must be non-negative")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probs must sum to 1 within 1e-9, got {total!r}")
-    nonzero = p[p > 0]
-    h_bits = float(-(nonzero * np.log2(nonzero)).sum())
-    return min(max(h_bits / math.log2(len(p)), 0.0), 1.0)
-
-
-def uncertainty_scores(state: DirichletState) -> UncertaintyScores:
-    """Bundle vacuity, max probability and normalized entropy for one state."""
-    return UncertaintyScores(
-        vacuity=vacuity(state),
-        max_probability=max_probability(state),
-        normalized_entropy=normalized_entropy(expected_probabilities(state)),
-    )
-
-
-def invariance_concentration(state: DirichletState) -> tuple[float, float]:
-    """Concentration (and evidence) an appended class must carry to keep
-    vacuity unchanged: alpha_new = S/K, i.e. e_new = S/K - 1.
-
-    This is the unique fixed point: appending any other concentration
-    changes u = K/S.
-    """
-    alpha_new = state.strength / state.k
-    return alpha_new, alpha_new - 1.0
 
 
 def append_classes(

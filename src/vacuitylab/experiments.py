@@ -8,8 +8,7 @@ in model predictions. Appending to *both* groups is a rank-preserving
 reparameterization and leaves both metrics bit-identical.
 
 Every experiment takes each group as a ``RecordBatch`` (what
-``parse_records`` returns) or as a list of records, which is converted to
-one batch on entry, and reads the batch's columns. Inputs are never
+``parse_records`` returns) and reads its columns. Inputs are never
 modified.
 """
 
@@ -24,9 +23,7 @@ import numpy as np
 
 from .dirichlet import EvidenceRecord
 from .metrics import DetectionResult, ScoredSample, evaluate_scores
-from .records import RecordBatch, as_batch
-
-Records = RecordBatch | Sequence[EvidenceRecord]
+from .records import RecordBatch
 
 MIXED = "MIXED"
 
@@ -83,22 +80,21 @@ def _group_k(batch: RecordBatch) -> int | str:
     return MIXED if k is None else k
 
 
-def audit_cardinality(id_records: Records, ood_records: Records) -> AuditReport:
+def audit_cardinality(id_records: RecordBatch, ood_records: RecordBatch) -> AuditReport:
     """PASS iff every record in both groups shares one class count."""
-    id_batch, ood_batch = as_batch(id_records), as_batch(ood_records)
-    if not len(id_batch) or not len(ood_batch):
+    if not len(id_records) or not len(ood_records):
         raise ValueError("both record groups must be non-empty")
-    k_id = _group_k(id_batch)
-    k_ood = _group_k(ood_batch)
+    k_id = _group_k(id_records)
+    k_ood = _group_k(ood_records)
     ok = k_id != MIXED and k_id == k_ood
     detail: tuple[tuple[str, int], ...] = ()
     if not ok:
         # offenders are everything deviating from the most common K over
         # both groups (ties resolved toward the smaller K)
-        ks = np.concatenate([id_batch.k, ood_batch.k])
+        ks = np.concatenate([id_records.k, ood_records.k])
         values, counts = np.unique(ks, return_counts=True)
         reference = values[np.argmax(counts)]
-        ids = id_batch.ids + ood_batch.ids
+        ids = id_records.ids + ood_records.ids
         detail = tuple((ids[i], int(ks[i])) for i in np.flatnonzero(ks != reference))
     return AuditReport(
         k_id=k_id,
@@ -106,11 +102,6 @@ def audit_cardinality(id_records: Records, ood_records: Records) -> AuditReport:
         verdict=Verdict.PASS if ok else Verdict.FAIL,
         detail=detail,
     )
-
-
-def _evidence_matrix(records: Records) -> np.ndarray:
-    """The (n, K) evidence matrix of records that share one class count."""
-    return as_batch(records).evidence
 
 
 class _NonFiniteStrength(ValueError):
@@ -125,9 +116,8 @@ def _score_evidence(evidence: np.ndarray, metric: Metric, orientation: Orientati
     """Detection score of every row of an (n, K) evidence matrix.
 
     alpha = e + 1 and S = the row sum of alpha, summed the way
-    ``dirichlet_state`` sums one record, so each score equals the
-    per-record ``vacuity`` / ``max_probability`` / ``normalized_entropy``
-    value bit for bit.
+    one 1-D row, so each score equals the per-record vacuity, max
+    probability or normalized entropy of that row bit for bit.
     """
     alpha = evidence + 1.0
     strength = alpha.sum(axis=1)
@@ -190,7 +180,7 @@ def score_group(
     H/log2(K). Either orientation yields the same AUROC. Records may mix
     class counts.
     """
-    batch = as_batch(records)
+    batch = RecordBatch.from_records(records)
     scores = np.empty(len(batch))
     for k in np.unique(batch.k).tolist():
         rows = np.flatnonzero(batch.k == k)
@@ -200,8 +190,8 @@ def score_group(
 
 
 def evaluate_groups(
-    id_records: Records,
-    ood_records: Records,
+    id_records: RecordBatch,
+    ood_records: RecordBatch,
     metric: Metric,
     orientation: Orientation,
     k_id: int,
@@ -211,7 +201,7 @@ def evaluate_groups(
 
     Labels follow each record's ``group`` field, as in ``score_group``.
     """
-    batches = (as_batch(id_records), as_batch(ood_records))
+    batches = (id_records, ood_records)
     scores = np.concatenate([_batch_scores(b, metric, orientation) for b in batches])
     labels = np.concatenate([_labels(b, orientation) for b in batches])
     return evaluate_scores(scores, labels, metric.value, k_id, k_ood)
@@ -272,8 +262,8 @@ def _append_columns(evidence: np.ndarray, count: int, appended_evidence: float |
 
 
 def run_expansion_experiment(
-    id_records: Records,
-    ood_records: Records,
+    id_records: RecordBatch,
+    ood_records: RecordBatch,
     spec: ExpansionSpec,
     metric: Metric,
     orientation: Orientation = Orientation.ID_POSITIVE,
@@ -283,8 +273,7 @@ def run_expansion_experiment(
     OOD_ONLY appends classes to the OOD group only; MATCHED appends to
     both groups. The baseline K must be uniform across both groups.
     """
-    id_batch, ood_batch = as_batch(id_records), as_batch(ood_records)
-    report = audit_cardinality(id_batch, ood_batch)
+    report = audit_cardinality(id_records, ood_records)
     if report.verdict is not Verdict.PASS:
         raise CardinalityMismatchError(
             f"baseline cardinality mismatch (K_ID={report.k_id}, K_OOD={report.k_ood}); "
@@ -302,14 +291,14 @@ def run_expansion_experiment(
         scores = np.concatenate([id_scores, ood_scores])
         return evaluate_scores(scores, labels, metric.value, k_id, k_ood)
 
-    labels = np.concatenate([_labels(id_batch, orientation), _labels(ood_batch, orientation)])
-    id_scores = score(id_batch, 0)
-    rows = [evaluate(id_scores, score(ood_batch, 0), base_k, base_k)]
+    labels = np.concatenate([_labels(id_records, orientation), _labels(ood_records, orientation)])
+    id_scores = score(id_records, 0)
+    rows = [evaluate(id_scores, score(ood_records, 0), base_k, base_k)]
     for k_target in spec.k_targets:
         count = k_target - base_k
-        ood_scores = score(ood_batch, count)
+        ood_scores = score(ood_records, count)
         if spec.mode is ExpansionMode.MATCHED:
-            rows.append(evaluate(score(id_batch, count), ood_scores, k_target, k_target))
+            rows.append(evaluate(score(id_records, count), ood_scores, k_target, k_target))
         else:
             rows.append(evaluate(id_scores, ood_scores, base_k, k_target))
     return ExpansionRun(
@@ -343,9 +332,9 @@ class RestrictionResult:
 
 
 def run_restriction_experiment(
-    five_class_records: Records,
+    five_class_records: RecordBatch,
     removed_class_index: int,
-    id_records: Records,
+    id_records: RecordBatch,
     metric: Metric,
     orientation: Orientation = Orientation.ID_POSITIVE,
 ) -> RestrictionResult:
@@ -358,36 +347,35 @@ def run_restriction_experiment(
     removal is a column drop on the evidence matrix plus a gold-label row
     mask.
     """
-    wide, id_batch = as_batch(five_class_records), as_batch(id_records)
-    if not len(wide) or not len(id_batch):
+    if not len(five_class_records) or not len(id_records):
         raise ValueError("both record groups must be non-empty")
-    k_wide = _group_k(wide)
+    k_wide = _group_k(five_class_records)
     if k_wide == MIXED:
         raise ValueError("five_class_records must share one class count")
-    k_id = _group_k(id_batch)
+    k_id = _group_k(id_records)
     if k_id == MIXED:
         raise ValueError("id_records must share one class count")
     if not 0 <= removed_class_index < int(k_wide):
         raise ValueError(f"removed_class_index {removed_class_index} out of range for K={k_wide}")
 
     warnings = []
-    as_is = evaluate_groups(id_batch, wide, metric, orientation, int(k_id), int(k_wide))
+    as_is = evaluate_groups(id_records, five_class_records, metric, orientation, int(k_id), int(k_wide))
     if k_id != k_wide:
         warnings.append(mismatch_warning("restriction_as_is", k_id, k_wide))
 
     # a record whose gold label is the removed class has no valid answer left
-    excluded = wide.labelled & (wide.labels == removed_class_index)
+    excluded = five_class_records.labelled & (five_class_records.labels == removed_class_index)
     if excluded.all():
         raise ValueError("removing that class excluded every record")
-    restricted = wide.take(~excluded).drop_class(removed_class_index)
+    restricted = five_class_records.take(~excluded).drop_class(removed_class_index)
     k_removed = int(k_wide) - 1
-    removed = evaluate_groups(id_batch, restricted, metric, orientation, int(k_id), k_removed)
+    removed = evaluate_groups(id_records, restricted, metric, orientation, int(k_id), k_removed)
     if k_id != k_removed:
         warnings.append(mismatch_warning("restriction_removed", k_id, k_removed))
 
     return RestrictionResult(
         as_is=as_is,
         removed=removed,
-        excluded_ids=tuple(wide.ids[i] for i in np.flatnonzero(excluded)),
+        excluded_ids=tuple(five_class_records.ids[i] for i in np.flatnonzero(excluded)),
         warnings=tuple(warnings),
     )

@@ -24,8 +24,7 @@ import json
 import json.scanner
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -49,8 +48,7 @@ class RecordBatch:
     entries); when all rows share one class count, ``evidence`` is the same
     buffer viewed as an ``(n, K)`` matrix. ``labels`` is -1 where
     ``labelled`` is False. ``class_names`` lists each distinct class-name
-    tuple once and ``class_index`` points every row at its own. Iterating
-    yields one ``EvidenceRecord`` view per row.
+    tuple once and ``class_index`` points every row at its own.
     """
 
     ids: list[str]
@@ -91,30 +89,29 @@ class RecordBatch:
             lines=np.arange(1, len(records) + 1),
         )
 
-    def __len__(self) -> int:
-        return len(self.ids)
+    @classmethod
+    def from_evidence(
+        cls, ids: list[str], group: Group, class_names, evidence: np.ndarray, labels=None
+    ) -> RecordBatch:
+        """One group's rows, sharing one class-name tuple, from an (n, K) evidence matrix.
 
-    def _record(self, row: int, start: int) -> EvidenceRecord:
-        return EvidenceRecord(
-            id=self.ids[row],
-            group=Group.OOD if self.ood[row] else Group.ID,
-            class_names=self.class_names[self.class_index[row]],
-            evidence=self.values[start : start + self.k[row]].tolist(),
-            gold_label=int(self.labels[row]) if self.labelled[row] else None,
+        ``labels`` holds every row's gold index, or is None for unlabelled rows.
+        """
+        n = len(ids)
+        return cls(
+            ids=ids,
+            ood=np.full(n, group is Group.OOD),
+            class_names=(tuple(class_names),),
+            class_index=np.zeros(n, dtype=np.intp),
+            k=np.full(n, evidence.shape[1], dtype=np.intp),
+            values=evidence.ravel(),
+            labels=np.full(n, -1, dtype=np.int64) if labels is None else labels,
+            labelled=np.full(n, labels is not None),
+            lines=np.arange(1, n + 1),
         )
 
-    def __iter__(self) -> Iterator[EvidenceRecord]:
-        starts = (np.cumsum(self.k) - self.k).tolist()
-        return (self._record(row, start) for row, start in enumerate(starts))
-
-    def __getitem__(self, row: int) -> EvidenceRecord:
-        row = range(len(self))[row]
-        return self._record(row, int(self.k[:row].sum()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RecordBatch):
-            return NotImplemented
-        return list(self) == list(other)
+    def __len__(self) -> int:
+        return len(self.ids)
 
     def class_count(self) -> int | None:
         """The class count every row shares, or None when rows differ (or there are none)."""
@@ -171,11 +168,6 @@ class RecordBatch:
             values=np.delete(self.evidence, index, axis=1).ravel(),
             labels=self.labels - (self.labels > index),
         )
-
-
-def as_batch(records: RecordBatch | Sequence[EvidenceRecord]) -> RecordBatch:
-    """A batch as is, or the columns of a list of records."""
-    return records if isinstance(records, RecordBatch) else RecordBatch.from_records(records)
 
 
 def _flat_index(k: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -387,21 +379,32 @@ def _validated(batch: RecordBatch, logits: np.ndarray, groups: list, labels: lis
     return replace(batch, values=values)
 
 
-def record_to_dict(record: EvidenceRecord) -> dict:
-    out = {
-        "id": record.id,
-        "group": record.group.value,
-        "classes": list(record.class_names),
-        "evidence": list(record.evidence),
-    }
-    if record.gold_label is not None:
-        out["label"] = record.gold_label
-    return out
+def serialize_records(batch: RecordBatch, path) -> None:
+    """Write a batch in evidence form; parse(serialize(x)) round-trips exactly.
 
-
-def serialize_records(records: Iterable[EvidenceRecord], path) -> None:
-    """Write records in evidence form; parse(serialize(x)) round-trips exactly."""
-    path = Path(path)
+    Each line is the one ``json.dumps`` writes for the record's dict (keys
+    ``id``, ``group``, ``classes``, ``evidence``, then ``label`` when the row
+    has one), assembled from the columns: each id and each class-name tuple
+    is encoded once, and finite values print as the ``repr`` of the float,
+    as ``json.dumps`` prints them.
+    """
+    number = repr if np.isfinite(batch.values).all() else json.dumps  # json's text for inf
+    values = batch.values.tolist()
+    classes = [json.dumps(list(names)) for names in batch.class_names]
+    rows = zip(
+        batch.ids,
+        batch.ood.tolist(),
+        batch.class_index.tolist(),
+        np.cumsum(batch.k).tolist(),
+        batch.k.tolist(),
+        batch.labels.tolist(),
+        batch.labelled.tolist(),
+    )
     with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record_to_dict(record)) + "\n")
+        for rid, ood, names, end, k, label, labelled in rows:
+            evidence = ", ".join(map(number, values[end - k : end]))
+            tail = f', "label": {label}}}\n' if labelled else "}\n"
+            handle.write(
+                f'{{"id": {json.dumps(rid)}, "group": "{_OOD if ood else _ID}", '
+                f'"classes": {classes[names]}, "evidence": [{evidence}]{tail}'
+            )

@@ -16,12 +16,15 @@ parameters are configuration, not doctrine.
 
 from __future__ import annotations
 
+import numbers
 import string
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import EvidenceRecord, Group
+from .dirichlet import Group
+from .records import RecordBatch
 
 STREAM_ID_EVIDENCE = 0
 STREAM_OOD_EVIDENCE = 1
@@ -31,6 +34,24 @@ STREAM_TOY_POINTS = 2
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """The package-wide stream-splitting rule; see the module docstring."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
+
+
+def require_int(name: str, value, minimum: int):
+    """``value`` if it is an integer (a bool is not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def require_number(name: str, value, positive: bool = False):
+    """``value`` if it is a finite real (a bool is not), > 0 when ``positive``, else >= 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if value < 0 or (positive and value == 0):
+        raise ValueError(f"{name} must be {'> 0' if positive else '>= 0'}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -47,13 +68,10 @@ class PopulationParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_id <= 0 or self.n_ood <= 0:
-            raise ValueError("record counts must be positive")
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
+        for name, minimum in (("n_id", 1), ("n_ood", 1), ("k", 2), ("seed", 0)):
+            require_int(name, getattr(self, name), minimum)
         for name in ("id_correct_shape", "id_wrong_shape", "ood_shape", "scale"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            require_number(name, getattr(self, name), positive=True)
 
 
 def _class_names(k: int) -> tuple[str, ...]:
@@ -63,47 +81,33 @@ def _class_names(k: int) -> tuple[str, ...]:
     return tuple(f"C{i + 1}" for i in range(k))
 
 
-def generate_evidence_population(
-    params: PopulationParams,
-) -> tuple[list[EvidenceRecord], list[EvidenceRecord]]:
+def generate_evidence_population(params: PopulationParams) -> tuple[RecordBatch, RecordBatch]:
     """Draw (id_records, ood_records), deterministic given ``params.seed``.
 
     Per ID record the draw order is: correct-class index, K wrong-shape
     components, then the correct-class component. OOD records draw K iid
-    moderate-shape components and carry no gold label.
+    moderate-shape components, as one (n, K) draw, and carry no gold label.
     """
-    names = _class_names(params.k)
+    names, n, k = _class_names(params.k), params.n_id, params.k
 
     rng_id = stream_rng(params.seed, STREAM_ID_EVIDENCE)
-    id_records = []
-    for i in range(params.n_id):
-        correct = int(rng_id.integers(params.k))
-        evidence = rng_id.gamma(params.id_wrong_shape, params.scale, params.k)
-        evidence[correct] = rng_id.gamma(params.id_correct_shape, params.scale)
-        id_records.append(
-            EvidenceRecord(
-                id=f"id-{i:05d}",
-                group=Group.ID,
-                class_names=names,
-                evidence=tuple(evidence),
-                gold_label=correct,
-            )
-        )
+    id_evidence = np.empty((n, k))
+    labels = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        correct = int(rng_id.integers(k))
+        id_evidence[i] = rng_id.gamma(params.id_wrong_shape, params.scale, k)
+        id_evidence[i, correct] = rng_id.gamma(params.id_correct_shape, params.scale)
+        labels[i] = correct
 
-    rng_ood = stream_rng(params.seed, STREAM_OOD_EVIDENCE)
-    ood_records = []
-    for i in range(params.n_ood):
-        evidence = rng_ood.gamma(params.ood_shape, params.scale, params.k)
-        ood_records.append(
-            EvidenceRecord(
-                id=f"ood-{i:05d}",
-                group=Group.OOD,
-                class_names=names,
-                evidence=tuple(evidence),
-                gold_label=None,
-            )
-        )
-    return id_records, ood_records
+    ood_evidence = stream_rng(params.seed, STREAM_OOD_EVIDENCE).gamma(
+        params.ood_shape, params.scale, (params.n_ood, k)
+    )
+    return (
+        RecordBatch.from_evidence([f"id-{i:05d}" for i in range(n)], Group.ID, names, id_evidence, labels),
+        RecordBatch.from_evidence(
+            [f"ood-{i:05d}" for i in range(params.n_ood)], Group.OOD, names, ood_evidence
+        ),
+    )
 
 
 def overlap_population_params(seed: int = 0, n_id: int = 500, n_ood: int = 500, k: int = 4) -> PopulationParams:

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import losses
 from .special import log_gamma
+from .synthetic import require_int, require_number
 
 
 class TrainingMode(str, Enum):
@@ -295,6 +296,16 @@ class ToyTrainConfig:
     seed: int = 0
     sigma_mult: float = 0.0
     rbf_grid: int = 5
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", TrainingMode(self.mode))
+        for name, minimum in (("steps", 0), ("seed", 0), ("rbf_grid", 2)):
+            require_int(name, getattr(self, name), minimum)
+        if self.lambda_ramp_steps is not None:
+            require_int("lambda_ramp_steps", self.lambda_ramp_steps, 1)
+        require_number("learning_rate", self.learning_rate, positive=True)
+        for name in ("lambda_weight", "beta_weight", "sigma_mult"):
+            require_number(name, getattr(self, name))
 
     def lambda_at(self, step: int) -> float:
         """Constant, or the linear ramp min(1, step / ramp_steps)."""

@@ -1,15 +1,192 @@
-"""Deliberately naive AUROC/AUPR oracles for the fast rank metrics.
+"""Deliberately naive oracles: the per-record calculus and the rank metrics.
 
-``auroc_bruteforce`` compares every positive with every negative (O(n^2));
-``aupr_reference`` recounts true and false positives at every threshold.
-Both take a list of ``vacuitylab.metrics.ScoredSample``.
+The library works on ``RecordBatch`` columns and (n, K) arrays; the tests
+check it against these one-record-at-a-time forms.
+
+- ``DirichletState`` and the functions of one state (``vacuity``,
+  ``max_probability``, ``normalized_entropy``, ``invariance_concentration``
+  and the rest) score one record from its evidence.
+- ``edl_mse_loss``, ``adjusted_alpha``, ``kl_to_uniform`` and
+  ``ib_info_loss`` are single-example wrappers over the library's batch
+  losses (``expected_brier``, ``kl_to_uniform_rows``, ``ib_info_rows``).
+- ``records_of`` rebuilds one ``EvidenceRecord`` per batch row.
+- ``auroc_bruteforce`` compares every positive with every negative
+  (O(n^2)); ``aupr_reference`` recounts true and false positives at every
+  threshold. Both take a list of ``vacuitylab.metrics.ScoredSample``.
 """
 
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from vacuitylab.dirichlet import EvidenceRecord, Group
+from vacuitylab.losses import expected_brier, ib_info_rows, kl_to_uniform_rows
 from vacuitylab.metrics import ScoredSample
+from vacuitylab.records import RecordBatch
+from vacuitylab.special import log_gamma
+
+
+@dataclass(frozen=True)
+class DirichletState:
+    """Dirichlet concentration vector with its derived strength and K."""
+
+    alpha: np.ndarray
+    strength: float
+    k: int
+
+    def __post_init__(self) -> None:
+        if self.alpha.ndim != 1 or self.k != len(self.alpha):
+            raise ValueError("alpha must be 1-D with k entries")
+        if (self.alpha < 1.0).any():
+            raise ValueError("every alpha_i must be >= 1 (evidence is non-negative)")
+        total = float(self.alpha.sum())
+        if abs(total - self.strength) > 1e-12 * max(1.0, abs(total)):
+            raise ValueError(f"strength {self.strength} != sum(alpha) {total}")
+
+
+def dirichlet_state(alpha) -> DirichletState:
+    """Build a validated DirichletState from a concentration vector."""
+    arr = np.array(alpha, dtype=float)
+    arr.setflags(write=False)
+    return DirichletState(alpha=arr, strength=float(arr.sum()), k=len(arr))
+
+
+@dataclass(frozen=True)
+class UncertaintyScores:
+    """All per-record uncertainty quantities used for OOD scoring."""
+
+    vacuity: float
+    max_probability: float
+    normalized_entropy: float
+
+
+def evidence_to_alpha(record: EvidenceRecord) -> DirichletState:
+    """Map per-class evidence to Dirichlet concentrations: alpha_i = e_i + 1."""
+    evidence = np.asarray(record.evidence, dtype=float)
+    return dirichlet_state(evidence + 1.0)
+
+
+def expected_probabilities(state: DirichletState) -> np.ndarray:
+    """Expected class probabilities p_i = alpha_i / S."""
+    return np.asarray(state.alpha) / state.strength
+
+
+def vacuity(state: DirichletState) -> float:
+    """Uncertainty mass u = K / S; 1 exactly when all evidence is zero."""
+    return state.k / state.strength
+
+
+def max_probability(state: DirichletState) -> float:
+    """Largest expected class probability max_i alpha_i / S."""
+    return float(np.max(state.alpha)) / state.strength
+
+
+def normalized_entropy(probs) -> float:
+    """Shannon entropy in bits divided by log2(K), in [0, 1].
+
+    Requires a probability vector (non-negative, sums to 1 within 1e-9);
+    0 * log 0 is treated as 0.
+    """
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 1 or len(p) < 2:
+        raise ValueError("probs must be a 1-D vector with at least 2 entries")
+    if np.isnan(p).any() or (p < 0).any():
+        raise ValueError("probs must be non-negative")
+    total = float(p.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"probs must sum to 1 within 1e-9, got {total!r}")
+    nonzero = p[p > 0]
+    h_bits = float(-(nonzero * np.log2(nonzero)).sum())
+    return min(max(h_bits / math.log2(len(p)), 0.0), 1.0)
+
+
+def uncertainty_scores(state: DirichletState) -> UncertaintyScores:
+    """Bundle vacuity, max probability and normalized entropy for one state."""
+    return UncertaintyScores(
+        vacuity=vacuity(state),
+        max_probability=max_probability(state),
+        normalized_entropy=normalized_entropy(expected_probabilities(state)),
+    )
+
+
+def invariance_concentration(state: DirichletState) -> tuple[float, float]:
+    """Concentration (and evidence) an appended class must carry to keep
+    vacuity unchanged: alpha_new = S/K, i.e. e_new = S/K - 1.
+
+    This is the unique fixed point: appending any other concentration
+    changes u = K/S.
+    """
+    alpha_new = state.strength / state.k
+    return alpha_new, alpha_new - 1.0
+
+
+def records_of(batch: RecordBatch) -> list[EvidenceRecord]:
+    """One ``EvidenceRecord`` per row of a batch, in row order."""
+    starts = (np.cumsum(batch.k) - batch.k).tolist()
+    return [
+        EvidenceRecord(
+            id=batch.ids[row],
+            group=Group.OOD if batch.ood[row] else Group.ID,
+            class_names=batch.class_names[batch.class_index[row]],
+            evidence=batch.values[start : start + batch.k[row]].tolist(),
+            gold_label=int(batch.labels[row]) if batch.labelled[row] else None,
+        )
+        for row, start in enumerate(starts)
+    ]
+
+
+def _validate_one_hot(y, k: int) -> np.ndarray:
+    arr = np.asarray(y, dtype=float)
+    if arr.shape != (k,):
+        raise ValueError(f"y must have length {k}, got shape {arr.shape}")
+    if not np.isin(arr, (0.0, 1.0)).all() or arr.sum() != 1.0:
+        raise ValueError(f"y must be one-hot, got {arr}")
+    return arr
+
+
+def edl_mse_loss(alpha: DirichletState, y) -> float:
+    """Expected Brier score under Dir(alpha) for a one-hot target (see ``expected_brier``)."""
+    a = np.asarray(alpha.alpha, dtype=float)
+    target = _validate_one_hot(y, alpha.k)
+    return float(expected_brier(a[None, :], target[None, :])[0])
+
+
+def adjusted_alpha(alpha: DirichletState, y) -> DirichletState:
+    """Remove correct-class evidence before regularization.
+
+    alpha_tilde = y + (1 - y) * alpha: the true class drops to concentration
+    1, wrong classes keep theirs.
+    """
+    target = _validate_one_hot(y, alpha.k)
+    a = np.asarray(alpha.alpha, dtype=float)
+    return dirichlet_state(target + (1.0 - target) * a)
+
+
+def kl_to_uniform(alpha_tilde: DirichletState) -> float:
+    """KL divergence from Dir(alpha_tilde) to the uniform Dirichlet Dir(1).
+
+    Non-negative, zero iff alpha_tilde is all ones (see ``kl_to_uniform_rows``).
+    """
+    a = np.asarray(alpha_tilde.alpha, dtype=float)
+    if (a < 1.0).any():
+        raise ValueError("kl_to_uniform requires every alpha_tilde_i >= 1")
+    if (a == 1.0).all():
+        return 0.0
+    rows, _ = kl_to_uniform_rows(a[None, :], log_gamma(float(alpha_tilde.k)))
+    return max(float(rows[0]), 0.0)
+
+
+def ib_info_loss(mu, sigma) -> float:
+    """Information-bottleneck penalty for one latent (see ``ib_info_rows``)."""
+    m = np.asarray(mu, dtype=float)
+    s = np.asarray(sigma, dtype=float)
+    if m.shape != s.shape or m.ndim != 1:
+        raise ValueError("mu and sigma must be equal-length vectors")
+    if np.isnan(s).any() or (s <= 0).any():
+        raise ValueError("every sigma_i must be > 0")
+    return float(ib_info_rows(m[None, :], s[None, :])[0])
 
 
 def scores_labels(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray]:

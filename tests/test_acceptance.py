@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from vacuitylab import (
+    INVARIANCE_EVIDENCE,
     EvidenceRecord,
     ExpansionMode,
     ExpansionSpec,
@@ -25,25 +26,31 @@ from vacuitylab import (
     aupr,
     auroc,
     digamma,
-    dirichlet_state,
-    edl_mse_loss,
-    evidence_to_alpha,
     generate_evidence_population,
     generate_toy_classification,
-    invariance_concentration,
-    kl_to_uniform,
     log_gamma,
+    RecordBatch,
     overlap_population_params,
     run_expansion_experiment,
     run_restriction_experiment,
     score_group,
     train_toy,
-    vacuity,
 )
 from vacuitylab.cli import main
+from vacuitylab.experiments import _append_columns, _score_evidence
 from vacuitylab.records import serialize_records
 
-from oracles import aupr_reference, auroc_bruteforce
+from oracles import (
+    aupr_reference,
+    auroc_bruteforce,
+    dirichlet_state,
+    edl_mse_loss,
+    evidence_to_alpha,
+    invariance_concentration,
+    kl_to_uniform,
+    records_of,
+    vacuity,
+)
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -72,6 +79,8 @@ def test_invariance_property_suite():
         assert alpha_new == pytest.approx(evidence_new + 1.0, rel=1e-15)
         u_kept = (state.k + 1) / (state.strength + alpha_new)
         assert abs(u_kept - u) <= 1e-12 * u
+        expanded = _append_columns(evidence[None, :], 1, INVARIANCE_EVIDENCE)
+        assert abs(_score_evidence(expanded, Metric.VACUITY, Orientation.OOD_POSITIVE)[0] - u) <= 1e-12 * u
         delta = float(rng.uniform(1e-3, 0.5))
         sign = 1.0 if (rng.random() < 0.5 or alpha_new - delta < 1.0) else -1.0
         u_moved = (state.k + 1) / (state.strength + alpha_new + sign * delta)
@@ -95,6 +104,8 @@ def test_zero_evidence_inflation_lemma():
         assert s > k  # gamma evidence is positive almost surely
         u_before = vacuity(state)
         u_after = vacuity(evidence_to_alpha(append_classes(record, 1, 0.0)))
+        expanded = _append_columns(evidence[None, :], 1, 0.0)
+        assert _score_evidence(expanded, Metric.VACUITY, Orientation.OOD_POSITIVE)[0] == u_after
         assert u_after > u_before
         assert abs((u_after - u_before) - (s - k) / (s * (s + 1.0))) <= 1e-12
     assert time.perf_counter() - start < 1.0
@@ -207,9 +218,10 @@ def test_cli_audit_contract(default_fixture, tmp_path):
     id_path = tmp_path / "id.jsonl"
     ood_path = tmp_path / "ood.jsonl"
     ood5_path = tmp_path / "ood_k5.jsonl"
-    serialize_records(id_records[:100], id_path)
-    serialize_records(ood_records[:100], ood_path)
-    serialize_records([append_classes(r, 1, 0.0) for r in ood_records[:100]], ood5_path)
+    serialize_records(id_records.take(range(100)), id_path)
+    serialize_records(ood_records.take(range(100)), ood_path)
+    five = RecordBatch.from_records([append_classes(r, 1, 0.0) for r in records_of(ood_records)[:100]])
+    serialize_records(five, ood5_path)
 
     assert main(["audit", str(id_path), str(ood_path)]) == 0
     assert main(["audit", str(id_path), str(ood5_path)]) == 2
@@ -241,7 +253,9 @@ def test_restriction_contract():
         )
         for i in range(60)
     ]
-    result = run_restriction_experiment(five, 4, id_records, Metric.VACUITY)
+    result = run_restriction_experiment(
+        RecordBatch.from_records(five), 4, RecordBatch.from_records(id_records), Metric.VACUITY
+    )
     expected_excluded = {f"q{i}" for i in range(60) if gold_labels[i] == 4}
     assert set(result.excluded_ids) == expected_excluded
     kept = 60 - len(expected_excluded)
@@ -268,8 +282,8 @@ def test_special_function_accuracy():
 def test_orientation_equivalence(default_fixture):
     id_records, ood_records = default_fixture
     fixtures = [
-        id_records + ood_records,
-        id_records[:50] + ood_records[:200],
+        records_of(id_records) + records_of(ood_records),
+        records_of(id_records)[:50] + records_of(ood_records)[:200],
         [
             EvidenceRecord(id="a", group="id", class_names=["A", "B"], evidence=[3, 1]),
             EvidenceRecord(id="b", group="id", class_names=["A", "B"], evidence=[0, 0]),

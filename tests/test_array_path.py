@@ -2,7 +2,7 @@
 
 Expansion and scoring run on evidence matrices; these tests rebuild every
 expanded record with ``append_classes`` and score it with the per-record
-``dirichlet`` functions, which must agree bit for bit, and check every
+functions in ``oracles``, which must agree bit for bit, and check every
 sweep row against the O(n^2) AUROC and full-recount AUPR oracles. A golden
 test pins the bytes of ``expand`` result files.
 """
@@ -20,23 +20,27 @@ from vacuitylab import (
     ExpansionSpec,
     Metric,
     Orientation,
+    RecordBatch,
     ScoredSample,
     append_classes,
+    generate_evidence_population,
+    overlap_population_params,
+    run_expansion_experiment,
+)
+from vacuitylab.cli import main
+from vacuitylab.experiments import _append_columns, _score_evidence
+from vacuitylab.records import serialize_records
+
+from oracles import (
+    aupr_reference,
+    auroc_bruteforce,
     evidence_to_alpha,
     expected_probabilities,
-    generate_evidence_population,
     invariance_concentration,
     max_probability,
     normalized_entropy,
-    overlap_population_params,
-    run_expansion_experiment,
     vacuity,
 )
-from vacuitylab.cli import main
-from vacuitylab.experiments import _append_columns, _evidence_matrix, _score_evidence
-from vacuitylab.records import serialize_records
-
-from oracles import aupr_reference, auroc_bruteforce
 
 
 def per_record_score(record, metric, orientation):
@@ -89,7 +93,7 @@ EVIDENCE = st.sampled_from([0.0, 2.5, INVARIANCE_EVIDENCE])
 @given(populations(), st.integers(1, 4), EVIDENCE)
 def test_expanded_scores_match_append_classes_bit_for_bit(groups, count, appended_evidence):
     records = groups[0] + groups[1]
-    expanded = _append_columns(_evidence_matrix(records), count, appended_evidence)
+    expanded = _append_columns(RecordBatch.from_records(records).evidence, count, appended_evidence)
     for metric in Metric:
         for orientation in Orientation:
             scores = _score_evidence(expanded, metric, orientation)
@@ -112,7 +116,13 @@ def test_sweep_rows_match_naive_oracles(groups, count, appended_evidence, mode):
     )
     for metric in Metric:
         for orientation in Orientation:
-            run = run_expansion_experiment(id_records, ood_records, spec, metric, orientation)
+            run = run_expansion_experiment(
+                RecordBatch.from_records(id_records),
+                RecordBatch.from_records(ood_records),
+                spec,
+                metric,
+                orientation,
+            )
             positive = "id" if orientation is Orientation.ID_POSITIVE else "ood"
             for m, row in enumerate(run.rows):
                 id_rows = id_records
@@ -137,7 +147,13 @@ def test_overflowing_strength_is_rejected():
     id_records = [make("a", "id", [3.0, 1.0])]
     ood_records = [make("b", "ood", [1.0, 1.0]), make("c", "ood", [1e308, 1e308])]
     with pytest.raises(ValueError, match="finite"):
-        run_expansion_experiment(id_records, ood_records, spec, Metric.VACUITY, Orientation.OOD_POSITIVE)
+        run_expansion_experiment(
+            RecordBatch.from_records(id_records),
+            RecordBatch.from_records(ood_records),
+            spec,
+            Metric.VACUITY,
+            Orientation.OOD_POSITIVE,
+        )
 
 
 # sha256 of the result files written by the implementation before the array path

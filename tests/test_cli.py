@@ -6,9 +6,11 @@ import warnings
 
 import pytest
 
-from vacuitylab import EvidenceRecord, generate_evidence_population, overlap_population_params
+from vacuitylab import EvidenceRecord, RecordBatch, generate_evidence_population, overlap_population_params
 from vacuitylab.cli import main
 from vacuitylab.records import serialize_records
+
+from oracles import records_of
 
 
 def make_record(rid, evidence, group="id", gold=None):
@@ -31,9 +33,9 @@ def files(tmp_path):
     serialize_records(ood_records, paths["ood"])
     five = [
         make_record(f"q{i}", list(r.evidence) + [0.0], "ood", gold=(4 if i % 5 == 0 else 1))
-        for i, r in enumerate(ood_records)
+        for i, r in enumerate(records_of(ood_records))
     ]
-    serialize_records(five, paths["ood_k5"])
+    serialize_records(RecordBatch.from_records(five), paths["ood_k5"])
     return paths
 
 
@@ -261,6 +263,72 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", out, "--format", "csv"]) == 0
         assert capsys.readouterr().out.startswith("wrote 4 files")
+
+
+JSON_DEFECTS = {
+    "extra-data": (b'{"seed": 1}\n{"seed": 2}\n', "line 2 column 1: Extra data"),
+    "bad-key": (b"{broken", "line 1 column 2: Expecting property name enclosed in double quotes"),
+    "not-utf8": (b'{"seed": "\xff"}', "byte 10: not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("defect", JSON_DEFECTS)
+@pytest.mark.parametrize("command", ["simulate", "train-toy", "report"])
+def test_unreadable_json_names_the_file(tmp_path, capsys, command, defect):
+    content, message = JSON_DEFECTS[defect]
+    if command == "report":
+        path = tmp_path / "x.result.json"
+        argv = ["report", str(tmp_path)]
+    else:
+        path = tmp_path / "config.json"
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    path.write_bytes(content)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+BAD_CONFIGS = [
+    ("simulate", {"n_id": True}, "n_id must be an integer, got True"),
+    ("simulate", {"n_id": 2.0}, "n_id must be an integer, got 2.0"),
+    ("simulate", {"n_ood": 0}, "n_ood must be >= 1, got 0"),
+    ("simulate", {"k": 1}, "k must be >= 2, got 1"),
+    ("simulate", {"seed": -1}, "seed must be >= 0, got -1"),
+    ("simulate", {"ood_shape": 0}, "ood_shape must be > 0, got 0"),
+    ("simulate", {"scale": float("inf")}, "scale must be a finite number, got inf"),
+    ("simulate", {"id_wrong_shape": "0.5"}, "id_wrong_shape must be a finite number, got '0.5'"),
+    ("simulate", {"bogus": 1}, "unexpected keyword argument 'bogus'"),
+    ("simulate", [1, 2], "expected a JSON object"),
+    ("train-toy", {"rbf_grid": 1}, "rbf_grid must be >= 2, got 1"),
+    ("train-toy", {"lambda_ramp_steps": 0}, "lambda_ramp_steps must be >= 1, got 0"),
+    ("train-toy", {"steps": -3}, "steps must be >= 0, got -3"),
+    ("train-toy", {"steps": 5.0}, "steps must be an integer, got 5.0"),
+    ("train-toy", {"n_per_class": 60.9}, "n_per_class must be an integer, got 60.9"),
+    ("train-toy", {"n_per_class": 10}, "n_per_class must be >= 50, got 10"),
+    ("train-toy", {"separation": 0}, "separation must be > 0, got 0"),
+    ("train-toy", {"learning_rate": 0}, "learning_rate must be > 0, got 0"),
+    ("train-toy", {"lambda_weight": float("nan")}, "lambda_weight must be a finite number, got nan"),
+    ("train-toy", {"beta_weight": -1e-3}, "beta_weight must be >= 0, got -0.001"),
+    ("train-toy", {"sigma_mult": False}, "sigma_mult must be a finite number, got False"),
+    ("train-toy", {"mode": "bogus"}, "'bogus' is not a valid TrainingMode"),
+]
+
+
+@pytest.mark.parametrize("command, config, message", BAD_CONFIGS)
+def test_bad_config_value_names_the_file(tmp_path, capsys, command, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_values_of_float_fields_are_accepted(tmp_path, capsys):
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps({"steps": 0, "learning_rate": 1, "separation": 6, "n_per_class": 50}))
+    assert main(["train-toy", "--config", str(path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["steps"] == 0 and summary["separation"] == 6.0
 
 
 BAD_EVIDENCE_LINES = {

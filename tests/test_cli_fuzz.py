@@ -145,3 +145,68 @@ def test_cli_survives_arbitrary_record_lines(id_lines, ood_lines):
             if bad:
                 assert code == 1, (command, code, err)
                 assert re.search(re.escape(str(bad[0])) + r":\d+: ", err), (command, err)
+
+
+JUNK = st.sampled_from([None, True, False, "3", [], {}, 2.0, 60.9, float("nan"), float("inf"), -float("inf")])
+# valid values three times in four, so that a fair share of configs runs
+NUMBER = st.one_of(
+    st.floats(0.01, 5.0),
+    st.integers(1, 5),
+    st.floats(-2.0, 50.0),
+    st.sampled_from([1e400, 10**400, 1e-300]) | JUNK,
+)
+
+
+def sized(lower, upper):
+    return st.one_of(st.integers(lower, upper), st.integers(lower, upper), st.integers(-2, upper), JUNK)
+
+
+# (required, optional) fields; the sizes are always drawn, so no run falls back to the
+# default 500 records or 500 steps
+CONFIGS = {
+    "simulate": (
+        {"n_id": sized(1, 200), "n_ood": sized(1, 200)},
+        {
+            "k": sized(2, 30),
+            "seed": sized(0, 2**64),
+            "id_correct_shape": NUMBER,
+            "id_wrong_shape": NUMBER,
+            "ood_shape": NUMBER,
+            "scale": NUMBER,
+            "bogus": JUNK,
+        },
+    ),
+    "train-toy": (
+        {"steps": sized(0, 20), "n_per_class": sized(50, 100) | st.integers(48, 52)},
+        {
+            "mode": st.sampled_from(["edl", "ib-edl", "x", 1]),
+            "learning_rate": NUMBER,
+            "lambda_weight": NUMBER,
+            "lambda_ramp_steps": sized(1, 30),
+            "beta_weight": NUMBER,
+            "seed": sized(0, 2**64),
+            "sigma_mult": NUMBER,
+            "rbf_grid": sized(2, 6),
+            "separation": NUMBER,
+        },
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), command=st.sampled_from(sorted(CONFIGS)))
+def test_cli_survives_arbitrary_configs(data, command):
+    """Bounded config values: valid ones run, invalid ones are an input error."""
+    required, optional = CONFIGS[command]
+    config = data.draw(st.fixed_dictionaries(required, optional=optional))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), np.errstate(all="ignore"):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        err = stderr.getvalue()
+        assert code in (0, 1), (config, code, err)
+        assert (code == 0) == (err == ""), (config, err)
+        if code == 1:
+            assert err.startswith("error: "), (config, err)

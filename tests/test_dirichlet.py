@@ -12,16 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vacuitylab import (
-    EvidenceRecord,
-    append_classes,
+from vacuitylab import EvidenceRecord, append_classes, remove_class
+
+from oracles import (
     dirichlet_state,
     evidence_to_alpha,
     expected_probabilities,
     invariance_concentration,
     max_probability,
     normalized_entropy,
-    remove_class,
     uncertainty_scores,
     vacuity,
 )

@@ -21,18 +21,19 @@ from vacuitylab import (
     Orientation,
     Verdict,
     append_classes,
+    RecordBatch,
     audit_cardinality,
     auroc,
-    evidence_to_alpha,
     generate_evidence_population,
     overlap_population_params,
     run_expansion_experiment,
     run_restriction_experiment,
     score_group,
     score_record,
-    vacuity,
 )
 from vacuitylab.experiments import evaluate_groups
+
+from oracles import evidence_to_alpha, records_of, vacuity
 
 
 def rec(rid, evidence, group="id", gold=None):
@@ -47,14 +48,18 @@ def population():
 
 class TestAudit:
     def test_matched_pass(self):
-        report = audit_cardinality([rec("a", [1, 2, 3, 4])], [rec("b", [0, 0, 0, 0], "ood")])
+        report = audit_cardinality(
+            RecordBatch.from_records([rec("a", [1, 2, 3, 4])]),
+            RecordBatch.from_records([rec("b", [0, 0, 0, 0], "ood")]),
+        )
         assert report.verdict is Verdict.PASS
         assert report.k_id == 4 and report.k_ood == 4
         assert report.detail == ()
 
     def test_group_mismatch_fails(self):
         report = audit_cardinality(
-            [rec("a", [1, 2, 3, 4])], [rec("b", [0, 0, 0, 0, 0], "ood")]
+            RecordBatch.from_records([rec("a", [1, 2, 3, 4])]),
+            RecordBatch.from_records([rec("b", [0, 0, 0, 0, 0], "ood")]),
         )
         assert report.verdict is Verdict.FAIL
         assert (report.k_id, report.k_ood) == (4, 5)
@@ -62,8 +67,8 @@ class TestAudit:
 
     def test_mixed_within_group_fails(self):
         report = audit_cardinality(
-            [rec("a", [1, 2, 3, 4]), rec("a2", [1, 2, 3])],
-            [rec("b", [0, 0, 0, 0], "ood")],
+            RecordBatch.from_records([rec("a", [1, 2, 3, 4]), rec("a2", [1, 2, 3])]),
+            RecordBatch.from_records([rec("b", [0, 0, 0, 0], "ood")]),
         )
         assert report.verdict is Verdict.FAIL
         assert report.k_id == "MIXED"
@@ -71,14 +76,14 @@ class TestAudit:
 
     def test_verdict_symmetric(self):
         groups = (
-            [rec("a", [1, 2, 3, 4])],
-            [rec("b", [0, 0, 0, 0, 0], "ood")],
+            RecordBatch.from_records([rec("a", [1, 2, 3, 4])]),
+            RecordBatch.from_records([rec("b", [0, 0, 0, 0, 0], "ood")]),
         )
         assert audit_cardinality(*groups).verdict is audit_cardinality(*groups[::-1]).verdict
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
-            audit_cardinality([], [rec("b", [1, 2])])
+            audit_cardinality(RecordBatch.from_records([]), RecordBatch.from_records([rec("b", [1, 2])]))
 
 
 class TestScoreGroup:
@@ -93,7 +98,7 @@ class TestScoreGroup:
 
     def test_orientation_swap_keeps_auroc(self, population):
         id_records, ood_records = population
-        records = id_records + ood_records
+        records = records_of(id_records) + records_of(ood_records)
         for metric in Metric:
             a = auroc(score_group(records, metric, Orientation.ID_POSITIVE))
             b = auroc(score_group(records, metric, Orientation.OOD_POSITIVE))
@@ -146,7 +151,7 @@ class TestExpansion:
         for row in run.rows[1:]:
             assert row.auroc == pytest.approx(base.auroc, abs=1e-12)
             assert row.aupr == pytest.approx(base.aupr, abs=1e-12)
-        sample = ood_records[0]
+        sample = records_of(ood_records)[0]
         u_before = vacuity(evidence_to_alpha(sample))
         state = evidence_to_alpha(sample)
         expanded = append_classes(sample, 1, state.strength / state.k - 1.0)
@@ -154,18 +159,18 @@ class TestExpansion:
 
     def test_inputs_never_mutated(self, population):
         id_records, ood_records = population
-        before_id = [r.evidence for r in id_records]
-        before_ood = [r.evidence for r in ood_records]
+        before_id = [r.evidence for r in records_of(id_records)]
+        before_ood = [r.evidence for r in records_of(ood_records)]
         spec = ExpansionSpec(mode=ExpansionMode.MATCHED, k_targets=(6,))
         run_expansion_experiment(id_records, ood_records, spec, Metric.MP)
-        assert [r.evidence for r in id_records] == before_id
-        assert [r.evidence for r in ood_records] == before_ood
+        assert [r.evidence for r in records_of(id_records)] == before_id
+        assert [r.evidence for r in records_of(ood_records)] == before_ood
 
     def test_mismatched_baseline_rejected(self):
         with pytest.raises(CardinalityMismatchError, match="audit_cardinality"):
             run_expansion_experiment(
-                [rec("a", [1, 2, 3, 4])],
-                [rec("b", [1, 2, 3, 4, 5], "ood")],
+                RecordBatch.from_records([rec("a", [1, 2, 3, 4])]),
+                RecordBatch.from_records([rec("b", [1, 2, 3, 4, 5], "ood")]),
                 ExpansionSpec(mode=ExpansionMode.MATCHED, k_targets=(6,)),
                 Metric.VACUITY,
             )
@@ -173,8 +178,8 @@ class TestExpansion:
     def test_k_target_must_exceed_base(self):
         with pytest.raises(ValueError, match="exceed"):
             run_expansion_experiment(
-                [rec("a", [1, 2, 3, 4])],
-                [rec("b", [1, 2, 3, 4], "ood")],
+                RecordBatch.from_records([rec("a", [1, 2, 3, 4])]),
+                RecordBatch.from_records([rec("b", [1, 2, 3, 4], "ood")]),
                 ExpansionSpec(mode=ExpansionMode.MATCHED, k_targets=(4,)),
                 Metric.VACUITY,
             )
@@ -204,7 +209,7 @@ class TestRestriction:
             rec("q2", [2, 2, 2, 2, 2], "ood", gold=4),
             rec("q3", [1, 2, 3, 4, 5], "ood"),
         ]
-        return id_records, five
+        return RecordBatch.from_records(id_records), RecordBatch.from_records(five)
 
     def test_excludes_gold_label_records(self):
         id_records, five = self.make_groups()
@@ -256,7 +261,9 @@ class TestRestriction:
             rec(f"ood{i}", list(rng.gamma(16.0, 0.125, 4)) + [float(rng.gamma(0.05, 0.1))], "ood")
             for i in range(200)
         ]
-        result = run_restriction_experiment(five, 4, id_records, Metric.VACUITY)
+        result = run_restriction_experiment(
+            RecordBatch.from_records(five), 4, RecordBatch.from_records(id_records), Metric.VACUITY
+        )
         assert result.as_is.auroc > 0.85
         assert abs(result.removed.auroc - 0.5) < 0.1
         assert result.as_is.auroc - result.removed.auroc > 0.3
@@ -277,21 +284,37 @@ class TestOverflowNamesRecord:
     @pytest.mark.parametrize(
         "call, line, k",
         [
-            (lambda i, o: evaluate_groups(i, o, Metric.VACUITY, Orientation.ID_POSITIVE, 2, 2), 2, 2),
+            (
+                lambda i, o: evaluate_groups(
+                    RecordBatch.from_records(i),
+                    RecordBatch.from_records(o),
+                    Metric.VACUITY,
+                    Orientation.ID_POSITIVE,
+                    2,
+                    2,
+                ),
+                2,
+                2,
+            ),
             (lambda i, o: score_record(o[1], Metric.MP, Orientation.OOD_POSITIVE), 1, 2),
             (lambda i, o: score_group(o, Metric.NORM_ENTROPY), 2, 2),
             (
                 lambda i, o: run_expansion_experiment(
-                    i, o, ExpansionSpec(ExpansionMode.MATCHED, (3,)), Metric.VACUITY
+                    RecordBatch.from_records(i),
+                    RecordBatch.from_records(o),
+                    ExpansionSpec(ExpansionMode.MATCHED, (3,)),
+                    Metric.VACUITY,
                 ),
                 2,
                 2,
             ),
             (
                 lambda i, o: run_restriction_experiment(
-                    [rec("w", [1.0, 1.0, 1.0], "ood"), rec("c", [1e308, 1e308, 0.0], "ood")],
+                    RecordBatch.from_records(
+                        [rec("w", [1.0, 1.0, 1.0], "ood"), rec("c", [1e308, 1e308, 0.0], "ood")]
+                    ),
                     2,
-                    i,
+                    RecordBatch.from_records(i),
                     Metric.VACUITY,
                 ),
                 2,

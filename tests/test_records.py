@@ -1,5 +1,6 @@
 """Record-file ingestion: schema validation, softplus on logits, round-trips."""
 
+import hashlib
 import json
 import math
 
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vacuitylab import RecordBatch, RecordParseError, parse_records, remove_class, serialize_records
+from vacuitylab.cli import main
 from vacuitylab.dirichlet import EvidenceRecord
-from vacuitylab.records import record_to_dict
+
+from oracles import records_of
 
 
 def write_lines(path, lines):
@@ -30,7 +33,7 @@ GOOD_EVIDENCE = {
 class TestParse:
     def test_evidence_line(self, tmp_path):
         path = write_lines(tmp_path / "r.jsonl", [GOOD_EVIDENCE])
-        (record,) = parse_records(path)
+        (record,) = records_of(parse_records(path))
         assert record.id == "q1"
         assert record.evidence == (12, 8, 9, 7)
         assert record.gold_label == 2
@@ -41,7 +44,7 @@ class TestParse:
             tmp_path / "r.jsonl",
             [{"id": "q2", "group": "ood", "classes": ["A", "B"], "logits": [0, 0]}],
         )
-        (record,) = parse_records(path)
+        (record,) = records_of(parse_records(path))
         assert record.evidence[0] == pytest.approx(math.log(2), rel=1e-12)
         assert record.gold_label is None
 
@@ -162,7 +165,7 @@ class TestRoundTrip:
         first = parse_records(write_lines(tmp_path / "a.jsonl", lines))
         serialize_records(first, tmp_path / "b.jsonl")
         second = parse_records(tmp_path / "b.jsonl")
-        assert first == second
+        assert records_of(first) == records_of(second)
 
     def test_logit_records_serialize_in_evidence_form(self, tmp_path):
         path = write_lines(
@@ -172,15 +175,108 @@ class TestRoundTrip:
         records = parse_records(path)
         serialize_records(records, tmp_path / "b.jsonl")
         reparsed = parse_records(tmp_path / "b.jsonl")
-        assert reparsed == records
+        assert records_of(reparsed) == records_of(records)
         dumped = json.loads((tmp_path / "b.jsonl").read_text().splitlines()[0])
         assert "evidence" in dumped and "logits" not in dumped
 
-    def test_label_omitted_when_absent(self):
+    def test_label_omitted_when_absent(self, tmp_path):
         from vacuitylab import EvidenceRecord
 
         rec = EvidenceRecord(id="q", group="ood", class_names=["A", "B"], evidence=[1, 2])
-        assert "label" not in record_to_dict(rec)
+        serialize_records(RecordBatch.from_records([rec]), tmp_path / "b.jsonl")
+        assert "label" not in json.loads((tmp_path / "b.jsonl").read_text())
+
+
+@st.composite
+def record_batches(draw):
+    """Batches with mixed K, unlabelled rows, several class-name tuples and non-ASCII ids."""
+    n = draw(st.integers(1, 20))
+    ids = draw(
+        st.lists(
+            st.sampled_from(["é", "日本", "q\U0001f600", 'a"b\\', "ß\n"])
+            | st.text(min_size=1, max_size=4),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    records = []
+    for rid in ids:
+        k = draw(st.integers(2, 12))
+        prefix = draw(st.sampled_from(["c", "é", "X"]))
+        evidence = draw(st.lists(st.floats(0.0, 1e300), min_size=k, max_size=k))
+        records.append(
+            EvidenceRecord(
+                id=rid,
+                group=draw(st.sampled_from(["id", "ood"])),
+                class_names=[f"{prefix}{j}" for j in range(k)],
+                evidence=evidence,
+                gold_label=draw(st.none() | st.integers(0, k - 1)),
+            )
+        )
+    return RecordBatch.from_records(records)
+
+
+class TestColumnarWriter:
+    @settings(max_examples=80, deadline=None)
+    @given(batch=record_batches())
+    def test_parse_of_serialize_reproduces_every_column(self, tmp_path_factory, batch):
+        path = tmp_path_factory.mktemp("writer") / "r.jsonl"
+        serialize_records(batch, path)
+        parsed = parse_records(path)
+        assert parsed.ids == batch.ids
+        assert parsed.class_names == batch.class_names
+        for column in ("ood", "class_index", "k", "values", "labels", "labelled", "lines"):
+            got, want = getattr(parsed, column), getattr(batch, column)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), column
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=record_batches())
+    def test_lines_are_what_json_dumps_writes(self, tmp_path_factory, batch):
+        path = tmp_path_factory.mktemp("writer") / "r.jsonl"
+        serialize_records(batch, path)
+        expected = []
+        for r in records_of(batch):
+            obj = {"id": r.id, "group": r.group.value, "classes": list(r.class_names)}
+            obj["evidence"] = list(r.evidence)
+            if r.gold_label is not None:
+                obj["label"] = r.gold_label
+            expected.append(json.dumps(obj) + "\n")
+        assert path.read_text(encoding="utf-8") == "".join(expected)
+
+    def test_infinite_evidence_is_written_as_json_dumps_writes_it(self, tmp_path):
+        rec = EvidenceRecord(id="q", group="ood", class_names=["A", "B"], evidence=[math.inf, 1.0])
+        serialize_records(RecordBatch.from_records([rec]), tmp_path / "b.jsonl")
+        expected = '{"id": "q", "group": "ood", "classes": ["A", "B"], "evidence": [Infinity, 1.0]}\n'
+        assert (tmp_path / "b.jsonl").read_text() == expected
+
+
+# sha256 of simulate's two files, written by the per-record writer before the columnar one
+SIMULATE_SHA256 = {
+    "overlap-k4": (
+        {"n_id": 300, "n_ood": 200, "k": 4, "id_correct_shape": 6.0, "id_wrong_shape": 0.8,
+         "ood_shape": 2.0, "scale": 1.0, "seed": 3},
+        "d62e751bc7eca985800f65ca9fdf2849b500cff6029631417ced7bea67326b4c",
+        "a77370186db000ee44703c244dd909348c082efe3b688075598848afb183f2e0",
+    ),
+    "k30": (
+        {"n_id": 120, "n_ood": 80, "k": 30, "seed": 5},
+        "20850be4424f545716aeacdac3174dbc49a30eb6f778b846ffd4ec70348e10dd",
+        "7603b6cd36f39877e1c14cce989ad90aeb9a9a17b73be2953655d3b60e42c973",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SIMULATE_SHA256)
+def test_simulate_bytes_are_pinned(tmp_path, name):
+    config, id_sha, ood_sha = SIMULATE_SHA256[name]
+    (tmp_path / "population.json").write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(tmp_path / "population.json"), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "id_records.jsonl").read_bytes()).hexdigest() == id_sha
+    assert hashlib.sha256((tmp_path / "ood_records.jsonl").read_bytes()).hexdigest() == ood_sha
+    if name == "k30":
+        first = json.loads((tmp_path / "id_records.jsonl").read_text().splitlines()[0])
+        assert first["classes"] == [f"C{i}" for i in range(1, 31)]
 
 
 class TestDuplicateIds:
@@ -260,7 +356,7 @@ class TestBatchColumns:
         assert batch.labels.tolist() == [obj.get("label", -1) for _, obj, _ in rows]
         if len(set(batch.k.tolist())) == 1:
             assert batch.evidence.tobytes() == np.stack([ev for _, _, ev in rows]).tobytes()
-        for record, (_, obj, ev) in zip(batch, rows):
+        for record, (_, obj, ev) in zip(records_of(batch), rows):
             assert record.evidence == tuple(ev.tolist())
             assert record.gold_label == obj.get("label")
 
@@ -319,8 +415,8 @@ class TestBatchTransforms:
         batch = self.make_batch(tmp_path)
         keep = ~(batch.labelled & (batch.labels == index))
         reduced = batch.take(keep).drop_class(index)
-        expected = [remove_class(r, index) for r in batch]
-        assert list(reduced) == [r for r in expected if r is not None]
+        expected = [remove_class(r, index) for r in records_of(batch)]
+        assert records_of(reduced) == [r for r in expected if r is not None]
         assert reduced.evidence.shape == (int(keep.sum()), 3)
         assert reduced.lines.tolist() == batch.lines[keep].tolist()
 
@@ -330,18 +426,18 @@ class TestBatchTransforms:
 
     def test_take_keeps_order_and_views(self, tmp_path):
         batch = self.make_batch(tmp_path)
-        assert list(batch.take([5, 2])) == [batch[5], batch[2]]
+        assert records_of(batch.take([5, 2])) == [records_of(batch)[5], records_of(batch)[2]]
         assert len(batch.take([])) == 0
 
     def test_from_records_round_trips(self, tmp_path):
         batch = self.make_batch(tmp_path)
-        assert RecordBatch.from_records(list(batch)) == batch
+        assert records_of(RecordBatch.from_records(records_of(batch))) == records_of(batch)
 
     def test_mixed_k_has_no_single_matrix(self, tmp_path):
         lines = [GOOD_EVIDENCE, {"id": "q2", "group": "id", "classes": ["A", "B"], "evidence": [1, 2]}]
         batch = parse_records(write_lines(tmp_path / "r.jsonl", lines))
         assert batch.k.tolist() == [4, 2]
-        assert batch[1].evidence == (1.0, 2.0)
+        assert records_of(batch)[1].evidence == (1.0, 2.0)
         with pytest.raises(ValueError, match="different class counts"):
             batch.evidence
 

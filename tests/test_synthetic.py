@@ -5,16 +5,16 @@ import pytest
 
 from vacuitylab import (
     PopulationParams,
-    evidence_to_alpha,
     generate_evidence_population,
     generate_toy_classification,
     overlap_population_params,
-    vacuity,
 )
+
+from oracles import evidence_to_alpha, records_of, vacuity
 
 
 def mean_vacuity(records):
-    return float(np.mean([vacuity(evidence_to_alpha(r)) for r in records]))
+    return float(np.mean([vacuity(evidence_to_alpha(r)) for r in records_of(records)]))
 
 
 class TestEvidencePopulation:
@@ -22,9 +22,9 @@ class TestEvidencePopulation:
         params = PopulationParams(n_id=50, n_ood=50, seed=123)
         a_id, a_ood = generate_evidence_population(params)
         b_id, b_ood = generate_evidence_population(params)
-        assert [r.evidence for r in a_id] == [r.evidence for r in b_id]
-        assert [r.evidence for r in a_ood] == [r.evidence for r in b_ood]
-        assert [r.gold_label for r in a_id] == [r.gold_label for r in b_id]
+        assert [r.evidence for r in records_of(a_id)] == [r.evidence for r in records_of(b_id)]
+        assert [r.evidence for r in records_of(a_ood)] == [r.evidence for r in records_of(b_ood)]
+        assert [r.gold_label for r in records_of(a_id)] == [r.gold_label for r in records_of(b_id)]
 
     def test_default_params_separate_populations(self):
         id_records, ood_records = generate_evidence_population(PopulationParams(seed=0))
@@ -41,16 +41,16 @@ class TestEvidencePopulation:
         id_records, ood_records = generate_evidence_population(
             PopulationParams(n_id=100, n_ood=100, seed=9)
         )
-        for r in id_records + ood_records:
+        for r in records_of(id_records) + records_of(ood_records):
             assert all(e >= 0 for e in r.evidence)
 
     def test_groups_and_labels(self):
         id_records, ood_records = generate_evidence_population(
             PopulationParams(n_id=10, n_ood=10, seed=1)
         )
-        assert all(r.group.value == "id" and r.gold_label is not None for r in id_records)
-        assert all(r.group.value == "ood" and r.gold_label is None for r in ood_records)
-        assert all(r.k == 4 for r in id_records + ood_records)
+        assert all(r.group.value == "id" and r.gold_label is not None for r in records_of(id_records))
+        assert all(r.group.value == "ood" and r.gold_label is None for r in records_of(ood_records))
+        assert all(r.k == 4 for r in records_of(id_records) + records_of(ood_records))
 
     def test_seed_changes_samples_not_means(self):
         """Across 20 seeds the per-seed means stay inside a 5-SE band."""
@@ -59,7 +59,7 @@ class TestEvidencePopulation:
         per_record_sd = None
         for p in params:
             id_records, ood_records = generate_evidence_population(p)
-            vals = [vacuity(evidence_to_alpha(r)) for r in id_records]
+            vals = [vacuity(evidence_to_alpha(r)) for r in records_of(id_records)]
             id_means.append(float(np.mean(vals)))
             per_record_sd = float(np.std(vals, ddof=1))
             ood_means.append(mean_vacuity(ood_records))
@@ -81,8 +81,8 @@ class TestEvidencePopulation:
     def test_overlap_fixture_overlaps(self):
         """The demo fixture keeps baseline separation well away from saturation."""
         id_records, ood_records = generate_evidence_population(overlap_population_params(seed=0))
-        id_strengths = [evidence_to_alpha(r).strength for r in id_records]
-        ood_strengths = [evidence_to_alpha(r).strength for r in ood_records]
+        id_strengths = [evidence_to_alpha(r).strength for r in records_of(id_records)]
+        ood_strengths = [evidence_to_alpha(r).strength for r in records_of(ood_records)]
         # a meaningful share of OOD records out-strengthen ID records
         flips = np.mean([s_ood > np.median(id_strengths) for s_ood in ood_strengths])
         assert 0.05 < flips < 0.95

@@ -22,19 +22,17 @@ from vacuitylab import (
     ToyTrainConfig,
     TrainingDiverged,
     TrainingMode,
-    adjusted_alpha,
-    dirichlet_state,
-    edl_mse_loss,
     far_probe_points,
     generate_toy_classification,
     init_params,
-    kl_to_uniform,
     loss_gradient,
     predict_alpha,
     total_loss,
     train_toy,
 )
 from vacuitylab.cli import main
+
+from oracles import adjusted_alpha, dirichlet_state, edl_mse_loss, kl_to_uniform
 
 REL_TOL = 1e-5
 ABS_FLOOR = 1e-8
