@@ -40,6 +40,7 @@ from .report import (
     expansion_result_dict,
     render_table,
     restriction_result_dict,
+    result_problem,
     warnings_jsonl,
 )
 from .synthetic import (
@@ -211,19 +212,15 @@ def _cmd_metrics(args) -> int:
     report = audit_cardinality(id_records, ood_records)
     if report.verdict is not Verdict.PASS:
         if not args.allow_mismatch:
-            _print_audit(report)
-            print("refusing to score mismatched cardinalities (pass --allow-mismatch to override)")
-            return EXIT_AUDIT_FAIL
+            raise CardinalityMismatchError(
+                "refusing to score mismatched cardinalities (pass --allow-mismatch to override)", report
+            )
         if MIXED in (report.k_id, report.k_ood):
-            _print_audit(report)
-            print("mixed cardinality inside a group cannot be scored")
-            return EXIT_AUDIT_FAIL
+            raise CardinalityMismatchError("mixed cardinality inside a group cannot be scored", report)
         _write_warnings(args.out, [mismatch_warning("metrics", report.k_id, report.k_ood)])
     metric = Metric(args.metric)
     orientation = Orientation(args.orientation)
-    res = evaluate_groups(
-        id_records, ood_records, metric, orientation, int(report.k_id), int(report.k_ood)
-    )
+    res = evaluate_groups(id_records, ood_records, metric, orientation)
     result = detection_result_dict(
         f"metrics_{metric.value}", f"{metric.value} ({orientation.value})", res, orientation.value
     )
@@ -232,26 +229,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    id_records, ood_records = _load_groups(args)
-    report = audit_cardinality(id_records, ood_records)
-    if report.verdict is not Verdict.PASS:
-        _print_audit(report)
-        print("expansion needs a matched baseline; run `vacuitylab audit` for details")
-        return EXIT_AUDIT_FAIL
-    base_k = int(report.k_id)
-    if args.k_max <= base_k:
-        raise _UsageError(f"--k-max must exceed the baseline K={base_k}")
-    spec = ExpansionSpec(
-        mode=ExpansionMode(args.mode),
-        k_targets=tuple(range(base_k + 1, args.k_max + 1)),
-        appended_evidence=args.evidence,
-    )
-    run = run_expansion_experiment(
-        id_records, ood_records, spec, Metric(args.metric), Orientation(args.orientation)
-    )
-    name = f"expansion_{spec.mode.value.replace('-', '_')}"
-    result = expansion_result_dict(name, run)
-    _deliver(result, args)
+    spec = ExpansionSpec(args.mode, args.k_max, args.evidence)
+    groups = _load_groups(args)
+    run = run_expansion_experiment(*groups, spec, Metric(args.metric), Orientation(args.orientation))
+    _deliver(expansion_result_dict(f"expansion_{spec.mode.value.replace('-', '_')}", run), args)
     return EXIT_OK
 
 
@@ -277,6 +258,8 @@ def _read_json(path):
         raise ValueError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # e.g. an integer literal beyond the int conversion limit
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _configured(args, build):
@@ -292,9 +275,13 @@ def _configured(args, build):
         raise ValueError(f"{args.config}: {exc}") from None
 
 
+def _population(config: dict):
+    params = PopulationParams(**config)
+    return params, generate_evidence_population(params)
+
+
 def _cmd_simulate(args) -> int:
-    params = _configured(args, lambda config: PopulationParams(**config))
-    id_records, ood_records = generate_evidence_population(params)
+    params, (id_records, ood_records) = _configured(args, _population)
     out = Path(args.out) if args.out is not None else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     serialize_records(id_records, out / "id_records.jsonl")
@@ -333,8 +320,15 @@ def _cmd_report(args) -> int:
     if not paths:
         print(f"no *.result.json files in {results_dir}", file=sys.stderr)
         return EXIT_USAGE
-    # audit.result.json and other non-experiment results carry no "kind"
-    results = [r for r in map(_read_json, paths) if "kind" in r]
+    results = []
+    for path in paths:
+        result = _read_json(path)
+        if type(result) is dict and "kind" not in result:
+            continue  # audit.result.json and other non-experiment results carry no "kind"
+        problem = result_problem(result)
+        if problem is not None:
+            raise ValueError(f"{path}: {problem}")
+        results.append(result)
     if not results:
         print(f"no renderable *.result.json files in {results_dir}", file=sys.stderr)
         return EXIT_USAGE
@@ -360,7 +354,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CardinalityMismatchError as exc:
-        print(f"cardinality mismatch: {exc}", file=sys.stderr)
+        _print_audit(exc.report)
+        print(exc)
         return EXIT_AUDIT_FAIL
     except (ValueError, OSError, TypeError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,10 +53,6 @@ class ExpansionMode(str, Enum):
     MATCHED = "matched"
 
 
-class CardinalityMismatchError(ValueError):
-    """Raised when an experiment would compare groups with different K."""
-
-
 @dataclass(frozen=True)
 class AuditReport:
     """Outcome of the K_ID = K_OOD check; detail lists (record id, K) offenders."""
@@ -75,17 +71,20 @@ class AuditReport:
         }
 
 
-def _group_k(batch: RecordBatch) -> int | str:
-    k = batch.class_count()
-    return MIXED if k is None else k
+class CardinalityMismatchError(ValueError):
+    """Raised when an experiment would compare groups with different K; ``report`` is the failed audit."""
+
+    def __init__(self, message: str, report: AuditReport):
+        super().__init__(message)
+        self.report = report
 
 
 def audit_cardinality(id_records: RecordBatch, ood_records: RecordBatch) -> AuditReport:
     """PASS iff every record in both groups shares one class count."""
     if not len(id_records) or not len(ood_records):
         raise ValueError("both record groups must be non-empty")
-    k_id = _group_k(id_records)
-    k_ood = _group_k(ood_records)
+    k_id = id_records.class_count() or MIXED
+    k_ood = ood_records.class_count() or MIXED
     ok = k_id != MIXED and k_id == k_ood
     detail: tuple[tuple[str, int], ...] = ()
     if not ok:
@@ -194,30 +193,29 @@ def evaluate_groups(
     ood_records: RecordBatch,
     metric: Metric,
     orientation: Orientation,
-    k_id: int,
-    k_ood: int,
 ) -> DetectionResult:
     """Detection metrics of two groups, each of one class count, scored as evidence matrices.
 
-    Labels follow each record's ``group`` field, as in ``score_group``.
+    Each group's K is the width of the matrix it was scored as. Labels
+    follow each record's ``group`` field, as in ``score_group``.
     """
     batches = (id_records, ood_records)
     scores = np.concatenate([_batch_scores(b, metric, orientation) for b in batches])
     labels = np.concatenate([_labels(b, orientation) for b in batches])
+    k_id, k_ood = (b.evidence.shape[1] for b in batches)
     return evaluate_scores(scores, labels, metric.value, k_id, k_ood)
 
 
 @dataclass(frozen=True)
 class ExpansionSpec:
-    """How to expand class cardinality: which group, to which K, with what evidence."""
+    """How to expand class cardinality: which group, up to which K, with what evidence."""
 
     mode: ExpansionMode
-    k_targets: tuple[int, ...]
+    k_max: int
     appended_evidence: float | str = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", ExpansionMode(self.mode))
-        object.__setattr__(self, "k_targets", tuple(int(k) for k in self.k_targets))
         if isinstance(self.appended_evidence, str):
             if self.appended_evidence != INVARIANCE_EVIDENCE:
                 raise ValueError(
@@ -232,7 +230,7 @@ class ExpansionSpec:
 
 @dataclass(frozen=True)
 class ExpansionRun:
-    """One sweep: the baseline row followed by one row per k_target."""
+    """One sweep: the baseline row followed by one row per K from baseline K + 1 to k_max."""
 
     mode: ExpansionMode
     metric: Metric
@@ -271,18 +269,19 @@ def run_expansion_experiment(
     """Recompute detection metrics under class expansion with predictions held fixed.
 
     OOD_ONLY appends classes to the OOD group only; MATCHED appends to
-    both groups. The baseline K must be uniform across both groups.
+    both groups. The baseline K must be uniform across both groups, and
+    the sweep runs from it to ``spec.k_max``.
     """
     report = audit_cardinality(id_records, ood_records)
     if report.verdict is not Verdict.PASS:
         raise CardinalityMismatchError(
             f"baseline cardinality mismatch (K_ID={report.k_id}, K_OOD={report.k_ood}); "
-            "run audit_cardinality for the offending records"
+            "run audit_cardinality for the offending records",
+            report,
         )
-    base_k = int(report.k_id)
-    for k in spec.k_targets:
-        if k <= base_k:
-            raise ValueError(f"k_target {k} must exceed the baseline K={base_k}")
+    base_k = report.k_id
+    if spec.k_max <= base_k:
+        raise ValueError(f"k_max {spec.k_max} must exceed the baseline K={base_k}")
 
     def score(batch: RecordBatch, count: int) -> np.ndarray:
         return _batch_scores(batch, metric, orientation, count, spec.appended_evidence)
@@ -294,7 +293,7 @@ def run_expansion_experiment(
     labels = np.concatenate([_labels(id_records, orientation), _labels(ood_records, orientation)])
     id_scores = score(id_records, 0)
     rows = [evaluate(id_scores, score(ood_records, 0), base_k, base_k)]
-    for k_target in spec.k_targets:
+    for k_target in range(base_k + 1, spec.k_max + 1):
         count = k_target - base_k
         ood_scores = score(ood_records, count)
         if spec.mode is ExpansionMode.MATCHED:
@@ -343,39 +342,24 @@ def run_restriction_experiment(
     Records whose gold label is the removed class are excluded from the
     "removed" run (they would have no valid answer), and the AUPR baseline
     is recomputed from the new counts. The as-is run deliberately compares
-    mismatched cardinalities and always carries a warning record. The
-    removal is a column drop on the evidence matrix plus a gold-label row
-    mask.
+    mismatched cardinalities; each run whose two matrices differ in K
+    carries a warning record. The removal is a column drop on the evidence
+    matrix plus a gold-label row mask; the batch rejects a mixed K and a
+    class index out of range.
     """
     if not len(five_class_records) or not len(id_records):
         raise ValueError("both record groups must be non-empty")
-    k_wide = _group_k(five_class_records)
-    if k_wide == MIXED:
-        raise ValueError("five_class_records must share one class count")
-    k_id = _group_k(id_records)
-    if k_id == MIXED:
-        raise ValueError("id_records must share one class count")
-    if not 0 <= removed_class_index < int(k_wide):
-        raise ValueError(f"removed_class_index {removed_class_index} out of range for K={k_wide}")
-
-    warnings = []
-    as_is = evaluate_groups(id_records, five_class_records, metric, orientation, int(k_id), int(k_wide))
-    if k_id != k_wide:
-        warnings.append(mismatch_warning("restriction_as_is", k_id, k_wide))
-
+    as_is = evaluate_groups(id_records, five_class_records, metric, orientation)
     # a record whose gold label is the removed class has no valid answer left
     excluded = five_class_records.labelled & (five_class_records.labels == removed_class_index)
     if excluded.all():
         raise ValueError("removing that class excluded every record")
     restricted = five_class_records.take(~excluded).drop_class(removed_class_index)
-    k_removed = int(k_wide) - 1
-    removed = evaluate_groups(id_records, restricted, metric, orientation, int(k_id), k_removed)
-    if k_id != k_removed:
-        warnings.append(mismatch_warning("restriction_removed", k_id, k_removed))
-
+    removed = evaluate_groups(id_records, restricted, metric, orientation)
+    runs = (("restriction_as_is", as_is), ("restriction_removed", removed))
     return RestrictionResult(
         as_is=as_is,
         removed=removed,
         excluded_ids=tuple(five_class_records.ids[i] for i in np.flatnonzero(excluded)),
-        warnings=tuple(warnings),
+        warnings=tuple(mismatch_warning(c, r.k_id, r.k_ood) for c, r in runs if r.k_id != r.k_ood),
     )

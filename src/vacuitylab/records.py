@@ -127,7 +127,9 @@ class RecordBatch:
             return self.values.reshape(0, 0)
         k = self.class_count()
         if k is None:
-            raise ValueError("rows have different class counts; no single evidence matrix")
+            raise ValueError(
+                f"{self.path or '<records>'}: rows have different class counts; no single evidence matrix"
+            )
         return self.values.reshape(len(self), k)
 
     def take(self, rows) -> RecordBatch:
@@ -152,9 +154,8 @@ class RecordBatch:
         Gold labels after the dropped position move down by one. No row may
         still carry the dropped class as its gold label: exclude those first.
         """
-        k = self.class_count()
-        if k is None:
-            raise ValueError("rows must share one class count")
+        evidence = self.evidence
+        k = evidence.shape[1]
         if not 0 <= index < k:
             raise ValueError(f"class_index {index} out of range for K={k}")
         if k <= 2:
@@ -165,9 +166,15 @@ class RecordBatch:
             self,
             class_names=tuple(names[:index] + names[index + 1 :] for names in self.class_names),
             k=self.k - 1,
-            values=np.delete(self.evidence, index, axis=1).ravel(),
+            values=np.delete(evidence, index, axis=1).ravel(),
             labels=self.labels - (self.labels > index),
         )
+
+
+def finite_strength(evidence: np.ndarray) -> np.ndarray:
+    """Per row of an (n, K) evidence matrix: is S = sum(evidence + 1) finite, summed as the scorer sums it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.isfinite((evidence + 1.0).sum(axis=1))
 
 
 def _flat_index(k: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -335,7 +342,7 @@ def _validated(batch: RecordBatch, logits: np.ndarray, groups: list, labels: lis
             index = _flat_index(batch.k, rows)
             block = values[index].reshape(len(rows), k)
             nonfinite[rows] = ~finite[index].reshape(len(rows), k).all(axis=1)
-            overflow[rows] = ~np.isfinite((block + 1.0).sum(axis=1))
+            overflow[rows] = ~finite_strength(block)
             negative[rows] = (block < 0).any(axis=1)
     ids, k = batch.ids, batch.k
     bad_names = np.array([not all(type(c) is str for c in key) for key in batch.class_names], dtype=bool)

@@ -10,6 +10,7 @@ no timestamps, no rendering libraries.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -28,6 +29,7 @@ TABLE_COLUMNS = (
     "n_positive",
     "n_negative",
 )
+KINDS = ("expansion", "restriction", "detection")
 
 
 def _row(condition: str, res: DetectionResult, baseline: DetectionResult | None) -> dict:
@@ -88,6 +90,41 @@ def detection_result_dict(name: str, condition: str, res: DetectionResult, orien
         "orientation": orientation,
         "rows": [_row(condition, res, None)],
     }
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; a bool is not one."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def result_problem(result) -> str | None:
+    """What keeps a decoded ``*.result.json`` value from being rendered, if anything.
+
+    A renderable result is an object whose ``kind`` is one of ``KINDS``,
+    whose ``name`` is a plain file stem (it names the files written) and
+    whose ``rows`` hold every table column, numbers where the tables and
+    plots compute with them.
+    """
+    if type(result) is not dict:
+        return "expected a JSON object"
+    kind, name, rows = result.get("kind"), result.get("name"), result.get("rows")
+    if kind not in KINDS:
+        return f"kind must be one of {', '.join(map(repr, KINDS))}, got {kind!r}"
+    if type(name) is not str or name in ("", ".", "..") or Path(name).name != name or "\0" in name:
+        return f"name must be a plain file stem, got {name!r}"
+    if type(result.get("metric")) is not str:
+        return "metric must be a string"
+    if type(rows) is not list or not rows:
+        return "rows must be a non-empty list"
+    for i, row in enumerate(rows):
+        if type(row) is not dict or not row.keys() >= set(TABLE_COLUMNS):
+            return f"rows[{i}] must be an object with the keys {', '.join(TABLE_COLUMNS)}"
+        if type(row["condition"]) is not str:
+            return f"rows[{i}].condition must be a string"
+        bad = next((c for c in TABLE_COLUMNS[1:] if not _is_number(row[c])), None)
+        if bad is not None:
+            return f"rows[{i}].{bad} must be a finite number, got {row[bad]!r}"
+    return None
 
 
 def _fmt_cell(key: str, value, human: bool) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirichlet import Group
-from .records import RecordBatch
+from .records import RecordBatch, finite_strength
 
 STREAM_ID_EVIDENCE = 0
 STREAM_OOD_EVIDENCE = 1
@@ -87,6 +87,8 @@ def generate_evidence_population(params: PopulationParams) -> tuple[RecordBatch,
     Per ID record the draw order is: correct-class index, K wrong-shape
     components, then the correct-class component. OOD records draw K iid
     moderate-shape components, as one (n, K) draw, and carry no gold label.
+    A draw whose S = sum(evidence + 1) is not finite, which a large ``scale``
+    can give, is an error: no record file could hold it.
     """
     names, n, k = _class_names(params.k), params.n_id, params.k
 
@@ -102,6 +104,10 @@ def generate_evidence_population(params: PopulationParams) -> tuple[RecordBatch,
     ood_evidence = stream_rng(params.seed, STREAM_OOD_EVIDENCE).gamma(
         params.ood_shape, params.scale, (params.n_ood, k)
     )
+    if not (finite_strength(id_evidence).all() and finite_strength(ood_evidence).all()):
+        raise ValueError(
+            f"scale {params.scale!r} draws evidence whose sum S = sum(evidence + 1) is not finite"
+        )
     return (
         RecordBatch.from_evidence([f"id-{i:05d}" for i in range(n)], Group.ID, names, id_evidence, labels),
         RecordBatch.from_evidence(

@@ -121,7 +121,7 @@ def test_matched_expansion_bit_exact(default_fixture):
     id_records, ood_records = default_fixture
     assert len(id_records) == 500 and len(ood_records) == 500
     start = time.perf_counter()
-    spec = ExpansionSpec(mode=ExpansionMode.MATCHED, k_targets=(5, 6, 7, 8))
+    spec = ExpansionSpec(mode=ExpansionMode.MATCHED, k_max=8)
     run = run_expansion_experiment(id_records, ood_records, spec, Metric.VACUITY)
     for row in run.rows[1:]:
         assert row.auroc == run.baseline.auroc
@@ -133,7 +133,7 @@ def test_matched_expansion_bit_exact(default_fixture):
 def test_ood_only_inflation_pattern(default_fixture):
     id_records, ood_records = default_fixture
     start = time.perf_counter()
-    spec = ExpansionSpec(mode=ExpansionMode.OOD_ONLY, k_targets=(5, 6, 7, 8))
+    spec = ExpansionSpec(mode=ExpansionMode.OOD_ONLY, k_max=8)
     run = run_expansion_experiment(id_records, ood_records, spec, Metric.VACUITY)
     aurocs = [row.auroc for row in run.rows]
     for earlier, later in zip(aurocs, aurocs[1:]):

@@ -111,7 +111,7 @@ def test_sweep_rows_match_naive_oracles(groups, count, appended_evidence, mode):
     base_k = id_records[0].k
     spec = ExpansionSpec(
         mode=mode,
-        k_targets=tuple(range(base_k + 1, base_k + count + 1)),
+        k_max=base_k + count,
         appended_evidence=appended_evidence,
     )
     for metric in Metric:
@@ -143,7 +143,7 @@ def test_overflowing_strength_is_rejected():
     def make(rid, group, evidence):
         return EvidenceRecord(id=rid, group=group, class_names=["A", "B"], evidence=evidence)
 
-    spec = ExpansionSpec(mode=ExpansionMode.OOD_ONLY, k_targets=(3,))
+    spec = ExpansionSpec(mode=ExpansionMode.OOD_ONLY, k_max=3)
     id_records = [make("a", "id", [3.0, 1.0])]
     ood_records = [make("b", "ood", [1.0, 1.0]), make("c", "ood", [1e308, 1e308])]
     with pytest.raises(ValueError, match="finite"):

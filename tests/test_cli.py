@@ -4,9 +4,11 @@ import hashlib
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from vacuitylab import EvidenceRecord, RecordBatch, generate_evidence_population, overlap_population_params
+from vacuitylab.synthetic import stream_rng
 from vacuitylab.cli import main
 from vacuitylab.records import serialize_records
 
@@ -493,3 +495,146 @@ def test_non_finite_evidence_is_usage_error(files, capsys, value):
     assert main([*argv, f"--evidence={value}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "--evidence" in err and value in err
+
+
+@pytest.fixture
+def mixed_ood(files, tmp_path):
+    """An OOD file holding K=4 and K=5 records."""
+    path = tmp_path / "ood_mixed.jsonl"
+    path.write_text(files["ood"].read_text() + files["ood_k5"].read_text())
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, ood, message",
+    [
+        (
+            ["metrics"],
+            "ood_k5",
+            "refusing to score mismatched cardinalities (pass --allow-mismatch to override)",
+        ),
+        (["metrics", "--allow-mismatch"], "mixed", "mixed cardinality inside a group cannot be scored"),
+        (
+            ["expand", "--mode", "ood-only", "--k-max", "8"],
+            "ood_k5",
+            "baseline cardinality mismatch (K_ID=4, K_OOD=5); "
+            "run audit_cardinality for the offending records",
+        ),
+    ],
+    ids=["metrics", "metrics-allow-mismatch-mixed", "expand"],
+)
+def test_refusal_prints_the_audit_block(files, mixed_ood, capsys, command, ood, message):
+    """Every mismatch refusal prints what `audit` prints, then its reason, exits 2 and writes nothing."""
+    pair = [str(files["id"]), str(mixed_ood if ood == "mixed" else files[ood])]
+    assert main(["audit", *pair]) == 2
+    audit_block = capsys.readouterr().out
+    assert audit_block.startswith("AUDIT FAIL: K_ID=4 K_OOD=")
+    assert main([command[0], *pair, *command[1:], "--out", str(files["out"])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == audit_block + message + "\n"
+    assert captured.err == ""
+    assert not files["out"].exists()
+
+
+def test_restrict_on_mixed_k_names_the_file(files, mixed_ood, capsys):
+    assert main(["restrict", str(files["id"]), str(mixed_ood), "--remove-class", "4"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {mixed_ood}: rows have different class counts; no single evidence matrix\n"
+    )
+
+
+def _detection_result(**fields):
+    row = {
+        "condition": "vacuity (id-pos)", "k_id": 4, "k_ood": 4, "auroc": 0.75, "delta_auroc": 0.0,
+        "aupr": 0.5, "delta_aupr": 0.0, "aupr_baseline": 0.5, "n_positive": 2, "n_negative": 2,
+    }
+    result = {"kind": "detection", "name": "x", "metric": "vacuity", "orientation": "id-pos", "rows": [row]}
+    result.update(fields)
+    return result
+
+
+BAD_RESULTS = {
+    "bogus-kind": (
+        {"kind": "bogus"},
+        "kind must be one of 'expansion', 'restriction', 'detection', got 'bogus'",
+    ),
+    "number": (5, "expected a JSON object"),
+    "escaping-name": (
+        _detection_result(kind="expansion", name="../../escape"),
+        "name must be a plain file stem, got '../../escape'",
+    ),
+    "dot-dot-name": (_detection_result(name=".."), "name must be a plain file stem, got '..'"),
+    "empty-name": (_detection_result(name=""), "name must be a plain file stem, got ''"),
+    "no-metric": (_detection_result(metric=None), "metric must be a string"),
+    "empty-rows": (_detection_result(rows=[]), "rows must be a non-empty list"),
+    "missing-column": (
+        _detection_result(rows=[{"condition": "c"}]),
+        "rows[0] must be an object with the keys " + ", ".join(
+            ["condition", "k_id", "k_ood", "auroc", "delta_auroc", "aupr", "delta_aupr", "aupr_baseline",
+             "n_positive", "n_negative"]
+        ),
+    ),
+    "text-auroc": (
+        _detection_result(rows=[dict(_detection_result()["rows"][0], auroc="0.7")]),
+        "rows[0].auroc must be a finite number, got '0.7'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_RESULTS)
+def test_report_rejects_malformed_result_files(tmp_path, capsys, name):
+    """A result file that cannot be rendered is exit 1 naming it, and nothing is written anywhere."""
+    content, message = BAD_RESULTS[name]
+    results = tmp_path / "a" / "b" / "results"
+    results.mkdir(parents=True)
+    (results / "good.result.json").write_text(json.dumps(_detection_result(name="good")))
+    path = results / "x.result.json"
+    path.write_text(json.dumps(content))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["report", str(results)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_report_renders_a_valid_detection_result(tmp_path, capsys):
+    (tmp_path / "audit.result.json").write_text(json.dumps({"k_id": 4, "k_ood": 4, "verdict": "PASS"}))
+    (tmp_path / "x.result.json").write_text(json.dumps(_detection_result()))
+    assert main(["report", str(tmp_path), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["x.md", "x.result.json"]
+
+
+def test_huge_integer_literal_names_the_file(tmp_path, capsys):
+    path = tmp_path / "x.result.json"
+    path.write_text('{"kind": "detection", "n": ' + "1" * 5000 + "}")
+    assert main(["report", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "digits" in err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"scale": 1e308},
+        # every drawn value is finite (checked below), but their sum S overflows
+        {"scale": 1e307, "k": 30, "n_id": 1, "n_ood": 1, "id_correct_shape": 1.0, "id_wrong_shape": 1.0,
+         "ood_shape": 1.0},
+    ],
+    ids=["infinite-value", "overflowing-sum"],
+)
+def test_simulate_refuses_draws_no_record_file_can_hold(tmp_path, capsys, config):
+    path = tmp_path / "population.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: scale {config['scale']!r} draws evidence "
+        "whose sum S = sum(evidence + 1) is not finite\n"
+    )
+    assert not out.exists()
+    if "k" in config:
+        id_rng, ood_rng = stream_rng(0, 0), stream_rng(0, 1)
+        id_rng.integers(30)
+        draws = [id_rng.gamma(1.0, 1e307, 30), [id_rng.gamma(1.0, 1e307)], ood_rng.gamma(1.0, 1e307, 30)]
+        assert all(np.isfinite(d).all() for d in draws)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.sum(draws[2]) + 30)

@@ -210,3 +210,70 @@ def test_cli_survives_arbitrary_configs(data, command):
         assert (code == 0) == (err == ""), (config, err)
         if code == 1:
             assert err.startswith("error: "), (config, err)
+
+
+KINDS = ["expansion", "restriction", "detection"]
+COLUMNS = [
+    "condition", "k_id", "k_ood", "auroc", "delta_auroc", "aupr", "delta_aupr", "aupr_baseline",
+    "n_positive", "n_negative",
+]
+
+
+@st.composite
+def result_rows(draw):
+    """A valid table row most of the time; otherwise one column is replaced by arbitrary JSON or dropped."""
+    row = {"condition": draw(st.text(max_size=3))}
+    row.update((column, draw(st.integers(0, 9) | st.floats(0.0, 1.0))) for column in COLUMNS[1:])
+    defect = draw(st.integers(0, 9))
+    if defect == 1:
+        row[draw(st.sampled_from(COLUMNS))] = draw(JSON_ISH)
+    elif defect == 2:
+        del row[draw(st.sampled_from(COLUMNS))]
+    return row
+
+
+@st.composite
+def mostly(draw, valid):
+    """A value of ``valid`` most of the time, arbitrary JSON otherwise."""
+    return draw(valid if draw(st.integers(0, 3)) else JSON_ISH)
+
+
+@st.composite
+def result_objects(draw):
+    """A result with a valid kind most of the time; name, metric and rows valid or defective."""
+    obj = {
+        "kind": draw(mostly(st.sampled_from(KINDS))),
+        # the escaping names stay inside the temporary directory the test owns
+        "name": draw(
+            st.sampled_from(["r0", "r1", "../escape", "../../escape", "..", ".", "", "a/b", 3, None])
+        ),
+        "metric": draw(mostly(st.sampled_from(["vacuity", "mp"]))),
+        "rows": draw(mostly(st.lists(result_rows(), max_size=3))),
+    }
+    if not draw(st.integers(0, 9)):
+        del obj[draw(st.sampled_from(list(obj)))]
+    return obj
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    results=st.lists(mostly(result_objects()), max_size=3),
+    fmt=st.sampled_from(["md", "csv", "json"]),
+)
+def test_report_survives_arbitrary_result_files(results, fmt):
+    """At most three result files of arbitrary JSON: exit 0 or 1, and nothing written outside --out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        results_dir = Path(tmp) / "a" / "b" / "results"
+        results_dir.mkdir(parents=True)
+        for i, value in enumerate(results):
+            (results_dir / f"{i}.result.json").write_text(json.dumps(value), encoding="utf-8")
+        out = Path(tmp) / "a" / "b" / "out"
+        before = {p: p.read_bytes() for p in Path(tmp).rglob("*") if p.is_file()}
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["report", str(results_dir), "--out", str(out), "--format", fmt])
+        err = stderr.getvalue()
+        assert code in (0, 1), (results, code, err)
+        assert "Traceback" not in err
+        after = {p: p.read_bytes() for p in Path(tmp).rglob("*") if p.is_file() and out not in p.parents}
+        assert after == before, (results, sorted(set(after) - set(before)))

@@ -6,6 +6,8 @@ while OOD-only zero-evidence expansion raises every OOD vacuity and can
 only help the detector.
 """
 
+import dataclasses
+import inspect
 import warnings
 
 import numpy as np
@@ -119,7 +121,7 @@ class TestScoreGroup:
 class TestExpansion:
     def test_matched_zero_evidence_is_bit_exact(self, population):
         id_records, ood_records = population
-        spec = ExpansionSpec(mode=ExpansionMode.MATCHED, k_targets=(5, 6, 7, 8))
+        spec = ExpansionSpec(mode=ExpansionMode.MATCHED, k_max=8)
         run = run_expansion_experiment(id_records, ood_records, spec, Metric.VACUITY)
         base = run.baseline
         for row in run.rows[1:]:
@@ -129,7 +131,7 @@ class TestExpansion:
 
     def test_ood_only_zero_evidence_inflates(self, population):
         id_records, ood_records = population
-        spec = ExpansionSpec(mode=ExpansionMode.OOD_ONLY, k_targets=(5, 6, 7, 8))
+        spec = ExpansionSpec(mode=ExpansionMode.OOD_ONLY, k_max=8)
         run = run_expansion_experiment(id_records, ood_records, spec, Metric.VACUITY)
         aurocs = [row.auroc for row in run.rows]
         for earlier, later in zip(aurocs, aurocs[1:]):
@@ -144,7 +146,7 @@ class TestExpansion:
         sweep is flat even in OOD-only mode."""
         id_records, ood_records = population
         spec = ExpansionSpec(
-            mode=ExpansionMode.OOD_ONLY, k_targets=(5, 6), appended_evidence=INVARIANCE_EVIDENCE
+            mode=ExpansionMode.OOD_ONLY, k_max=6, appended_evidence=INVARIANCE_EVIDENCE
         )
         run = run_expansion_experiment(id_records, ood_records, spec, Metric.VACUITY)
         base = run.baseline
@@ -161,7 +163,7 @@ class TestExpansion:
         id_records, ood_records = population
         before_id = [r.evidence for r in records_of(id_records)]
         before_ood = [r.evidence for r in records_of(ood_records)]
-        spec = ExpansionSpec(mode=ExpansionMode.MATCHED, k_targets=(6,))
+        spec = ExpansionSpec(mode=ExpansionMode.MATCHED, k_max=6)
         run_expansion_experiment(id_records, ood_records, spec, Metric.MP)
         assert [r.evidence for r in records_of(id_records)] == before_id
         assert [r.evidence for r in records_of(ood_records)] == before_ood
@@ -171,29 +173,44 @@ class TestExpansion:
             run_expansion_experiment(
                 RecordBatch.from_records([rec("a", [1, 2, 3, 4])]),
                 RecordBatch.from_records([rec("b", [1, 2, 3, 4, 5], "ood")]),
-                ExpansionSpec(mode=ExpansionMode.MATCHED, k_targets=(6,)),
+                ExpansionSpec(mode=ExpansionMode.MATCHED, k_max=6),
                 Metric.VACUITY,
             )
+
+    def test_mismatch_error_carries_the_failed_audit(self):
+        groups = (
+            RecordBatch.from_records([rec("a", [1, 2, 3, 4])]),
+            RecordBatch.from_records([rec("b", [1, 2, 3, 4, 5], "ood")]),
+        )
+        with pytest.raises(CardinalityMismatchError) as info:
+            run_expansion_experiment(*groups, ExpansionSpec(ExpansionMode.OOD_ONLY, 6), Metric.VACUITY)
+        assert info.value.report == audit_cardinality(*groups)
+        assert info.value.report.verdict is Verdict.FAIL
+
+    def test_spec_sweeps_up_to_k_max(self):
+        assert [f.name for f in dataclasses.fields(ExpansionSpec)] == ["mode", "k_max", "appended_evidence"]
+        with pytest.raises(TypeError):
+            ExpansionSpec(mode=ExpansionMode.MATCHED, k_targets=(5, 6))
 
     def test_k_target_must_exceed_base(self):
         with pytest.raises(ValueError, match="exceed"):
             run_expansion_experiment(
                 RecordBatch.from_records([rec("a", [1, 2, 3, 4])]),
                 RecordBatch.from_records([rec("b", [1, 2, 3, 4], "ood")]),
-                ExpansionSpec(mode=ExpansionMode.MATCHED, k_targets=(4,)),
+                ExpansionSpec(mode=ExpansionMode.MATCHED, k_max=4),
                 Metric.VACUITY,
             )
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            ExpansionSpec(mode=ExpansionMode.MATCHED, k_targets=(5,), appended_evidence=-1.0)
+            ExpansionSpec(mode=ExpansionMode.MATCHED, k_max=5, appended_evidence=-1.0)
         with pytest.raises(ValueError):
-            ExpansionSpec(mode=ExpansionMode.MATCHED, k_targets=(5,), appended_evidence="bogus")
+            ExpansionSpec(mode=ExpansionMode.MATCHED, k_max=5, appended_evidence="bogus")
 
     def test_mp_and_entropy_rows_are_reported(self, population):
         """MP and entropy sweeps run, but carry no invariance claim."""
         id_records, ood_records = population
-        spec = ExpansionSpec(mode=ExpansionMode.MATCHED, k_targets=(5,))
+        spec = ExpansionSpec(mode=ExpansionMode.MATCHED, k_max=5)
         for metric in (Metric.MP, Metric.NORM_ENTROPY):
             run = run_expansion_experiment(id_records, ood_records, spec, metric)
             assert len(run.rows) == 2
@@ -245,6 +262,18 @@ class TestRestriction:
         result = run_restriction_experiment(five, 4, id_records, Metric.VACUITY)
         assert not any(w["context"] == "restriction_removed" for w in result.warnings)
 
+    def test_removed_run_reads_k_of_the_dropped_matrix(self):
+        """Each run's K is the width of the matrix it scored, and each mismatch warning says so."""
+        _, five = self.make_groups()
+        id_k3 = RecordBatch.from_records([rec(f"id{i}", [5 + i, 1, 1]) for i in range(6)])
+        result = run_restriction_experiment(five, 4, id_k3, Metric.VACUITY)
+        assert (result.as_is.k_id, result.as_is.k_ood) == (3, 5)
+        assert (result.removed.k_id, result.removed.k_ood) == (3, 4)
+        assert [(w["context"], w["k_id"], w["k_ood"]) for w in result.warnings] == [
+            ("restriction_as_is", 3, 5),
+            ("restriction_removed", 3, 4),
+        ]
+
     def test_bad_index_rejected(self):
         id_records, five = self.make_groups()
         with pytest.raises(ValueError, match="out of range"):
@@ -269,10 +298,23 @@ class TestRestriction:
         assert result.as_is.auroc - result.removed.auroc > 0.3
 
 
+def test_evaluate_groups_reads_k_from_the_scored_matrices():
+    """K is never passed in: ID at K=4 against OOD at K=5 reads K_OOD=5."""
+    parameters = list(inspect.signature(evaluate_groups).parameters)
+    assert parameters == ["id_records", "ood_records", "metric", "orientation"]
+    res = evaluate_groups(
+        RecordBatch.from_records([rec("a", [9, 1, 1, 1])]),
+        RecordBatch.from_records([rec("b", [1, 1, 1, 1, 0], "ood")]),
+        Metric.VACUITY,
+        Orientation.ID_POSITIVE,
+    )
+    assert (res.k_id, res.k_ood) == (4, 5)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_spec_rejects_non_finite_appended_evidence(value):
     with pytest.raises(ValueError, match="finite"):
-        ExpansionSpec(mode=ExpansionMode.OOD_ONLY, k_targets=(5,), appended_evidence=value)
+        ExpansionSpec(mode=ExpansionMode.OOD_ONLY, k_max=5, appended_evidence=value)
 
 
 class TestOverflowNamesRecord:
@@ -290,8 +332,6 @@ class TestOverflowNamesRecord:
                     RecordBatch.from_records(o),
                     Metric.VACUITY,
                     Orientation.ID_POSITIVE,
-                    2,
-                    2,
                 ),
                 2,
                 2,
@@ -302,7 +342,7 @@ class TestOverflowNamesRecord:
                 lambda i, o: run_expansion_experiment(
                     RecordBatch.from_records(i),
                     RecordBatch.from_records(o),
-                    ExpansionSpec(ExpansionMode.MATCHED, (3,)),
+                    ExpansionSpec(ExpansionMode.MATCHED, 3),
                     Metric.VACUITY,
                 ),
                 2,

@@ -30,7 +30,7 @@ def expansion_result():
     run = run_expansion_experiment(
         id_records,
         ood_records,
-        ExpansionSpec(mode=ExpansionMode.MATCHED, k_targets=(5, 6)),
+        ExpansionSpec(mode=ExpansionMode.MATCHED, k_max=6),
         Metric.VACUITY,
     )
     return expansion_result_dict("expansion_matched", run)
