@@ -271,7 +271,7 @@ def _configured(args, build):
         config["seed"] = args.seed
     try:
         return build(config)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MemoryError) as exc:  # MemoryError: sizes no memory can hold
         raise ValueError(f"{args.config}: {exc}") from None
 
 
@@ -293,18 +293,18 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _toy_config(config: dict):
+def _trained_toy(config: dict):
     # train_toy needs at least 50 points per class
     n_per_class = require_int("n_per_class", config.pop("n_per_class", 250), 50)
     separation = float(require_number("separation", config.pop("separation", 6.0), positive=True))
-    return ToyTrainConfig(**config), n_per_class, separation
+    train_config = ToyTrainConfig(**config)
+    points, labels = generate_toy_classification(n_per_class, separation, train_config.seed)
+    result = train_toy(train_config, points, labels)
+    return dict(result.summary, n_per_class=n_per_class, separation=separation)
 
 
 def _cmd_train_toy(args) -> int:
-    train_config, n_per_class, separation = _configured(args, _toy_config)
-    points, labels = generate_toy_classification(n_per_class, separation, train_config.seed)
-    result = train_toy(train_config, points, labels)
-    summary = dict(result.summary, n_per_class=n_per_class, separation=separation)
+    summary = _configured(args, _trained_toy)
     text = json.dumps(summary, indent=2) + "\n"
     print(text, end="")
     if args.out is not None:
@@ -320,7 +320,7 @@ def _cmd_report(args) -> int:
     if not paths:
         print(f"no *.result.json files in {results_dir}", file=sys.stderr)
         return EXIT_USAGE
-    results = []
+    results, name_paths = [], {}
     for path in paths:
         result = _read_json(path)
         if type(result) is dict and "kind" not in result:
@@ -328,6 +328,10 @@ def _cmd_report(args) -> int:
         problem = result_problem(result)
         if problem is not None:
             raise ValueError(f"{path}: {problem}")
+        # each result is written under its name, so a second one would overwrite the first
+        first = name_paths.setdefault(result["name"], path)
+        if first != path:
+            raise ValueError(f"{path}: name {result['name']!r} is also used by {first}")
         results.append(result)
     if not results:
         print(f"no renderable *.result.json files in {results_dir}", file=sys.stderr)

@@ -345,16 +345,16 @@ def run_restriction_experiment(
     mismatched cardinalities; each run whose two matrices differ in K
     carries a warning record. The removal is a column drop on the evidence
     matrix plus a gold-label row mask; the batch rejects a mixed K and a
-    class index out of range.
+    class index out of range, before either run is scored.
     """
     if not len(five_class_records) or not len(id_records):
         raise ValueError("both record groups must be non-empty")
-    as_is = evaluate_groups(id_records, five_class_records, metric, orientation)
     # a record whose gold label is the removed class has no valid answer left
     excluded = five_class_records.labelled & (five_class_records.labels == removed_class_index)
     if excluded.all():
         raise ValueError("removing that class excluded every record")
     restricted = five_class_records.take(~excluded).drop_class(removed_class_index)
+    as_is = evaluate_groups(id_records, five_class_records, metric, orientation)
     removed = evaluate_groups(id_records, restricted, metric, orientation)
     runs = (("restriction_as_is", as_is), ("restriction_removed", removed))
     return RestrictionResult(

@@ -31,24 +31,36 @@ def softplus_evidence(logits) -> np.ndarray:
     return np.logaddexp(0.0, arr)
 
 
-def expected_brier(alpha, y_onehot) -> np.ndarray:
-    """Per-row expected Brier score for (n, K) concentrations and one-hot targets."""
-    s = alpha.sum(axis=1, keepdims=True)
-    p = alpha / s
-    squared = ((y_onehot - p) ** 2).sum(axis=1)
-    variance = (alpha * (s - alpha)).sum(axis=1) / (s[:, 0] ** 2 * (s[:, 0] + 1.0))
-    return squared + variance
+class ExpectedBrier:
+    """Expected Brier score of (n, K) concentrations against one-hot targets.
 
+    S and alpha/S are computed once and shared by the per-row score and its
+    gradient, so a training step can check the score before it asks for
+    the gradient.
+    """
 
-def expected_brier_grad(alpha, y_onehot) -> np.ndarray:
-    """d/d alpha of the expected Brier score, per row."""
-    s = alpha.sum(axis=1, keepdims=True)
-    p = alpha / s
-    q = (alpha**2).sum(axis=1, keepdims=True)
-    denom = s**2 * (s + 1.0)
-    g_squared = (2.0 / s) * ((p - y_onehot) - ((p - y_onehot) * p).sum(axis=1, keepdims=True))
-    g_variance = ((2.0 * s - 2.0 * alpha) * denom - (s**2 - q) * (3.0 * s**2 + 2.0 * s)) / denom**2
-    return g_squared + g_variance
+    def __init__(self, alpha, y_onehot):
+        self.alpha = alpha
+        self.y_onehot = y_onehot
+        self.s = alpha.sum(axis=1, keepdims=True)
+        self.p = alpha / self.s
+
+    def rows(self) -> np.ndarray:
+        """Per-row expected Brier score."""
+        alpha, s = self.alpha, self.s
+        squared = ((self.y_onehot - self.p) ** 2).sum(axis=1)
+        variance = (alpha * (s - alpha)).sum(axis=1) / (s[:, 0] ** 2 * (s[:, 0] + 1.0))
+        return squared + variance
+
+    def grad(self) -> np.ndarray:
+        """d/d alpha of the expected Brier score, per row."""
+        alpha, s, p = self.alpha, self.s, self.p
+        q = (alpha**2).sum(axis=1, keepdims=True)
+        denom = s**2 * (s + 1.0)
+        error = p - self.y_onehot
+        g_squared = (2.0 / s) * (error - (error * p).sum(axis=1, keepdims=True))
+        g_variance = ((2.0 * s - 2.0 * alpha) * denom - (s**2 - q) * (3.0 * s**2 + 2.0 * s)) / denom**2
+        return g_squared + g_variance
 
 
 def kl_to_uniform_rows(alpha_tilde, log_gamma_k: float) -> tuple[np.ndarray, np.ndarray]:
@@ -59,8 +71,11 @@ def kl_to_uniform_rows(alpha_tilde, log_gamma_k: float) -> tuple[np.ndarray, np.
     The special functions run once over the stacked (n, K+1) array; the
     returned psi' values feed ``kl_to_uniform_grad``.
     """
-    k = alpha_tilde.shape[1]
-    stacked = np.concatenate([alpha_tilde, alpha_tilde.sum(axis=1, keepdims=True)], axis=1)
+    n, k = alpha_tilde.shape
+    # class-major, like the toy's arrays, so the sums over classes below are vector adds
+    stacked = np.empty((n, k + 1), order="F")
+    stacked[:, :k] = alpha_tilde
+    stacked[:, k] = alpha_tilde.sum(axis=1)
     lg = log_gamma(stacked)
     psi, psi1 = digamma_trigamma(stacked)
     digamma_term = ((alpha_tilde - 1.0) * (psi[:, :k] - psi[:, k:])).sum(axis=1)

@@ -90,10 +90,12 @@ def generate_evidence_population(params: PopulationParams) -> tuple[RecordBatch,
     A draw whose S = sum(evidence + 1) is not finite, which a large ``scale``
     can give, is an error: no record file could hold it.
     """
-    names, n, k = _class_names(params.k), params.n_id, params.k
+    n, k = params.n_id, params.k
+    # the matrix first: a size no memory can hold fails here, not after a name per class
+    id_evidence = np.empty((n, k))
+    names = _class_names(k)
 
     rng_id = stream_rng(params.seed, STREAM_ID_EVIDENCE)
-    id_evidence = np.empty((n, k))
     labels = np.empty(n, dtype=np.int64)
     for i in range(n):
         correct = int(rng_id.integers(k))

@@ -159,20 +159,30 @@ class ToyBatch:
             raise ValueError("batch must not be empty")
         if (y < 0).any() or (y >= params.n_classes).any():
             raise ValueError("labels out of range")
-        return cls(x, np.eye(params.n_classes)[y], log_gamma(float(params.n_classes)))
+        y_onehot = np.asfortranarray(np.eye(params.n_classes)[y])
+        return cls(x, y_onehot, log_gamma(float(params.n_classes)))
+
+
+# The per-class (n, K) arrays of a step are class-major (Fortran order), and
+# every elementwise op keeps that order, so a sum over classes is K - 1 vector
+# adds instead of n short reductions. For K < 8 numpy adds the K entries of a
+# row left to right in either order, so the bits are those of row-major
+# arrays; for K >= 8 a row-major row sum is pairwise and the last bits may
+# differ. Gradients go back to row-major before the sums over the batch, whose
+# order does depend on the layout.
 
 
 def _forward(params: ToyModelParams, x: np.ndarray, rng_seed: int, training: bool) -> dict:
     """Shared forward pass; IB noise is reparameterized with a seeded rng."""
-    mu = x @ params.weights.T + params.bias
+    mu = np.asfortranarray(x @ params.weights.T + params.bias)
     out = {"mu": mu}
     if params.mode is TrainingMode.EDL:
         z = mu
     else:
-        sigma_raw = x @ params.sigma_weights.T + params.sigma_bias
+        sigma_raw = np.asfortranarray(x @ params.sigma_weights.T + params.sigma_bias)
         sigma = losses.softplus_evidence(sigma_raw)
         scale = 1.0 if training else params.sigma_mult
-        eps = np.random.default_rng(rng_seed).standard_normal(mu.shape)
+        eps = np.asfortranarray(np.random.default_rng(rng_seed).standard_normal(mu.shape))
         z = mu + scale * sigma * eps
         out.update(sigma_raw=sigma_raw, sigma=sigma, eps=eps, scale=scale)
     alpha = losses.softplus_evidence(z) + 1.0
@@ -185,7 +195,8 @@ def _evaluate(params, batch: ToyBatch, lam, beta, rng_seed, training, gradient):
     x, y_onehot = batch.x, batch.y_onehot
     fwd = _forward(params, x, rng_seed, training)
     alpha = fwd["alpha"]
-    mse = float(losses.expected_brier(alpha, y_onehot).mean())
+    brier = losses.ExpectedBrier(alpha, y_onehot)
+    mse = float(brier.rows().mean())
     if params.mode is TrainingMode.EDL:
         alpha_tilde = y_onehot + (1.0 - y_onehot) * alpha
         kl_rows, psi1 = losses.kl_to_uniform_rows(alpha_tilde, batch.log_gamma_k)
@@ -201,19 +212,19 @@ def _evaluate(params, batch: ToyBatch, lam, beta, rng_seed, training, gradient):
         return ToyModelGrads(loss=loss, weights=None, bias=None)
 
     n = x.shape[0]
-    d_alpha = losses.expected_brier_grad(alpha, y_onehot)
+    d_alpha = brier.grad()
     if params.mode is TrainingMode.EDL:
         # alpha_tilde keeps the wrong-class concentrations only
         d_kl = losses.kl_to_uniform_grad(alpha_tilde, psi1) * (1.0 - y_onehot)
         d_alpha = d_alpha + lam * d_kl
-        d_logits = d_alpha * _sigmoid(fwd["z"])
+        d_logits = np.ascontiguousarray(d_alpha * _sigmoid(fwd["z"]))
         return ToyModelGrads(loss=loss, weights=d_logits.T @ x / n, bias=d_logits.mean(axis=0))
 
     eps, scale = fwd["eps"], fwd["scale"]
     d_z = d_alpha * _sigmoid(fwd["z"])
-    d_mu = d_z + beta * mu
+    d_mu = np.ascontiguousarray(d_z + beta * mu)
     d_sigma = d_z * (scale * eps) + beta * (sigma - 1.0 / sigma)
-    d_sigma_raw = d_sigma * _sigmoid(fwd["sigma_raw"])
+    d_sigma_raw = np.ascontiguousarray(d_sigma * _sigmoid(fwd["sigma_raw"]))
     return ToyModelGrads(
         loss=loss,
         weights=d_mu.T @ x / n,

@@ -8,7 +8,11 @@ check it against these one-record-at-a-time forms.
   and the rest) score one record from its evidence.
 - ``edl_mse_loss``, ``adjusted_alpha``, ``kl_to_uniform`` and
   ``ib_info_loss`` are single-example wrappers over the library's batch
-  losses (``expected_brier``, ``kl_to_uniform_rows``, ``ib_info_rows``).
+  losses (``ExpectedBrier``, ``kl_to_uniform_rows``, ``ib_info_rows``).
+- ``digamma_trigamma_masked`` runs the argument shift of
+  ``special.digamma_trigamma`` as a masked ``np.where`` step repeated while
+  any entry is below the cutoff; the library's counted recurrence must
+  match it byte for byte.
 - ``records_of`` rebuilds one ``EvidenceRecord`` per batch row.
 - ``auroc_bruteforce`` compares every positive with every negative
   (O(n^2)); ``aupr_reference`` recounts true and false positives at every
@@ -22,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from vacuitylab.dirichlet import EvidenceRecord, Group
-from vacuitylab.losses import expected_brier, ib_info_rows, kl_to_uniform_rows
+from vacuitylab.losses import ExpectedBrier, ib_info_rows, kl_to_uniform_rows
 from vacuitylab.metrics import ScoredSample
 from vacuitylab.records import RecordBatch
 from vacuitylab.special import log_gamma
@@ -137,6 +141,31 @@ def records_of(batch: RecordBatch) -> list[EvidenceRecord]:
     ]
 
 
+def digamma_trigamma_masked(x) -> tuple[np.ndarray, np.ndarray]:
+    """psi(x) and psi'(x) for an array of x > 0, testing every entry against the cutoff at every step."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float)).astype(float)
+    psi = np.zeros_like(arr)
+    psi1 = np.zeros_like(arr)
+    low = arr < 10.0
+    while low.any():
+        psi -= np.where(low, 1.0 / arr, 0.0)
+        psi1 += np.where(low, 1.0 / (arr * arr), 0.0)
+        arr += low
+        low = arr < 10.0
+    u = 1.0 / (arr * arr)
+    psi_series = u * (
+        1.0 / 12.0
+        - u * (1.0 / 120.0 - u * (1.0 / 252.0 - u * (1.0 / 240.0 - u * (1.0 / 132.0 - u * 691.0 / 32760.0))))
+    )
+    psi = psi + np.log(arr) - 0.5 / arr - psi_series
+    psi1 += (
+        1.0 / arr
+        + 0.5 * u
+        + u / arr * (1.0 / 6.0 - u * (1.0 / 30.0 - u * (1.0 / 42.0 - u * (1.0 / 30.0 - u * 5.0 / 66.0))))
+    )
+    return psi, psi1
+
+
 def _validate_one_hot(y, k: int) -> np.ndarray:
     arr = np.asarray(y, dtype=float)
     if arr.shape != (k,):
@@ -147,10 +176,10 @@ def _validate_one_hot(y, k: int) -> np.ndarray:
 
 
 def edl_mse_loss(alpha: DirichletState, y) -> float:
-    """Expected Brier score under Dir(alpha) for a one-hot target (see ``expected_brier``)."""
+    """Expected Brier score under Dir(alpha) for a one-hot target (see ``ExpectedBrier``)."""
     a = np.asarray(alpha.alpha, dtype=float)
     target = _validate_one_hot(y, alpha.k)
-    return float(expected_brier(a[None, :], target[None, :])[0])
+    return float(ExpectedBrier(a[None, :], target[None, :]).rows()[0])
 
 
 def adjusted_alpha(alpha: DirichletState, y) -> DirichletState:

@@ -312,6 +312,10 @@ BAD_CONFIGS = [
     ("train-toy", {"beta_weight": -1e-3}, "beta_weight must be >= 0, got -0.001"),
     ("train-toy", {"sigma_mult": False}, "sigma_mult must be a finite number, got False"),
     ("train-toy", {"mode": "bogus"}, "'bogus' is not a valid TrainingMode"),
+    # sizes whose first allocation is refused at once, so the test itself allocates little
+    ("simulate", {"n_id": 10**12}, "Unable to allocate"),
+    ("simulate", {"k": 10**12}, "Unable to allocate"),
+    ("train-toy", {"rbf_grid": 10**12}, "Unable to allocate"),
 ]
 
 
@@ -593,6 +597,17 @@ def test_report_rejects_malformed_result_files(tmp_path, capsys, name):
     before = sorted(tmp_path.rglob("*"))
     assert main(["report", str(results)]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_report_refuses_two_results_of_one_name(tmp_path, capsys):
+    """Each result is written under its name: a second result of that name is exit 1, before any write."""
+    first, second = tmp_path / "a.result.json", tmp_path / "b.result.json"
+    first.write_text(json.dumps(_detection_result()))
+    second.write_text(json.dumps(_detection_result(metric="max_prob")))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["report", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {second}: name 'x' is also used by {first}\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -33,6 +33,7 @@ from vacuitylab import (
     score_group,
     score_record,
 )
+from vacuitylab import experiments
 from vacuitylab.experiments import evaluate_groups
 
 from oracles import evidence_to_alpha, records_of, vacuity
@@ -274,10 +275,15 @@ class TestRestriction:
             ("restriction_removed", 3, 4),
         ]
 
-    def test_bad_index_rejected(self):
+    def test_bad_index_rejected(self, monkeypatch):
         id_records, five = self.make_groups()
+        scored = []
+        monkeypatch.setattr(
+            experiments, "evaluate_groups", lambda *args: scored.append(args) or evaluate_groups(*args)
+        )
         with pytest.raises(ValueError, match="out of range"):
             run_restriction_experiment(five, 5, id_records, Metric.VACUITY)
+        assert scored == []  # rejected before either run is scored
 
     def test_restriction_shrinks_mismatch_inflation(self):
         """ID and OOD evidence are drawn identically over 4 real classes; the

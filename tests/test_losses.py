@@ -15,6 +15,8 @@ import pytest
 from scipy import integrate
 
 from vacuitylab import softplus_evidence
+from vacuitylab.losses import ExpectedBrier, kl_to_uniform_grad, kl_to_uniform_rows
+from vacuitylab.special import log_gamma
 
 from oracles import adjusted_alpha, dirichlet_state, edl_mse_loss, ib_info_loss, kl_to_uniform
 
@@ -210,3 +212,20 @@ class TestIbInfoLoss:
         h = 1e-7
         grad = (ib_info_loss(mu, [1 + h, 1, 1]) - ib_info_loss(mu, [1 - h, 1, 1])) / (2 * h)
         assert grad == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_class_major_inputs_give_row_major_bits(k):
+    """Below K = 8 numpy sums the K entries of a row left to right in either memory order."""
+    rng = np.random.default_rng(k)
+    alpha = 1.0 + rng.gamma(0.7, 3.0, (200, k))
+    y_onehot = np.eye(k)[rng.integers(0, k, 200)]
+    alpha_tilde = y_onehot + (1.0 - y_onehot) * alpha
+    f_alpha, f_y, f_tilde = (np.asfortranarray(a) for a in (alpha, y_onehot, alpha_tilde))
+    row_major, class_major = ExpectedBrier(alpha, y_onehot), ExpectedBrier(f_alpha, f_y)
+    assert row_major.rows().tobytes() == class_major.rows().tobytes()
+    assert row_major.grad().tobytes() == class_major.grad().tobytes()
+    (kl_c, psi1_c), (kl_f, psi1_f) = (kl_to_uniform_rows(a, log_gamma(float(k))) for a in (alpha_tilde, f_tilde))
+    assert kl_c.tobytes() == kl_f.tobytes()
+    assert psi1_c.tobytes() == psi1_f.tobytes()
+    assert kl_to_uniform_grad(alpha_tilde, psi1_c).tobytes() == kl_to_uniform_grad(f_tilde, psi1_f).tobytes()

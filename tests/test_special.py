@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from vacuitylab.special import digamma, digamma_trigamma, log_gamma, trigamma
 
+from oracles import digamma_trigamma_masked
+
 EULER_GAMMA = 0.57721566490153286061
 
 LOG_GAMMA_TABLE = [
@@ -206,3 +208,30 @@ def test_stacked_evaluation_equals_column_evaluations(k, n, data):
     lg = log_gamma(stacked)
     assert lg[:, :k].tobytes() == log_gamma(alpha_tilde).tobytes()
     assert np.ascontiguousarray(lg[:, k]).tobytes() == log_gamma(totals).tobytes()
+
+
+# the extremes of the domain, the cutoff and the values on either side of it
+EDGE_ARGUMENTS = [1e-300, 0.5, 1.0, float(np.nextafter(10.0, 0.0)), 10.0, 1e4, 1e300]
+
+
+def test_counted_recurrence_matches_masked_oracle_on_edges():
+    """The step count taken from the smallest entry gives every entry the masked loop's bits."""
+    with np.errstate(over="ignore", divide="ignore"):
+        for x in [np.array(EDGE_ARGUMENTS), *(np.array([v]) for v in EDGE_ARGUMENTS)]:
+            psi, psi1 = digamma_trigamma(x)
+            expected_psi, expected_psi1 = digamma_trigamma_masked(x)
+            assert psi.tobytes() == expected_psi.tobytes(), x
+            assert psi1.tobytes() == expected_psi1.tobytes(), x
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("seed", range(5))
+def test_counted_recurrence_matches_masked_oracle_on_random_arrays(seed, order):
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(-6.0, 5.0, (60, 5))
+    x[rng.random(x.shape) < 0.2] = 1.0  # the true-class entries of a toy step sit exactly at 1
+    x = np.asarray(x, order=order)
+    psi, psi1 = digamma_trigamma(x)
+    expected_psi, expected_psi1 = digamma_trigamma_masked(x)
+    assert psi.tobytes() == expected_psi.tobytes()
+    assert psi1.tobytes() == expected_psi1.tobytes()

@@ -18,6 +18,7 @@ import pytest
 from vacuitylab import (
     LossBreakdown,
     RbfFeaturizer,
+    ToyBatch,
     ToyModelParams,
     ToyTrainConfig,
     TrainingDiverged,
@@ -30,7 +31,9 @@ from vacuitylab import (
     total_loss,
     train_toy,
 )
+from vacuitylab import toy
 from vacuitylab.cli import main
+from vacuitylab.special import log_gamma
 
 from oracles import adjusted_alpha, dirichlet_state, edl_mse_loss, kl_to_uniform
 
@@ -213,6 +216,31 @@ class TestLossGradient:
         np.testing.assert_allclose(g.bias[0], g.bias[1], rtol=1e-12)
 
 
+@pytest.mark.parametrize("mode", list(TrainingMode))
+@pytest.mark.parametrize("k", range(2, 8))
+def test_class_major_step_has_row_major_bits(monkeypatch, mode, k):
+    """The loss and gradients of a class-major step equal those of the same step on row-major arrays."""
+    rng = np.random.default_rng(k)
+    params = random_params(rng, mode, k=k, d=6)
+    features, labels = random_batch(rng, k=k, d=6, n=40)
+    batch = ToyBatch.of(params, features, labels)
+    assert batch.y_onehot.flags.f_contiguous
+    assert toy._forward(params, batch.x, 5, True)["alpha"].flags.f_contiguous
+    class_major = loss_gradient(params, batch, None, 0.7, 1e-2, 5)
+
+    forward = toy._forward
+    monkeypatch.setattr(toy, "_forward", lambda *args: {
+        name: np.ascontiguousarray(value) if isinstance(value, np.ndarray) else value
+        for name, value in forward(*args).items()
+    })
+    row_major_batch = ToyBatch(batch.x, np.eye(k)[labels], log_gamma(float(k)))
+    row_major = loss_gradient(params, row_major_batch, None, 0.7, 1e-2, 5)
+    assert class_major.loss == row_major.loss
+    for head in ("weights", "bias", "sigma_weights", "sigma_bias"):
+        got, expected = getattr(class_major, head), getattr(row_major, head)
+        assert (got is None and expected is None) or got.tobytes() == expected.tobytes(), head
+
+
 class TestRbfFeaturizer:
     def test_feature_range_and_locality(self):
         rng = np.random.default_rng(8)
@@ -252,6 +280,22 @@ class TestTrainToy:
         b = train_toy(config, points, labels)
         np.testing.assert_array_equal(a.params.weights, b.params.weights)
         assert a.summary == b.summary
+
+    def test_one_loss_gradient_call_per_step(self, monkeypatch):
+        """perfbench's traced run counts toy steps as calls to ``toy.loss_gradient``, looked up by name."""
+        calls = []
+        original = toy.loss_gradient
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(toy, "loss_gradient", counting)
+        points, labels = generate_toy_classification(60, 4.0, seed=1)
+        for mode in TrainingMode:
+            calls.clear()
+            train_toy(ToyTrainConfig(mode=mode, steps=7, seed=1), points, labels)
+            assert len(calls) == 7
 
     def test_divergence_reports_step(self):
         # lr * beta >> 2 makes the quadratic info term oscillate and blow up
