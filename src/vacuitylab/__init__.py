@@ -46,7 +46,7 @@ from .metrics import (
     nll,
 )
 from .records import RecordBatch, RecordParseError, parse_records, serialize_records
-from .special import digamma, digamma_trigamma, log_gamma, trigamma
+from .special import digamma, digamma_trigamma, gamma_family, log_gamma, trigamma
 from .synthetic import (
     PopulationParams,
     generate_evidence_population,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .special import digamma_trigamma, log_gamma
+from .special import gamma_family
 
 
 def softplus_evidence(logits) -> np.ndarray:
@@ -68,7 +68,7 @@ def kl_to_uniform_rows(alpha_tilde, log_gamma_k: float) -> tuple[np.ndarray, np.
 
     Closed form, with S = sum a and ``log_gamma_k`` = log G(K):
         log G(S) - log G(K) - sum log G(a_i) + sum (a_i - 1) (psi(a_i) - psi(S))
-    The special functions run once over the stacked (n, K+1) array; the
+    ``gamma_family`` runs once over the stacked (n, K+1) array; the
     returned psi' values feed ``kl_to_uniform_grad``.
     """
     n, k = alpha_tilde.shape
@@ -76,8 +76,7 @@ def kl_to_uniform_rows(alpha_tilde, log_gamma_k: float) -> tuple[np.ndarray, np.
     stacked = np.empty((n, k + 1), order="F")
     stacked[:, :k] = alpha_tilde
     stacked[:, k] = alpha_tilde.sum(axis=1)
-    lg = log_gamma(stacked)
-    psi, psi1 = digamma_trigamma(stacked)
+    lg, psi, psi1 = gamma_family(stacked)
     digamma_term = ((alpha_tilde - 1.0) * (psi[:, :k] - psi[:, k:])).sum(axis=1)
     return lg[:, k] - log_gamma_k - lg[:, :k].sum(axis=1) + digamma_term, psi1
 

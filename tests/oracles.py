@@ -9,10 +9,10 @@ check it against these one-record-at-a-time forms.
 - ``edl_mse_loss``, ``adjusted_alpha``, ``kl_to_uniform`` and
   ``ib_info_loss`` are single-example wrappers over the library's batch
   losses (``ExpectedBrier``, ``kl_to_uniform_rows``, ``ib_info_rows``).
-- ``digamma_trigamma_masked`` runs the argument shift of
-  ``special.digamma_trigamma`` as a masked ``np.where`` step repeated while
-  any entry is below the cutoff; the library's counted recurrence must
-  match it byte for byte.
+- ``digamma_trigamma_masked`` shifts every entry below the cutoff one
+  step at a time with a masked ``np.where``, repeated while any entry is
+  below it; it is an accuracy reference for ``special.gamma_family``'s
+  fixed ten-step shift (within 1e-13 relative), not a byte-for-byte one.
 - ``records_of`` rebuilds one ``EvidenceRecord`` per batch row.
 - ``auroc_bruteforce`` compares every positive with every negative
   (O(n^2)); ``aupr_reference`` recounts true and false positives at every
