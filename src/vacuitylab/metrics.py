@@ -8,9 +8,10 @@ interpolation, which can be optimistic.
 
 The implementation works on arrays: ``auroc_scores``, ``aupr_scores`` and
 ``evaluate_scores`` take a float score vector and a 0/1 label vector, find
-tie runs from the sorted scores, and never loop in Python. ``auroc``,
-``aupr`` and ``evaluate_detection`` are adapters that take a list of
-``ScoredSample`` and call them.
+tie runs from the scores in one stable ascending sort (AUPR reads it in
+reverse, so ``evaluate_scores`` sorts once for both), and never loop in
+Python. ``auroc``, ``aupr`` and ``evaluate_detection`` are adapters that
+take a list of ``ScoredSample`` and call them.
 """
 
 from __future__ import annotations
@@ -61,19 +62,41 @@ def _tie_run_ends(sorted_scores: np.ndarray) -> np.ndarray:
     return np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1, len(sorted_scores))
 
 
-def auroc_scores(scores: np.ndarray, labels: np.ndarray) -> float:
-    """AUROC of a score vector against 0/1 labels: the rank-sum form with midranks."""
+def _ranked(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels in stable ascending score order, and the exclusive end of each tie run in that order."""
+    order = np.argsort(scores, kind="mergesort")
+    return labels[order], _tie_run_ends(scores[order])
+
+
+def _auroc_ranked(labels: np.ndarray, ends: np.ndarray) -> float:
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auroc needs at least one positive and one negative sample")
-    order = np.argsort(scores, kind="mergesort")
-    ends = _tie_run_ends(scores[order])
     starts = np.append(0, ends[:-1])
     # a run over sorted positions i..j (0-based) shares the 1-based rank (i + j)/2 + 1
     ranks = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
-    rank_sum = float(ranks[labels[order] == 1].sum())
+    rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _aupr_ranked(labels: np.ndarray, ends: np.ndarray) -> float:
+    n_pos = int(labels.sum())
+    if n_pos == 0:
+        raise ValueError("aupr needs at least one positive sample")
+    # Thresholds run from the highest score down: the ascending order read in
+    # reverse. Order inside a tie run does not change a run's true positives.
+    ends = len(labels) - np.append(0, ends[:-1])[::-1]
+    tp = np.cumsum(labels[::-1])[ends - 1]
+    recall = tp / n_pos
+    precision = tp / ends
+    steps = (recall - np.append(0.0, recall[:-1])) * precision
+    return float(np.cumsum(steps)[-1])
+
+
+def auroc_scores(scores: np.ndarray, labels: np.ndarray) -> float:
+    """AUROC of a score vector against 0/1 labels: the rank-sum form with midranks."""
+    return _auroc_ranked(*_ranked(scores, labels))
 
 
 def aupr_scores(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -83,16 +106,7 @@ def aupr_scores(scores: np.ndarray, labels: np.ndarray) -> float:
     sequential cumsum, left to right like a running total; ``np.sum``
     would add them pairwise and can differ in the last ulp.
     """
-    n_pos = int(labels.sum())
-    if n_pos == 0:
-        raise ValueError("aupr needs at least one positive sample")
-    order = np.argsort(-scores, kind="mergesort")
-    ends = _tie_run_ends(scores[order])
-    tp = np.cumsum(labels[order])[ends - 1]
-    recall = tp / n_pos
-    precision = tp / ends
-    steps = (recall - np.append(0.0, recall[:-1])) * precision
-    return float(np.cumsum(steps)[-1])
+    return _aupr_ranked(*_ranked(scores, labels))
 
 
 def auroc(samples: Sequence[ScoredSample]) -> float:
@@ -126,9 +140,10 @@ def evaluate_scores(
         raise ValueError("labels must be 0 or 1")
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
+    ranked = _ranked(scores, labels)  # one sort serves both rank metrics
     return DetectionResult(
-        auroc=auroc_scores(scores, labels),
-        aupr=aupr_scores(scores, labels),
+        auroc=_auroc_ranked(*ranked),
+        aupr=_aupr_ranked(*ranked),
         aupr_baseline=aupr_baseline(n_pos, n_neg),
         n_positive=n_pos,
         n_negative=n_neg,

@@ -7,23 +7,34 @@ One JSON object per line:
 
 Each line carries exactly one of ``evidence`` (non-negative reals) or
 ``logits`` (any reals; passed through softplus on ingestion, so the
-softplus happens in exactly one place). ``label`` is an optional gold
-index. Record ids must be unique within a file.
+softplus happens in exactly one place). ``id`` is a string and
+``label`` an optional gold index. Record ids must be unique within a
+file.
 
 ``parse_records`` reads a file once into a ``RecordBatch`` of columns.
-The per-line loop only decodes JSON and checks each line's structure;
-the numeric checks (finite values, e >= 0, finite S, K >= 2, one class
-name per value, label in range) and the duplicate-id check run once per
-file on the columns. Every error names the file and the line, and a file
-with several defects reports the earliest line, whichever kind it is.
+Per line, the read loop strips the line, decodes it with one call of the
+C JSON scanner and runs the cheap structural gate: a JSON object with
+``id``, ``group`` and ``classes``, exactly one of ``evidence`` or
+``logits``, arrays for the values and the class names, a string id, an
+integer or absent label, and hashable class names. ``_structure_problem``
+words a defect, and runs only for a line that fails the gate. Everything
+else runs once per file on the collected columns: every value is a JSON
+number (not a bool), finite values, e >= 0, finite S, K >= 2, one string
+class name per value, a valid group, label in range and unique ids.
+Every error names the file and the line, and a file with several defects
+reports the earliest line, whichever kind it is: a structural defect or a
+non-number value ends the rows that the per-file checks see at its line.
 """
 
 from __future__ import annotations
 
 import json
+import json.encoder
 import json.scanner
 import math
 from dataclasses import dataclass, replace
+from itertools import compress, repeat
+from operator import eq, is_not
 from typing import Iterable
 
 import numpy as np
@@ -187,14 +198,34 @@ def _flat_index(k: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 _REQUIRED_ORDER = ("id", "group", "classes")
 _REQUIRED = frozenset(_REQUIRED_ORDER)
+_NUMBER_TYPES = frozenset({int, float})  # bool is an int subclass, but JSON true/false is not a number
+_LABEL_TYPES = frozenset({int, type(None)})
 _ID, _OOD = Group.ID.value, Group.OOD.value
 _VALUES_PROBLEM = "evidence/logits must be a numeric array"
 _CLASSES_PROBLEM = "classes must be an array of strings"
 _scan = json.scanner.make_scanner(json.JSONDecoder())
+_quote = json.encoder.encode_basestring_ascii  # json.dumps(str) with the default ensure_ascii
+_WRITE_BLOCK = 1024  # rows per write in serialize_records
 
 
-def _structure_problem(obj) -> str | None:
-    """What is wrong with the shape and types of one decoded line, if anything."""
+def _all_numbers(values: list) -> bool:
+    return set(map(type, values)) <= _NUMBER_TYPES
+
+
+def _json_problem(text: str) -> str:
+    """Why one stripped line does not decode; ``json.loads`` raises the error that words it."""
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON ({exc.msg})"
+    except RecursionError:
+        return "invalid JSON (nested too deeply)"
+    except ValueError as exc:  # e.g. an integer literal beyond the int conversion limit
+        return f"invalid JSON ({exc})"
+
+
+def _structure_problem(obj) -> str:
+    """What is wrong with the shape and types of one decoded line that failed the read loop's gate."""
     if type(obj) is not dict:
         return "expected a JSON object"
     if not _REQUIRED <= obj.keys():
@@ -203,29 +234,17 @@ def _structure_problem(obj) -> str | None:
     if has_evidence == ("logits" in obj):
         return "each line needs exactly one of 'evidence' or 'logits'"
     values = obj["evidence"] if has_evidence else obj["logits"]
-    if type(values) is not list:
+    if type(values) is not list or not _all_numbers(values):
         return _VALUES_PROBLEM
-    for v in values:
-        # bool is an int subclass, but JSON true/false is not a number
-        if type(v) is not float and type(v) is not int:
-            return _VALUES_PROBLEM
     if type(obj["classes"]) is not list:
         return _CLASSES_PROBLEM
-    label = obj.get("label")
-    if label is not None and type(label) is not int:
+    if type(obj.get("label")) not in _LABEL_TYPES:
         return "label must be an integer index"
-    return None
-
-
-def _decode(text: str):
-    """``json.loads`` of one stripped line, without its per-call overhead."""
     try:
-        obj, end = _scan(text, 0)
-        if end == len(text):
-            return obj
-    except StopIteration:
-        pass
-    return json.loads(text)  # raises the JSONDecodeError that names the defect
+        hash(tuple(obj["classes"]))
+    except TypeError:  # an array or object among the class names
+        return _CLASSES_PROBLEM
+    return "id must be a string"  # the one gate test left
 
 
 def _float(value) -> float:
@@ -242,62 +261,87 @@ def _as_floats(flat: list) -> np.ndarray:
         return np.array([_float(v) for v in flat], dtype=float)
 
 
-def _as_labels(raw: list) -> np.ndarray:
-    labels = [-1 if g is None else g for g in raw]
+def _as_labels(raw: list, labelled: np.ndarray) -> np.ndarray:
+    labels = np.full(len(raw), -1, dtype=np.int64)
+    given = list(compress(raw, labelled))
     try:
-        return np.array(labels, dtype=np.int64)
+        labels[labelled] = given
     except OverflowError:  # out of range anyway; the error message quotes the raw value
-        return np.array([g if abs(g) < 2**62 else -1 for g in labels], dtype=np.int64)
+        labels[labelled] = [g if abs(g) < 2**62 else -1 for g in given]
+    return labels
+
+
+def _mask(op, column: list, value) -> np.ndarray:
+    """``[op(x, value) for x in column]`` as a bool array, without a Python-level loop."""
+    return np.fromiter(map(op, column, repeat(value)), dtype=bool, count=len(column))
 
 
 def parse_records(path) -> RecordBatch:
     """Read a line-delimited record file into one batch; blank lines are ignored."""
     ids, groups, classes, flat, k, logits, labels, lines = [], [], [], [], [], [], [], []
     names: dict[tuple, int] = {}
+    last_classes = index = None
     failure = None
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
+            text = line.strip()
+            if not text:
                 continue
             try:
-                obj = _decode(stripped)
-            except json.JSONDecodeError as exc:
-                failure = RecordParseError(path, lineno, f"invalid JSON ({exc.msg})")
+                obj, end = _scan(text, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(text):
+                failure = RecordParseError(path, lineno, _json_problem(text))
                 break
-            except RecursionError:
-                failure = RecordParseError(path, lineno, "invalid JSON (nested too deeply)")
+            # The gate: each test is one of _structure_problem's, which words the first that fails.
+            try:
+                rid, group, class_list = obj["id"], obj["group"], obj["classes"]
+                values = obj["logits"] if (logit := "logits" in obj) else obj["evidence"]
+                label = obj.get("label")
+                if not (
+                    type(rid) is str
+                    and type(class_list) is list
+                    and type(values) is list
+                    and type(label) in _LABEL_TYPES
+                    and not (logit and "evidence" in obj)
+                ):
+                    raise TypeError
+                if class_list != last_classes:  # lines mostly repeat the last list; an equal one maps alike
+                    index = names.setdefault(tuple(class_list), len(names))
+                    last_classes = class_list
+            except (KeyError, TypeError):  # not an object, a field missing, or a field of the wrong type
+                failure = RecordParseError(path, lineno, _structure_problem(obj))
                 break
-            problem = _structure_problem(obj)
-            if problem is None:
-                try:
-                    classes.append(names.setdefault(tuple(obj["classes"]), len(names)))
-                except TypeError:  # an array or object among the class names
-                    problem = _CLASSES_PROBLEM
-            if problem is not None:
-                failure = RecordParseError(path, lineno, problem)
-                break
-            has_evidence = "evidence" in obj
-            values = obj["evidence"] if has_evidence else obj["logits"]
-            ids.append(obj["id"])
-            groups.append(obj["group"])
+            classes.append(index)
+            ids.append(rid)
+            groups.append(group)
             flat += values
             k.append(len(values))
-            logits.append(not has_evidence)
-            labels.append(obj.get("label"))
+            logits.append(logit)
+            labels.append(label)
             lines.append(lineno)
-    # Only the rows before a structural failure were kept, so a numeric
-    # defect among them lies on an earlier line and is the one reported.
+    if not _all_numbers(flat):
+        first = next(i for i, v in enumerate(flat) if type(v) not in _NUMBER_TYPES)
+        row = int(np.searchsorted(np.cumsum(k), first, side="right"))
+        failure = RecordParseError(path, lines[row], _VALUES_PROBLEM)
+        del flat[sum(k[:row]) :]
+        for column in (ids, groups, classes, k, logits, labels, lines):
+            del column[row:]
+    # Only the rows before the earliest structural defect or non-number value
+    # were kept, so a numeric defect among them lies on an earlier line and is
+    # the one reported.
+    labelled = _mask(is_not, labels, None)
     batch = _validated(
         RecordBatch(
-            ids=[str(i) for i in ids],
-            ood=np.array([g == _OOD for g in groups], dtype=bool),
+            ids=ids,
+            ood=_mask(eq, groups, _OOD),
             class_names=tuple(names),
             class_index=np.array(classes, dtype=np.intp),
             k=np.array(k, dtype=np.intp),
             values=_as_floats(flat),
-            labels=_as_labels(labels),
-            labelled=np.array([g is not None for g in labels], dtype=bool),
+            labels=_as_labels(labels, labelled),
+            labelled=labelled,
             lines=np.array(lines, dtype=np.intp),
             path=str(path),
         ),
@@ -357,7 +401,7 @@ def _validated(batch: RecordBatch, logits: np.ndarray, groups: list, labels: lis
         (nonfinite, lambda i: "evidence/logits must be finite"),
         (overflow, lambda i: "total strength S = sum(evidence + 1) overflows"),
         (
-            ~batch.ood & np.array([g != _ID for g in groups], dtype=bool),
+            ~(batch.ood | _mask(eq, groups, _ID)),
             lambda i: f"{groups[i]!r} is not a valid Group",
         ),
         (bad_names[batch.class_index], lambda i: _CLASSES_PROBLEM),
@@ -391,27 +435,37 @@ def serialize_records(batch: RecordBatch, path) -> None:
 
     Each line is the one ``json.dumps`` writes for the record's dict (keys
     ``id``, ``group``, ``classes``, ``evidence``, then ``label`` when the row
-    has one), assembled from the columns: each id and each class-name tuple
-    is encoded once, and finite values print as the ``repr`` of the float,
-    as ``json.dumps`` prints them.
+    has one), assembled from the columns: ids are quoted by the encoder
+    ``json.dumps`` uses for a string, each class-name tuple is encoded once,
+    and finite values print as the ``repr`` of the float, as ``json.dumps``
+    prints them. Rows are formatted and written a block at a time, so only
+    one block's strings are held at once.
     """
     number = repr if np.isfinite(batch.values).all() else json.dumps  # json's text for inf
-    values = batch.values.tolist()
     classes = [json.dumps(list(names)) for names in batch.class_names]
-    rows = zip(
-        batch.ids,
-        batch.ood.tolist(),
-        batch.class_index.tolist(),
-        np.cumsum(batch.k).tolist(),
-        batch.k.tolist(),
-        batch.labels.tolist(),
-        batch.labelled.tolist(),
-    )
+    ends = np.cumsum(batch.k)
+    n = len(batch)
     with open(path, "w", encoding="utf-8") as handle:
-        for rid, ood, names, end, k, label, labelled in rows:
-            evidence = ", ".join(map(number, values[end - k : end]))
-            tail = f', "label": {label}}}\n' if labelled else "}\n"
+        for lo in range(0, n, _WRITE_BLOCK):
+            hi = min(lo + _WRITE_BLOCK, n)
+            start = int(ends[lo] - batch.k[lo])
+            values = list(map(number, batch.values[start : int(ends[hi - 1])].tolist()))
+            rows = zip(
+                map(_quote, batch.ids[lo:hi]),
+                batch.ood[lo:hi].tolist(),
+                batch.class_index[lo:hi].tolist(),
+                (ends[lo:hi] - start).tolist(),
+                batch.k[lo:hi].tolist(),
+                batch.labels[lo:hi].tolist(),
+                batch.labelled[lo:hi].tolist(),
+            )
             handle.write(
-                f'{{"id": {json.dumps(rid)}, "group": "{_OOD if ood else _ID}", '
-                f'"classes": {classes[names]}, "evidence": [{evidence}]{tail}'
+                "".join(
+                    [
+                        f'{{"id": {rid}, "group": "{_OOD if ood else _ID}", "classes": {classes[names]}, '
+                        f'"evidence": [{", ".join(values[end - k : end])}]'
+                        + (f', "label": {label}}}\n' if labelled else "}\n")
+                        for rid, ood, names, end, k, label, labelled in rows
+                    ]
+                )
             )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .experiments import ExpansionRun, RestrictionResult
 from .metrics import DetectionResult
@@ -30,6 +29,15 @@ TABLE_COLUMNS = (
     "n_negative",
 )
 KINDS = ("expansion", "restriction", "detection")
+
+
+def _escape(text: str) -> str:
+    """XML character data with ``&``, ``<`` and ``>`` as entities (as ``xml.sax.saxutils.escape`` writes it).
+
+    Kept local: importing ``xml.sax.saxutils`` loads ``urllib.request`` and the
+    network modules behind it on every CLI start.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _row(condition: str, res: DetectionResult, baseline: DetectionResult | None) -> dict:
@@ -199,10 +207,10 @@ def sweep_svg(result: dict) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         "<metadata>",
-        escape(sweep_csv(result)).rstrip(),
+        _escape(sweep_csv(result)).rstrip(),
         "</metadata>",
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<text x="{_ML}" y="24" font-family="sans-serif" font-size="14">{escape(title)}</text>',
+        f'<text x="{_ML}" y="24" font-family="sans-serif" font-size="14">{_escape(title)}</text>',
     ]
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = _y_pos(tick)

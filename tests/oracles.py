@@ -17,6 +17,9 @@ check it against these one-record-at-a-time forms.
 - ``auroc_bruteforce`` compares every positive with every negative
   (O(n^2)); ``aupr_reference`` recounts true and false positives at every
   threshold. Both take a list of ``vacuitylab.metrics.ScoredSample``.
+- ``auroc_argsort`` and ``aupr_argsort`` are the rank metrics as they were
+  before they shared one sort: each runs its own ``argsort`` (AUPR on
+  ``-scores``). They are a bit-for-bit reference for the shared sort.
 """
 
 import math
@@ -258,3 +261,31 @@ def aupr_reference(samples: Sequence[ScoredSample]) -> float:
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     return ap
+
+
+def _tie_run_ends(sorted_scores: np.ndarray) -> np.ndarray:
+    return np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1, len(sorted_scores))
+
+
+def auroc_argsort(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Midrank AUROC from its own stable ascending sort (bit-for-bit reference)."""
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    order = np.argsort(scores, kind="mergesort")
+    ends = _tie_run_ends(scores[order])
+    starts = np.append(0, ends[:-1])
+    ranks = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
+    rank_sum = float(ranks[labels[order] == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def aupr_argsort(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Step-wise AUPR from its own stable descending sort (bit-for-bit reference)."""
+    n_pos = int(labels.sum())
+    order = np.argsort(-scores, kind="mergesort")
+    ends = _tie_run_ends(scores[order])
+    tp = np.cumsum(labels[order])[ends - 1]
+    recall = tp / n_pos
+    precision = tp / ends
+    steps = (recall - np.append(0.0, recall[:-1])) * precision
+    return float(np.cumsum(steps)[-1])

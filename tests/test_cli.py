@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -343,6 +346,7 @@ BAD_EVIDENCE_LINES = {
     "sum-overflow": '"evidence": [1e308, 1e308]',
     "logit-sum-overflow": '"logits": [1e308, 1e308]',
     "bool": '"evidence": [true, false]',
+    "huge-int-literal": '"evidence": [' + "1" * 5000 + ", 1]",
 }
 
 
@@ -364,6 +368,30 @@ def test_bad_evidence_is_input_error(tmp_path, capsys, line, command):
     assert main([command[0], str(good), str(bad), *command[1:], "--out", str(out)]) == 1
     assert f"{bad}:2:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rid", ["null", '["x"]', "7", "true"], ids=["null", "array", "number", "bool"])
+def test_non_string_id_is_input_error(tmp_path, capsys, rid):
+    good = tmp_path / "id.jsonl"
+    good.write_text('{"id": "a", "group": "id", "classes": ["A", "B"], "evidence": [3, 1]}\n')
+    bad = tmp_path / "ood.jsonl"
+    bad.write_text(
+        '{"id": "b", "group": "ood", "classes": ["A", "B"], "evidence": [1, 1]}\n'
+        '{"id": ' + rid + ', "group": "ood", "classes": ["A", "B"], "evidence": [1, 2]}\n'
+    )
+    assert main(["metrics", str(good), str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert f"{bad}:2: id must be a string" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_network_modules():
+    """Importing the CLI pulls in none of the modules behind ``urllib.request``."""
+    code = "import sys, vacuitylab.cli; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    network = {"urllib.request", "http.client", "email", "ssl", "_ssl", "socket", "_socket"}
+    assert not [m for m in loaded if m.split(".")[0] in network or m in network]
 
 
 class TestUsageErrors:

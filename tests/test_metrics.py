@@ -13,14 +13,16 @@ from vacuitylab.metrics import (
     accuracy,
     aupr,
     aupr_baseline,
+    aupr_scores,
     auroc,
+    auroc_scores,
     ece,
     evaluate_detection,
     evaluate_scores,
     nll,
 )
 
-from oracles import aupr_reference, auroc_bruteforce
+from oracles import aupr_argsort, aupr_reference, auroc_argsort, auroc_bruteforce
 
 
 def samples_from(scores, labels):
@@ -253,3 +255,24 @@ def test_fast_paths_always_match_oracles(pairs):
     inst = samples_from([float(s) for s, _ in pairs], labels)
     assert auroc(inst) == pytest.approx(auroc_bruteforce(inst), abs=1e-12)
     assert aupr(inst) == pytest.approx(aupr_reference(inst), abs=1e-12)
+
+
+@st.composite
+def tie_heavy(draw):
+    """Score vectors drawn from a few distinct values (some -0.0 and 0.0), with both labels present."""
+    pool = draw(st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1e-300, 2.5, -3.0]) | st.floats(-5, 5),
+                         min_size=1, max_size=4))
+    n = draw(st.integers(2, 60))
+    scores = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    labels[0] = 1 - labels[-1]
+    return scores, labels
+
+
+@given(tie_heavy())
+@settings(max_examples=150, deadline=None)
+def test_shared_sort_is_bit_identical_to_one_sort_per_metric(instance):
+    scores, labels = instance
+    result = evaluate_scores(scores, labels, "vacuity", 4, 4)
+    assert result.auroc == auroc_scores(scores, labels) == auroc_argsort(scores, labels)
+    assert result.aupr == aupr_scores(scores, labels) == aupr_argsort(scores, labels)

@@ -297,9 +297,9 @@ class TestDuplicateIds:
 
 
 @st.composite
-def record_files(draw):
+def record_files(draw, mixed=st.booleans()):
     """Record lines with K 2-12, evidence or logits, int or float values, optional labels."""
-    mixed = draw(st.booleans())
+    mixed = draw(mixed)
     file_k = draw(st.integers(2, 12))
     lines = []
     for i in range(draw(st.integers(1, 25))):
@@ -384,6 +384,13 @@ DEFECTS = {
     "label-range": ('{"id": "l%d", "group": "id", "classes": ["A", "B"], "evidence": [1, 2], '
                     '"label": 2}', "out of range"),
     "duplicate": (GOOD_LINE.replace("ok%d", "ok0"), "duplicate id 'ok0'"),
+    "id-type": ('{"id": null, "group": "id", "classes": ["A", "B"], "evidence": [1, 2]}', "id must be a string"),
+    "string-value": ('{"id": "s%d", "group": "id", "classes": ["A", "B"], "evidence": [1, "2"]}',
+                     "numeric array"),
+    "null-value": ('{"id": "z%d", "group": "id", "classes": ["A", "B"], "logits": [null, 2]}',
+                   "numeric array"),
+    "nested-value": ('{"id": "v%d", "group": "id", "classes": ["A", "B"], "evidence": [1, [2]]}',
+                     "numeric array"),
 }
 
 
@@ -399,6 +406,34 @@ def test_earliest_defective_line_is_reported(tmp_path, first):
             parse_records(path)
         assert info.value.lineno == 2, (first, second, str(info.value))
         assert DEFECTS[first][1] in str(info.value), (first, second, str(info.value))
+
+
+# A non-number among the values: types the per-file check must reject
+BAD_VALUES = {"string": "2", "null": None, "nested": [1], "bool": True}
+
+
+@pytest.mark.parametrize("where", ["first", "last", "mixed-k"])
+@pytest.mark.parametrize("bad", BAD_VALUES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_non_number_value_names_its_line(tmp_path_factory, bad, where, data):
+    """One bad value in an otherwise valid file: the error names the line the per-line oracle puts it on."""
+    text = data.draw(record_files(mixed=st.just(True)) if where == "mixed-k" else record_files())
+    rows = oracle_columns(text)
+    if where == "mixed-k":
+        lineno, obj, _ = data.draw(st.sampled_from(rows))
+    else:
+        lineno, obj, _ = rows[0 if where == "first" else -1]
+    key = "evidence" if "evidence" in obj else "logits"
+    values = list(obj[key])
+    values[data.draw(st.integers(0, len(values) - 1))] = BAD_VALUES[bad]
+    lines = text.split("\n")
+    lines[lineno - 1] = json.dumps(dict(obj, **{key: values}))
+    path = tmp_path_factory.mktemp("values") / "r.jsonl"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(RecordParseError, match="numeric array") as info:
+        parse_records(path)
+    assert info.value.lineno == lineno
 
 
 class TestBatchTransforms:

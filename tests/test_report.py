@@ -1,6 +1,7 @@
 """Report emission: table formats, sweep plots, determinism."""
 
 import json
+from xml.sax.saxutils import escape
 
 import pytest
 
@@ -80,6 +81,12 @@ class TestSvg:
         single = dict(expansion_result, rows=expansion_result["rows"][:2])
         svg = sweep_svg(single)
         assert svg.count("<circle") == 4  # baseline + one target, two series
+
+    def test_markup_characters_are_escaped_as_saxutils_does(self, expansion_result):
+        title = "ood-only sweep - metric: a<b & c>d"
+        svg = sweep_svg(dict(expansion_result, mode="ood-only", metric="a<b & c>d"))
+        assert f">{escape(title)}</text>" in svg
+        assert "a&lt;b &amp; c&gt;d" in svg
 
     def test_byte_deterministic(self, expansion_result):
         assert sweep_svg(expansion_result) == sweep_svg(expansion_result)
