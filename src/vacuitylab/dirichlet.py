@@ -34,6 +34,8 @@ class EvidenceRecord:
     gold_label: int | None = None
 
     def __post_init__(self) -> None:
+        if type(self.id) is not str:
+            raise ValueError(f"record {self.id!r}: id must be a string")
         object.__setattr__(self, "group", Group(self.group))
         object.__setattr__(self, "class_names", tuple(str(n) for n in self.class_names))
         object.__setattr__(self, "evidence", tuple(float(e) for e in self.evidence))

@@ -205,7 +205,6 @@ _VALUES_PROBLEM = "evidence/logits must be a numeric array"
 _CLASSES_PROBLEM = "classes must be an array of strings"
 _scan = json.scanner.make_scanner(json.JSONDecoder())
 _quote = json.encoder.encode_basestring_ascii  # json.dumps(str) with the default ensure_ascii
-_WRITE_BLOCK = 1024  # rows per write in serialize_records
 
 
 def _all_numbers(values: list) -> bool:
@@ -244,7 +243,9 @@ def _structure_problem(obj) -> str:
         hash(tuple(obj["classes"]))
     except TypeError:  # an array or object among the class names
         return _CLASSES_PROBLEM
-    return "id must be a string"  # the one gate test left
+    if type(obj["id"]) is not str:
+        return "id must be a string"
+    raise AssertionError(f"the read loop's gate rejected a line with no structural defect: {obj!r}")
 
 
 def _float(value) -> float:
@@ -280,7 +281,6 @@ def parse_records(path) -> RecordBatch:
     """Read a line-delimited record file into one batch; blank lines are ignored."""
     ids, groups, classes, flat, k, logits, labels, lines = [], [], [], [], [], [], [], []
     names: dict[tuple, int] = {}
-    last_classes = index = None
     failure = None
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -307,9 +307,7 @@ def parse_records(path) -> RecordBatch:
                     and not (logit and "evidence" in obj)
                 ):
                     raise TypeError
-                if class_list != last_classes:  # lines mostly repeat the last list; an equal one maps alike
-                    index = names.setdefault(tuple(class_list), len(names))
-                    last_classes = class_list
+                index = names.setdefault(tuple(class_list), len(names))
             except (KeyError, TypeError):  # not an object, a field missing, or a field of the wrong type
                 failure = RecordParseError(path, lineno, _structure_problem(obj))
                 break
@@ -438,34 +436,25 @@ def serialize_records(batch: RecordBatch, path) -> None:
     has one), assembled from the columns: ids are quoted by the encoder
     ``json.dumps`` uses for a string, each class-name tuple is encoded once,
     and finite values print as the ``repr`` of the float, as ``json.dumps``
-    prints them. Rows are formatted and written a block at a time, so only
-    one block's strings are held at once.
+    prints them.
     """
     number = repr if np.isfinite(batch.values).all() else json.dumps  # json's text for inf
+    values = batch.values.tolist()
     classes = [json.dumps(list(names)) for names in batch.class_names]
-    ends = np.cumsum(batch.k)
-    n = len(batch)
+    rows = zip(
+        batch.ids,
+        batch.ood.tolist(),
+        batch.class_index.tolist(),
+        np.cumsum(batch.k).tolist(),
+        batch.k.tolist(),
+        batch.labels.tolist(),
+        batch.labelled.tolist(),
+    )
     with open(path, "w", encoding="utf-8") as handle:
-        for lo in range(0, n, _WRITE_BLOCK):
-            hi = min(lo + _WRITE_BLOCK, n)
-            start = int(ends[lo] - batch.k[lo])
-            values = list(map(number, batch.values[start : int(ends[hi - 1])].tolist()))
-            rows = zip(
-                map(_quote, batch.ids[lo:hi]),
-                batch.ood[lo:hi].tolist(),
-                batch.class_index[lo:hi].tolist(),
-                (ends[lo:hi] - start).tolist(),
-                batch.k[lo:hi].tolist(),
-                batch.labels[lo:hi].tolist(),
-                batch.labelled[lo:hi].tolist(),
-            )
+        for rid, ood, names, end, k, label, labelled in rows:
+            evidence = ", ".join(map(number, values[end - k : end]))
+            tail = f', "label": {label}}}\n' if labelled else "}\n"
             handle.write(
-                "".join(
-                    [
-                        f'{{"id": {rid}, "group": "{_OOD if ood else _ID}", "classes": {classes[names]}, '
-                        f'"evidence": [{", ".join(values[end - k : end])}]'
-                        + (f', "label": {label}}}\n' if labelled else "}\n")
-                        for rid, ood, names, end, k, label, labelled in rows
-                    ]
-                )
+                f'{{"id": {_quote(rid)}, "group": "{_OOD if ood else _ID}", '
+                f'"classes": {classes[names]}, "evidence": [{evidence}]{tail}'
             )

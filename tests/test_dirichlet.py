@@ -279,6 +279,11 @@ class TestRecordValidation:
         with pytest.raises(ValueError, match="at least 2"):
             EvidenceRecord(id="r", group="id", class_names=["A"], evidence=[1])
 
+    @pytest.mark.parametrize("rid", [5, None, ["x"]], ids=["int", "null", "list"])
+    def test_non_string_id_rejected(self, rid):
+        with pytest.raises(ValueError, match=r"id must be a string"):
+            EvidenceRecord(id=rid, group="id", class_names=["A", "B"], evidence=[1, 2])
+
     def test_gold_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             record([1, 2], gold=2)

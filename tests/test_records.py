@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from vacuitylab import RecordBatch, RecordParseError, parse_records, remove_class, serialize_records
 from vacuitylab.cli import main
 from vacuitylab.dirichlet import EvidenceRecord
+from vacuitylab.records import _structure_problem
 
 from oracles import records_of
 
@@ -391,6 +392,14 @@ DEFECTS = {
                    "numeric array"),
     "nested-value": ('{"id": "v%d", "group": "id", "classes": ["A", "B"], "evidence": [1, [2]]}',
                      "numeric array"),
+    "scalar": ('"s%d"', "expected a JSON object"),
+    "neither": ('{"id": "e%d", "group": "id", "classes": ["A", "B"]}', "exactly one of"),
+    "both": ('{"id": "e%d", "group": "id", "classes": ["A", "B"], "evidence": [1, 2], "logits": [1, 2]}',
+             "exactly one of"),
+    "values-type": ('{"id": "w%d", "group": "id", "classes": ["A", "B"], "evidence": 3}', "numeric array"),
+    "classes-type": ('{"id": "c%d", "group": "id", "classes": "AB", "evidence": [1, 2]}', "array of strings"),
+    "unhashable-class": ('{"id": "u%d", "group": "id", "classes": [["A"], "B"], "evidence": [1, 2]}',
+                         "array of strings"),
 }
 
 
@@ -406,6 +415,12 @@ def test_earliest_defective_line_is_reported(tmp_path, first):
             parse_records(path)
         assert info.value.lineno == 2, (first, second, str(info.value))
         assert DEFECTS[first][1] in str(info.value), (first, second, str(info.value))
+
+
+def test_structure_problem_refuses_a_line_the_gate_passes():
+    """A gate test without a branch in _structure_problem fails loudly instead of getting another's message."""
+    with pytest.raises(AssertionError):
+        _structure_problem(json.loads(GOOD_LINE % 0))
 
 
 # A non-number among the values: types the per-file check must reject
