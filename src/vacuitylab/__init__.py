@@ -5,9 +5,9 @@ count, so detection scores computed over different class counts for the
 ID and OOD sides are not comparable: expanding only the OOD side inflates
 AUROC/AUPR without any change in model predictions. This package provides
 columnar prediction sets (``RecordBatch``) scored as (n, K) evidence
-matrices, from-scratch detection and calibration metrics, the experiments
-that expose the inflation artefact, and a CLI that refuses mismatched
-comparisons unless explicitly overridden.
+matrices, from-scratch AUROC/AUPR, the experiments that expose the
+inflation artefact, a toy evidential classifier, and a CLI that refuses
+mismatched comparisons unless explicitly overridden.
 """
 
 from .dirichlet import EvidenceRecord, Group, append_classes, remove_class
@@ -34,19 +34,16 @@ from .losses import softplus_evidence
 from .metrics import (
     DetectionResult,
     ScoredSample,
-    accuracy,
     aupr,
     aupr_baseline,
     aupr_scores,
     auroc,
     auroc_scores,
-    ece,
     evaluate_detection,
     evaluate_scores,
-    nll,
 )
 from .records import RecordBatch, RecordParseError, parse_records, serialize_records
-from .special import digamma, digamma_trigamma, gamma_family, log_gamma, trigamma
+from .special import digamma, gamma_family, log_gamma
 from .synthetic import (
     PopulationParams,
     generate_evidence_population,

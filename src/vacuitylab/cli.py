@@ -42,6 +42,7 @@ from .report import (
     restriction_result_dict,
     result_problem,
     warnings_jsonl,
+    write_files,
 )
 from .synthetic import (
     PopulationParams,
@@ -183,9 +184,7 @@ def _write_warnings(out_dir: str | None, warnings: list[dict]) -> None:
     for w in warnings:
         print(f"warning: {json.dumps(w)}", file=sys.stderr)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "warnings.jsonl").write_text(warnings_jsonl(warnings), encoding="utf-8")
+        write_files(out_dir, {"warnings.jsonl": warnings_jsonl(warnings)})
 
 
 def _deliver(result: dict, args) -> None:
@@ -199,24 +198,27 @@ def _cmd_audit(args) -> int:
     report = audit_cardinality(*_load_groups(args))
     _print_audit(report)
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "audit.result.json").write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_files(args.out, {"audit.result.json": json.dumps(report.to_dict(), indent=2) + "\n"})
     return EXIT_OK if report.verdict is Verdict.PASS else EXIT_AUDIT_FAIL
 
 
-def _cmd_metrics(args) -> int:
-    id_records, ood_records = _load_groups(args)
+def _scorable(id_records, ood_records, allow_mismatch: bool):
+    """The audit of two groups that may be scored; a mixed K, or any mismatch not allowed, is refused."""
     report = audit_cardinality(id_records, ood_records)
     if report.verdict is not Verdict.PASS:
-        if not args.allow_mismatch:
+        if not allow_mismatch:
             raise CardinalityMismatchError(
                 "refusing to score mismatched cardinalities (pass --allow-mismatch to override)", report
             )
         if MIXED in (report.k_id, report.k_ood):
             raise CardinalityMismatchError("mixed cardinality inside a group cannot be scored", report)
+    return report
+
+
+def _cmd_metrics(args) -> int:
+    id_records, ood_records = _load_groups(args)
+    report = _scorable(id_records, ood_records, args.allow_mismatch)
+    if report.verdict is not Verdict.PASS:
         _write_warnings(args.out, [mismatch_warning("metrics", report.k_id, report.k_ood)])
     metric = Metric(args.metric)
     orientation = Orientation(args.orientation)
@@ -238,6 +240,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_restrict(args) -> int:
     id_records, ood_records = _load_groups(args)
+    _scorable(id_records, ood_records, allow_mismatch=True)  # the as-is run is mismatched on purpose
     result = run_restriction_experiment(
         ood_records, args.remove_class, id_records, Metric(args.metric), Orientation(args.orientation)
     )
@@ -297,6 +300,8 @@ def _trained_toy(config: dict):
     # train_toy needs at least 50 points per class
     n_per_class = require_int("n_per_class", config.pop("n_per_class", 250), 50)
     separation = float(require_number("separation", config.pop("separation", 6.0), positive=True))
+    if separation > 1e150:  # past about 1.4e153 the far probes' squared distances to the RBF centres overflow
+        raise ValueError(f"separation must be <= 1e+150, got {separation:g}")
     train_config = ToyTrainConfig(**config)
     points, labels = generate_toy_classification(n_per_class, separation, train_config.seed)
     result = train_toy(train_config, points, labels)
@@ -308,9 +313,7 @@ def _cmd_train_toy(args) -> int:
     text = json.dumps(summary, indent=2) + "\n"
     print(text, end="")
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "toy_summary.json").write_text(text, encoding="utf-8")
+        write_files(args.out, {"toy_summary.json": text})
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""From-scratch detection and calibration metrics.
+"""From-scratch detection metrics.
 
 AUROC is the probability-of-correct-ranking form (ties get half credit),
 computed as a rank sum with midranks (Hanley & McNeil 1982) in
@@ -161,62 +161,3 @@ def evaluate_detection(
 ) -> DetectionResult:
     """Compute AUROC, AUPR and the prevalence baseline for one sample set."""
     return evaluate_scores(*_scores_labels(samples), metric_name, k_id, k_ood)
-
-
-def ece(confidences, correctness, bins: int = 15) -> float:
-    """Expected calibration error over equal-width bins on (0, 1].
-
-    Bin b covers (b/B, (b+1)/B]; a confidence of exactly 0 lands in the
-    first bin; empty bins contribute nothing.
-    """
-    conf = np.asarray(confidences, dtype=float)
-    corr = np.asarray(correctness, dtype=float)
-    if conf.shape != corr.shape or conf.ndim != 1:
-        raise ValueError("confidences and correctness must be equal-length vectors")
-    if len(conf) == 0:
-        raise ValueError("ece needs at least one sample")
-    if (conf < 0).any() or (conf > 1).any() or np.isnan(conf).any():
-        raise ValueError("confidences must lie in [0, 1]")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    idx = np.clip(np.ceil(conf * bins).astype(int) - 1, 0, bins - 1)
-    total = 0.0
-    n = len(conf)
-    for b in range(bins):
-        mask = idx == b
-        n_b = int(mask.sum())
-        if n_b == 0:
-            continue
-        total += (n_b / n) * abs(float(corr[mask].mean()) - float(conf[mask].mean()))
-    return total
-
-
-_NLL_FLOOR = 1e-12
-
-
-def nll(probabilities, gold_labels) -> float:
-    """Mean negative log-likelihood of the gold class, floored at 1e-12."""
-    labels = list(gold_labels)
-    rows = [np.asarray(p, dtype=float) for p in probabilities]
-    if len(rows) != len(labels) or not rows:
-        raise ValueError("probabilities and gold_labels must be equal-length and non-empty")
-    total = 0.0
-    for row, g in zip(rows, labels):
-        if not 0 <= g < len(row):
-            raise ValueError(f"gold label {g} out of range for {len(row)} classes")
-        total += -math.log(max(float(row[g]), _NLL_FLOOR))
-    return total / len(rows)
-
-
-def accuracy(predictions, gold_labels) -> float:
-    """Fraction of samples whose argmax probability matches the gold label."""
-    labels = list(gold_labels)
-    rows = [np.asarray(p, dtype=float) for p in predictions]
-    if len(rows) != len(labels) or not rows:
-        raise ValueError("predictions and gold_labels must be equal-length and non-empty")
-    hits = 0
-    for row, g in zip(rows, labels):
-        if not 0 <= g < len(row):
-            raise ValueError(f"gold label {g} out of range for {len(row)} classes")
-        hits += int(int(np.argmax(row)) == g)
-    return hits / len(rows)

@@ -22,8 +22,9 @@ else runs once per file on the collected columns: every value is a JSON
 number (not a bool), finite values, e >= 0, finite S, K >= 2, one string
 class name per value, a valid group, label in range and unique ids.
 Every error names the file and the line, and a file with several defects
-reports the earliest line, whichever kind it is: a structural defect or a
-non-number value ends the rows that the per-file checks see at its line.
+reports the earliest line, whichever kind it is: a structural defect, a
+non-number value or bytes that are not UTF-8 end the rows that the
+per-file checks see at their line.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ import json
 import json.encoder
 import json.scanner
 import math
+import re
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import compress, repeat
 from operator import eq, is_not
@@ -279,10 +282,23 @@ def _mask(op, column: list, value) -> np.ndarray:
 
 def parse_records(path) -> RecordBatch:
     """Read a line-delimited record file into one batch; blank lines are ignored."""
+    try:
+        return _parse(path, open(path, encoding="utf-8"))
+    except UnicodeDecodeError:  # text mode decodes ahead, so the lines before the bad one are parsed alone
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            text = handle.readlines()  # each undecodable byte reads as a lone surrogate
+    lineno, bad = next((n, m) for n, line in enumerate(text, 1) if (m := re.search("[\udc80-\udcff]", line)))
+    _parse(path, nullcontext(text[: lineno - 1]))  # a defect on an earlier line is reported first
+    byte = ord(bad.group()) - 0xDC00
+    raise RecordParseError(path, lineno, f"not UTF-8 text (byte 0x{byte:02x} at column {bad.start() + 1})")
+
+
+def _parse(path, source) -> RecordBatch:
+    """The batch of the text lines that the context manager ``source`` yields."""
     ids, groups, classes, flat, k, logits, labels, lines = [], [], [], [], [], [], [], []
     names: dict[tuple, int] = {}
     failure = None
-    with open(path, encoding="utf-8") as handle:
+    with source as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text:
@@ -435,10 +451,11 @@ def serialize_records(batch: RecordBatch, path) -> None:
     ``id``, ``group``, ``classes``, ``evidence``, then ``label`` when the row
     has one), assembled from the columns: ids are quoted by the encoder
     ``json.dumps`` uses for a string, each class-name tuple is encoded once,
-    and finite values print as the ``repr`` of the float, as ``json.dumps``
-    prints them.
+    and values print as the ``repr`` of the float, as ``json.dumps`` prints
+    them. A non-finite value is an error: no record file may hold one.
     """
-    number = repr if np.isfinite(batch.values).all() else json.dumps  # json's text for inf
+    if not np.isfinite(batch.values).all():
+        raise ValueError(f"{path}: cannot write non-finite evidence")
     values = batch.values.tolist()
     classes = [json.dumps(list(names)) for names in batch.class_names]
     rows = zip(
@@ -452,7 +469,7 @@ def serialize_records(batch: RecordBatch, path) -> None:
     )
     with open(path, "w", encoding="utf-8") as handle:
         for rid, ood, names, end, k, label, labelled in rows:
-            evidence = ", ".join(map(number, values[end - k : end]))
+            evidence = ", ".join(map(repr, values[end - k : end]))
             tail = f', "label": {label}}}\n' if labelled else "}\n"
             handle.write(
                 f'{{"id": {_quote(rid)}, "group": "{_OOD if ood else _ID}", '

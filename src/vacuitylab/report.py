@@ -282,6 +282,15 @@ def warnings_jsonl(warnings: list[dict]) -> str:
     return "".join(json.dumps(w) + "\n" for w in warnings)
 
 
+def write_files(out_dir, files: dict[str, str]) -> list[Path]:
+    """Write each file name's UTF-8 text into ``out_dir``, created if missing; the paths in order."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
+    return [out / name for name in files]
+
+
 def emit_report(results: list[dict], out_dir, fmt: str = "md") -> list[Path]:
     """Write one table per result plus a plot + CSV per expansion sweep.
 
@@ -290,20 +299,12 @@ def emit_report(results: list[dict], out_dir, fmt: str = "md") -> list[Path]:
     """
     if not results:
         raise ValueError("no results to report")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def _write(name: str, text: str) -> None:
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-
+    files = {}
     for result in results:
         name = result["name"]
-        _write(f"{name}.result.json", json.dumps(result, indent=2) + "\n")
-        _write(f"{name}.{fmt}", render_table(result, fmt))
+        files[f"{name}.result.json"] = json.dumps(result, indent=2) + "\n"
+        files[f"{name}.{fmt}"] = render_table(result, fmt)
         if result["kind"] == "expansion":
-            _write(f"{name}_sweep.svg", sweep_svg(result))
-            _write(f"{name}_sweep.csv", sweep_csv(result))
-    return written
+            files[f"{name}_sweep.svg"] = sweep_svg(result)
+            files[f"{name}_sweep.csv"] = sweep_csv(result)
+    return write_files(out_dir, files)

@@ -9,8 +9,8 @@ taken off: log prod (x + j) from log Gamma, sum 1/(x + j) from psi, and
 sum 1/(x + j)^2 added to psi'. The ten terms are accumulated in a fixed
 order, one elementwise op each (never an axis reduction, whose order
 numpy picks by shape), so an entry's bits do not depend on the array
-around it; the result keeps the input's memory order. ``log_gamma``,
-``digamma_trigamma``, ``digamma`` and ``trigamma`` are its thin forms.
+around it; the result keeps the input's memory order. ``log_gamma`` and
+``digamma`` are its thin forms.
 All are accurate to at least 10 significant digits on [0.5, 1e4] and
 accept scalars or arrays of positive reals; +inf gives (inf, inf, 0).
 """
@@ -109,16 +109,7 @@ def log_gamma(x):
     return gamma_family(x)[0]
 
 
-def digamma_trigamma(x):
-    """psi(x) and psi'(x) for x > 0."""
-    return gamma_family(x)[1:]
-
-
 def digamma(x):
     """Logarithmic derivative of the gamma function for x > 0."""
     return gamma_family(x)[1]
 
-
-def trigamma(x):
-    """First derivative of digamma for x > 0 (used by KL gradients)."""
-    return gamma_family(x)[2]

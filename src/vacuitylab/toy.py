@@ -113,20 +113,13 @@ def init_params(
     mode: TrainingMode, n_classes: int, feature_dim: int, sigma_mult: float = 0.0
 ) -> ToyModelParams:
     """Zero-initialized parameters (deterministic by construction)."""
-    zeros = lambda *shape: np.zeros(shape, dtype=float)
-    if mode is TrainingMode.IB_EDL:
-        return ToyModelParams(
-            weights=zeros(n_classes, feature_dim),
-            bias=zeros(n_classes),
-            mode=mode,
-            sigma_weights=zeros(n_classes, feature_dim),
-            sigma_bias=zeros(n_classes),
-            sigma_mult=sigma_mult,
-        )
+    ib = mode is TrainingMode.IB_EDL
     return ToyModelParams(
-        weights=zeros(n_classes, feature_dim),
-        bias=zeros(n_classes),
+        weights=np.zeros((n_classes, feature_dim)),
+        bias=np.zeros(n_classes),
         mode=mode,
+        sigma_weights=np.zeros((n_classes, feature_dim)) if ib else None,
+        sigma_bias=np.zeros(n_classes) if ib else None,
         sigma_mult=sigma_mult,
     )
 
@@ -145,10 +138,6 @@ class ToyBatch:
 
     @classmethod
     def of(cls, params: ToyModelParams, features, labels) -> "ToyBatch":
-        if isinstance(features, ToyBatch):
-            if labels is not None:
-                raise ValueError("labels must be None when features is a ToyBatch")
-            return features
         x = np.asarray(features, dtype=float)
         y = np.asarray(labels, dtype=int)
         if x.ndim != 2 or x.shape[1] != params.feature_dim:
@@ -236,8 +225,7 @@ def _evaluate(params, batch: ToyBatch, lam, beta, rng_seed, training, gradient):
 
 def total_loss(
     params: ToyModelParams,
-    features,
-    labels,
+    batch: ToyBatch,
     lambda_weight: float,
     beta_weight: float,
     rng_seed: int,
@@ -249,16 +237,13 @@ def total_loss(
     In IB mode the latent noise is z = mu + sigma * eps with eps drawn from
     a generator seeded by ``rng_seed`` (so repeat calls are bitwise equal);
     with ``training=False`` the noise is scaled by ``params.sigma_mult``.
-    ``features`` may be a :class:`ToyBatch`, with ``labels`` None.
     """
-    batch = ToyBatch.of(params, features, labels)
     return _evaluate(params, batch, lambda_weight, beta_weight, rng_seed, training, False).loss
 
 
 def loss_gradient(
     params: ToyModelParams,
-    features,
-    labels,
+    batch: ToyBatch,
     lambda_weight: float,
     beta_weight: float,
     rng_seed: int,
@@ -267,9 +252,7 @@ def loss_gradient(
     """Analytic gradient of ``total_loss`` with the IB noise held fixed by seed.
 
     The same forward pass yields the loss, returned as ``grads.loss``.
-    ``features`` may be a :class:`ToyBatch`, with ``labels`` None.
     """
-    batch = ToyBatch.of(params, features, labels)
     return _evaluate(params, batch, lambda_weight, beta_weight, rng_seed, training, True)
 
 
@@ -360,7 +343,9 @@ def train_toy(config: ToyTrainConfig, points, labels) -> ToyTrainResult:
     """Fit the toy evidential head on labeled 2-D points.
 
     Deterministic given ``config.seed``. Raises :class:`TrainingDiverged`
-    if the loss stops being finite, reporting the offending step.
+    if the loss stops being finite, reporting the offending step, and
+    ``ValueError`` if only the inference noise scale ``sigma_mult`` makes
+    the final loss non-finite.
     """
     pts = np.asarray(points, dtype=float)
     y = np.asarray(labels, dtype=int)
@@ -386,25 +371,29 @@ def train_toy(config: ToyTrainConfig, points, labels) -> ToyTrainResult:
     last_finite_loss = None
     for step in range(config.steps):
         lam = config.lambda_at(step)
-        grads = loss_gradient(params, batch, None, lam, config.beta_weight, int(step_seeds[step]))
+        grads = loss_gradient(params, batch, lam, config.beta_weight, int(step_seeds[step]))
         if not math.isfinite(grads.loss.total):
             raise TrainingDiverged(step, f"loss = {grads.loss.total}", last_finite_loss)
         last_finite_loss = grads.loss.total
         lr = config.learning_rate
         params = replace(params, **{h: getattr(params, h) - lr * getattr(grads, h) for h in heads})
 
-    alpha_id = predict_alpha(params, featurizer, pts)
-    probes = far_probe_points(pts)
-    alpha_far = predict_alpha(params, featurizer, probes)
     final_lambda = config.lambda_at(config.steps - 1) if config.steps else config.lambda_at(0)
+    with np.errstate(all="ignore"):  # a non-finite final loss is an error below
+        final_loss = total_loss(params, batch, final_lambda, config.beta_weight, 0, training=False).total
+        if not math.isfinite(final_loss):
+            # finite at the training noise scale: the inference scale sigma_mult is at fault
+            if math.isfinite(total_loss(params, batch, final_lambda, config.beta_weight, 0).total):
+                raise ValueError(f"sigma_mult {config.sigma_mult} is too large: the inference loss is {final_loss}")
+            raise TrainingDiverged(config.steps, f"loss = {final_loss}", last_finite_loss)
+        alpha_id = predict_alpha(params, featurizer, pts)
+        alpha_far = predict_alpha(params, featurizer, far_probe_points(pts))
     summary = {
         "mode": config.mode.value,
         "steps": config.steps,
         "train_accuracy": float((alpha_id.argmax(axis=1) == y).mean()),
         "mean_id_vacuity": _mean_vacuity(alpha_id),
         "mean_far_ood_vacuity": _mean_vacuity(alpha_far),
-        "final_loss": total_loss(
-            params, batch, None, final_lambda, config.beta_weight, 0, training=False
-        ).total,
+        "final_loss": final_loss,
     }
     return ToyTrainResult(params=params, featurizer=featurizer, summary=summary)

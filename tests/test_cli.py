@@ -319,6 +319,11 @@ BAD_CONFIGS = [
     ("simulate", {"n_id": 10**12}, "Unable to allocate"),
     ("simulate", {"k": 10**12}, "Unable to allocate"),
     ("train-toy", {"rbf_grid": 10**12}, "Unable to allocate"),
+    # values whose features or inference loss no float can hold
+    ("train-toy", {"separation": 1e160}, "separation must be <= 1e+150, got 1e+160"),
+    ("train-toy", {"separation": 1e155}, "separation must be <= 1e+150, got 1e+155"),
+    ("train-toy", {"separation": 1e154}, "separation must be <= 1e+150, got 1e+154"),
+    ("train-toy", {"mode": "ib-edl", "steps": 5, "sigma_mult": 1e160}, "sigma_mult 1e+160 is too large"),
 ]
 
 
@@ -568,11 +573,22 @@ def test_refusal_prints_the_audit_block(files, mixed_ood, capsys, command, ood, 
     assert not files["out"].exists()
 
 
-def test_restrict_on_mixed_k_names_the_file(files, mixed_ood, capsys):
-    assert main(["restrict", str(files["id"]), str(mixed_ood), "--remove-class", "4"]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {mixed_ood}: rows have different class counts; no single evidence matrix\n"
-    )
+@pytest.mark.parametrize("side", ["id", "ood"])
+def test_restrict_refuses_a_mixed_k_group(files, mixed_ood, tmp_path, capsys, side):
+    """restrict meets a mixed K with the refusal `metrics` gives it: the audit block, exit 2, no files."""
+    pair = [files["id"], mixed_ood]
+    if side == "id":
+        extra = make_record("extra", [1.0, 2.0, 3.0, 4.0, 5.0])
+        serialize_records(RecordBatch.from_records([extra]), tmp_path / "extra.jsonl")
+        pair = [tmp_path / "id_mixed.jsonl", files["ood_k5"]]
+        pair[0].write_text(files["id"].read_text() + (tmp_path / "extra.jsonl").read_text())
+    assert main(["audit", *map(str, pair)]) == 2
+    audit_block = capsys.readouterr().out
+    assert main(["restrict", *map(str, pair), "--remove-class", "4", "--out", str(files["out"])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == audit_block + "mixed cardinality inside a group cannot be scored\n"
+    assert captured.err == ""
+    assert not files["out"].exists()
 
 
 def _detection_result(**fields):

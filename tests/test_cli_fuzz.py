@@ -1,4 +1,4 @@
-"""CLI fuzz: arbitrary JSON-ish record lines never crash the CLI.
+"""CLI fuzz: arbitrary JSON-ish record lines and corrupted bytes never crash the CLI.
 
 Every outcome exits 0, 1 or 2, nothing escapes ``main`` as an exception
 (which would reach stderr as a traceback), and a file that is not a valid
@@ -145,6 +145,39 @@ def test_cli_survives_arbitrary_record_lines(id_lines, ood_lines):
             if bad:
                 assert code == 1, (command, code, err)
                 assert re.search(re.escape(str(bad[0])) + r":\d+: ", err), (command, err)
+
+
+# bytes no UTF-8 text holds, a NUL, and multi-byte characters cut short
+CORRUPTIONS = st.one_of(
+    st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc0\xaf", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80"]),
+    st.just(b"\x00"),
+    st.sampled_from(["\u00e9", "\u20ac", "\U0001f600"]).map(lambda c: c.encode("utf-8")[:-1]),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(id_lines=valid_file("id"), ood_lines=valid_file("ood"), side=st.sampled_from([0, 1]), data=st.data())
+def test_cli_survives_byte_corruptions(id_lines, ood_lines, side, data):
+    """One line of an otherwise valid pair of files gets bytes that make it unreadable: exit 1 naming it."""
+    roles = ("id", "ood")
+    files = [[json.dumps(dict(json.loads(line), group=role)).encode() for line in lines]
+             for lines, role in ((id_lines, roles[0]), (ood_lines, roles[1]))]
+    row = data.draw(st.integers(0, len(files[side]) - 1))
+    line = files[side][row]
+    at = data.draw(st.integers(0, len(line)))
+    files[side][row] = line[:at] + data.draw(CORRUPTIONS) + line[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "id.jsonl", Path(tmp) / "ood.jsonl"]
+        for path, content in zip(paths, files):
+            path.write_bytes(b"".join(line + b"\n" for line in content))
+        for command in COMMANDS:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([command[0], *map(str, paths), *command[1:], "--out", str(Path(tmp) / "out")])
+            err = stderr.getvalue()
+            assert code == 1, (command, code, err)
+            assert "Traceback" not in err
+            assert err.startswith(f"error: {paths[side]}:{row + 1}: "), (command, err)
 
 
 JUNK = st.sampled_from([None, True, False, "3", [], {}, 2.0, 60.9, float("nan"), float("inf"), -float("inf")])

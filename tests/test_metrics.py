@@ -1,6 +1,4 @@
-"""Detection and calibration metrics against naive oracles and hand values."""
-
-import math
+"""Detection metrics against naive oracles and hand values."""
 
 import numpy as np
 import pytest
@@ -10,16 +8,13 @@ from hypothesis import strategies as st
 from vacuitylab.metrics import (
     DetectionResult,
     ScoredSample,
-    accuracy,
     aupr,
     aupr_baseline,
     aupr_scores,
     auroc,
     auroc_scores,
-    ece,
     evaluate_detection,
     evaluate_scores,
-    nll,
 )
 
 from oracles import aupr_argsort, aupr_reference, auroc_argsort, auroc_bruteforce
@@ -135,66 +130,6 @@ class TestAuprBaseline:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             aupr_baseline(0, 5)
-
-
-class TestEce:
-    def test_perfectly_calibrated_single(self):
-        assert ece([1.0], [1]) == 0.0
-
-    def test_single_bin_hand_case(self):
-        assert ece([0.6, 0.6], [1, 0]) == pytest.approx(0.1, abs=1e-12)
-
-    def test_single_bin_four_samples(self):
-        assert ece([0.8] * 4, [1, 1, 1, 0]) == pytest.approx(0.05, abs=1e-12)
-
-    def test_zero_when_each_bin_matches(self):
-        # two bins, each with accuracy equal to its mean confidence
-        conf = [0.2, 0.2, 0.2, 0.2, 0.2, 0.9, 0.9, 0.9, 0.9, 0.9]
-        corr = [1, 0, 0, 0, 0, 1, 1, 1, 1, 0]
-        # bin (0.13, 0.2]: acc 0.2 = conf 0.2; bin (0.86, 0.93]: acc 0.8 vs 0.9
-        assert ece(conf, corr, bins=15) == pytest.approx(0.05, abs=1e-12)
-
-    def test_constructed_zero(self):
-        conf = [0.5, 0.5, 1.0, 1.0]
-        corr = [1, 0, 1, 1]
-        assert ece(conf, corr) == 0.0
-
-    def test_zero_confidence_goes_to_first_bin(self):
-        # both samples in bin 0: mean conf 0.01, acc 0.0
-        assert ece([0.0, 0.02], [0, 0]) == pytest.approx(0.01, abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ece([0.5], [1, 0])
-
-    def test_out_of_range_confidence(self):
-        with pytest.raises(ValueError):
-            ece([1.2], [1])
-
-
-class TestNllAccuracy:
-    def test_perfect_model(self):
-        probs = [[0, 1, 0], [1, 0, 0]]
-        assert nll(probs, [1, 0]) == 0.0
-        assert accuracy(probs, [1, 0]) == 1.0
-
-    def test_uniform(self):
-        assert nll([[0.25] * 4], [2]) == pytest.approx(math.log(4), rel=1e-12)
-
-    def test_floor(self):
-        assert nll([[0.0, 1.0]], [0]) == pytest.approx(-math.log(1e-12), rel=1e-12)
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            nll([[0.5, 0.5]], [2])
-        with pytest.raises(ValueError):
-            accuracy([[0.5, 0.5]], [-1])
-
-    def test_accuracy_counts_argmax(self):
-        probs = [[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]]
-        # argmax of [0.5, 0.5] is index 0 (first maximum)
-        assert accuracy(probs, [0, 1, 0]) == 1.0
-        assert accuracy(probs, [1, 1, 1]) == pytest.approx(1 / 3)
 
 
 class TestOracles:

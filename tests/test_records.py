@@ -245,11 +245,11 @@ class TestColumnarWriter:
             expected.append(json.dumps(obj) + "\n")
         assert path.read_text(encoding="utf-8") == "".join(expected)
 
-    def test_infinite_evidence_is_written_as_json_dumps_writes_it(self, tmp_path):
+    def test_infinite_evidence_is_refused(self, tmp_path):
         rec = EvidenceRecord(id="q", group="ood", class_names=["A", "B"], evidence=[math.inf, 1.0])
-        serialize_records(RecordBatch.from_records([rec]), tmp_path / "b.jsonl")
-        expected = '{"id": "q", "group": "ood", "classes": ["A", "B"], "evidence": [Infinity, 1.0]}\n'
-        assert (tmp_path / "b.jsonl").read_text() == expected
+        with pytest.raises(ValueError, match="non-finite evidence"):
+            serialize_records(RecordBatch.from_records([rec]), tmp_path / "b.jsonl")
+        assert not (tmp_path / "b.jsonl").exists()
 
 
 # sha256 of simulate's two files, written by the per-record writer before the columnar one
@@ -415,6 +415,36 @@ def test_earliest_defective_line_is_reported(tmp_path, first):
             parse_records(path)
         assert info.value.lineno == 2, (first, second, str(info.value))
         assert DEFECTS[first][1] in str(info.value), (first, second, str(info.value))
+
+
+# an id holding a lone 0xff byte, the 10th byte of the line
+BAD_BYTE_LINE = b'{"id": "x\xff", "group": "id", "classes": ["A", "B"], "evidence": [1, 2]}'
+
+
+@pytest.mark.parametrize("n_good", [0, 3, 400], ids=["first", "same-chunk", "later-chunk"])
+def test_non_utf8_line_names_its_line(tmp_path, n_good):
+    """The first line that is not UTF-8 is reported, before any defect on a later line."""
+    lines = [(GOOD_LINE % n).encode() for n in range(n_good)]
+    lines += [BAD_BYTE_LINE, DEFECTS["json"][0].encode(), b"\xfe"]
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(RecordParseError, match=r"not UTF-8 text \(byte 0xff at column 10\)") as info:
+        parse_records(path)
+    assert info.value.lineno == n_good + 1
+
+
+@pytest.mark.parametrize("n_good", [1, 400], ids=["same-chunk", "later-chunk"])
+@pytest.mark.parametrize("first", DEFECTS)
+def test_defect_before_a_non_utf8_line_is_reported(tmp_path, first, n_good):
+    """Text-mode reading decodes ahead, but a defect on an earlier line still wins over the bad byte."""
+    lines = [(GOOD_LINE % n).encode() for n in range(n_good)]
+    lines += [DEFECTS[first][0].replace("%d", "999").encode(), (GOOD_LINE % n_good).encode(), BAD_BYTE_LINE]
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    with pytest.raises(RecordParseError) as info:
+        parse_records(path)
+    assert info.value.lineno == n_good + 1, str(info.value)
+    assert DEFECTS[first][1] in str(info.value)
 
 
 def test_structure_problem_refuses_a_line_the_gate_passes():

@@ -80,14 +80,14 @@ def fd_gradient(params, features, labels, lam, beta, seed, attr, index):
             sigma_bias=arrays["sigma_bias"],
             sigma_mult=params.sigma_mult,
         )
-        return total_loss(perturbed, features, labels, lam, beta, seed).total
+        return total_loss(perturbed, ToyBatch.of(perturbed, features, labels), lam, beta, seed).total
 
     base = getattr(params, attr)[index]
     return (loss_with(base + FD_STEP) - loss_with(base - FD_STEP)) / (2 * FD_STEP)
 
 
 def assert_gradient_matches(params, features, labels, lam, beta, seed):
-    grads = loss_gradient(params, features, labels, lam, beta, seed)
+    grads = loss_gradient(params, ToyBatch.of(params, features, labels), lam, beta, seed)
     pairs = [("weights", grads.weights), ("bias", grads.bias)]
     if params.mode is TrainingMode.IB_EDL:
         pairs += [("sigma_weights", grads.sigma_weights), ("sigma_bias", grads.sigma_bias)]
@@ -107,7 +107,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(1)
         params = random_params(rng, TrainingMode.EDL)
         x, y = random_batch(rng, n=1)
-        breakdown = total_loss(params, x, y, 0.0, 0.0, 0)
+        breakdown = total_loss(params, ToyBatch.of(params, x, y), 0.0, 0.0, 0)
         assert breakdown.total == breakdown.mse_term
         assert breakdown.kl_term >= 0.0
         assert breakdown.ib_info_term == 0.0
@@ -118,7 +118,7 @@ class TestTotalLoss:
         params = random_params(rng, TrainingMode.EDL)
         x, y = random_batch(rng, n=7)
         lam = 0.35
-        breakdown = total_loss(params, x, y, lam, 0.0, 0)
+        breakdown = total_loss(params, ToyBatch.of(params, x, y), lam, 0.0, 0)
         mses, kls = [], []
         for xi, yi in zip(x, y):
             logits = params.weights @ xi + params.bias
@@ -137,7 +137,7 @@ class TestTotalLoss:
         )
         x = np.array([[1.0]])
         y = np.array([0])
-        breakdown = total_loss(params, x, y, 1.0, 0.0, 0)
+        breakdown = total_loss(params, ToyBatch.of(params, x, y), 1.0, 0.0, 0)
         assert breakdown.kl_term == pytest.approx(0.0, abs=1e-12)
         assert breakdown.total == pytest.approx(breakdown.mse_term, rel=1e-12)
 
@@ -145,17 +145,17 @@ class TestTotalLoss:
         rng = np.random.default_rng(3)
         params = random_params(rng, TrainingMode.IB_EDL)
         x, y = random_batch(rng)
-        first = total_loss(params, x, y, 0.0, 0.1, rng_seed=77)
-        second = total_loss(params, x, y, 0.0, 0.1, rng_seed=77)
+        first = total_loss(params, ToyBatch.of(params, x, y), 0.0, 0.1, rng_seed=77)
+        second = total_loss(params, ToyBatch.of(params, x, y), 0.0, 0.1, rng_seed=77)
         assert first == second  # bitwise: dataclass equality on floats
-        third = total_loss(params, x, y, 0.0, 0.1, rng_seed=78)
+        third = total_loss(params, ToyBatch.of(params, x, y), 0.0, 0.1, rng_seed=78)
         assert third.total != first.total
 
     def test_ib_breakdown_weights(self):
         rng = np.random.default_rng(4)
         params = random_params(rng, TrainingMode.IB_EDL)
         x, y = random_batch(rng)
-        breakdown = total_loss(params, x, y, 123.0, 0.25, 0)
+        breakdown = total_loss(params, ToyBatch.of(params, x, y), 123.0, 0.25, 0)
         assert breakdown.lambda_weight == 0.0  # IB mode ignores lambda
         assert breakdown.beta_weight == 0.25
         assert breakdown.total == breakdown.mse_term + 0.25 * breakdown.ib_info_term
@@ -164,14 +164,14 @@ class TestTotalLoss:
         rng = np.random.default_rng(5)
         params = random_params(rng, TrainingMode.IB_EDL)
         x, y = random_batch(rng)
-        a = total_loss(params, x, y, 0.0, 0.1, rng_seed=1, training=False)
-        b = total_loss(params, x, y, 0.0, 0.1, rng_seed=999, training=False)
+        a = total_loss(params, ToyBatch.of(params, x, y), 0.0, 0.1, rng_seed=1, training=False)
+        b = total_loss(params, ToyBatch.of(params, x, y), 0.0, 0.1, rng_seed=999, training=False)
         assert a == b
 
     def test_empty_batch_rejected(self):
         params = init_params(TrainingMode.EDL, 2, 3)
         with pytest.raises(ValueError, match="empty"):
-            total_loss(params, np.zeros((0, 3)), np.zeros(0, dtype=int), 1.0, 0.0, 0)
+            ToyBatch.of(params, np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
 class TestLossGradient:
@@ -197,7 +197,7 @@ class TestLossGradient:
         y = np.array([0])
         norms = []
         for _ in range(40):
-            g = loss_gradient(params, x, y, 0.0, 0.0, 0)
+            g = loss_gradient(params, ToyBatch.of(params, x, y), 0.0, 0.0, 0)
             norms.append(math.hypot(np.linalg.norm(g.weights), np.linalg.norm(g.bias)))
             params = ToyModelParams(
                 weights=params.weights - 0.5 * g.weights,
@@ -211,7 +211,7 @@ class TestLossGradient:
         params = init_params(TrainingMode.EDL, 2, 2)
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.array([0, 1])
-        g = loss_gradient(params, x, y, 1.0, 0.0, 0)
+        g = loss_gradient(params, ToyBatch.of(params, x, y), 1.0, 0.0, 0)
         np.testing.assert_allclose(g.weights[0], g.weights[1][::-1], rtol=1e-12)
         np.testing.assert_allclose(g.bias[0], g.bias[1], rtol=1e-12)
 
@@ -226,7 +226,7 @@ def test_class_major_step_has_row_major_bits(monkeypatch, mode, k):
     batch = ToyBatch.of(params, features, labels)
     assert batch.y_onehot.flags.f_contiguous
     assert toy._forward(params, batch.x, 5, True)["alpha"].flags.f_contiguous
-    class_major = loss_gradient(params, batch, None, 0.7, 1e-2, 5)
+    class_major = loss_gradient(params, batch, 0.7, 1e-2, 5)
 
     forward = toy._forward
     monkeypatch.setattr(toy, "_forward", lambda *args: {
@@ -234,7 +234,7 @@ def test_class_major_step_has_row_major_bits(monkeypatch, mode, k):
         for name, value in forward(*args).items()
     })
     row_major_batch = ToyBatch(batch.x, np.eye(k)[labels], log_gamma(float(k)))
-    row_major = loss_gradient(params, row_major_batch, None, 0.7, 1e-2, 5)
+    row_major = loss_gradient(params, row_major_batch, 0.7, 1e-2, 5)
     assert class_major.loss == row_major.loss
     for head in ("weights", "bias", "sigma_weights", "sigma_bias"):
         got, expected = getattr(class_major, head), getattr(row_major, head)
@@ -254,7 +254,7 @@ def test_edl_step_validates_its_special_arguments_once(monkeypatch):
         return validate(*args)
 
     monkeypatch.setattr(special, "_validate_positive", counting)
-    loss_gradient(params, batch, None, 0.7, 0.0, 5)
+    loss_gradient(params, batch, 0.7, 0.0, 5)
     assert len(calls) == 1
 
 
@@ -338,6 +338,19 @@ class TestTrainToy:
         # the diverging step stops at its loss: no gradient formula adds warnings
         assert sum(issubclass(w.category, RuntimeWarning) for w in caught) <= 1
         assert TrainingDiverged(0, "loss = nan").last_finite_loss is None
+
+    def test_non_finite_final_loss_is_refused(self):
+        """A last step that diverges, or an inference noise scale too large, leaves no NaN summary."""
+        points, labels = generate_toy_classification(60, 4.0, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mode in TrainingMode:
+                with pytest.raises(TrainingDiverged) as excinfo:
+                    train_toy(ToyTrainConfig(mode=mode, steps=1, learning_rate=1e300, seed=2), points, labels)
+                assert excinfo.value.step == 1 and math.isfinite(excinfo.value.last_finite_loss)
+            config = ToyTrainConfig(mode=TrainingMode.IB_EDL, steps=3, sigma_mult=1e160, seed=2)
+            with pytest.raises(ValueError, match="sigma_mult 1e[+]160 is too large: the inference loss is nan"):
+                train_toy(config, points, labels)
 
     def test_dataset_preconditions(self):
         points, labels = generate_toy_classification(10, 4.0, seed=0)
