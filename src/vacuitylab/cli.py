@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -109,7 +110,12 @@ _SCORED_FILES = [
 _CONFIG = [_arg("--config", required=True, metavar="FILE"), _arg("--seed", type=int, help="override the config seed")]
 
 
-def build_parser() -> _Parser:
+def build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """The CLI parser; when ``argv`` starts with a command, only that command's subparser is built.
+
+    Every other argv (none, ``--help``, an unknown command) gets all seven,
+    so the help and the invalid-choice error list them all.
+    """
     parser = _Parser(prog="vacuitylab", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
     commands = [
@@ -144,7 +150,8 @@ def build_parser() -> _Parser:
         ("train-toy", _cmd_train_toy, "train the toy evidential classifier", _CONFIG),
         ("report", _cmd_report, "re-render reports from *.result.json", [_arg("results_dir"), _FORMAT]),
     ]
-    for name, func, summary, options in commands:
+    named = [c for c in commands if argv and c[0] == argv[0]]
+    for name, func, summary, options in named or commands:
         sub.add_parser(name, help=summary, options=[_OUT, *options]).set_defaults(func=func)
     return parser
 
@@ -188,9 +195,10 @@ def _write_warnings(out_dir: str | None, warnings: list[dict]) -> None:
 
 
 def _deliver(result: dict, args) -> None:
-    print(render_table(result, args.format), end="")
+    table = render_table(result, args.format)
+    print(table, end="")
     if args.out is not None:
-        paths = emit_report([result], args.out, args.format)
+        paths = emit_report([result], args.out, args.format, tables=[table])
         print(f"wrote {len(paths)} files to {args.out}")
 
 
@@ -346,7 +354,8 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -137,16 +137,11 @@ def _score_evidence(evidence: np.ndarray, metric: Metric, orientation: Orientati
 
 @np.errstate(over="ignore")  # an S that overflows is reported with its record, not as a warning
 def _batch_scores(
-    batch: RecordBatch,
-    metric: Metric,
-    orientation: Orientation,
-    count: int = 0,
-    appended_evidence: float | str = 0.0,
+    batch: RecordBatch, metric: Metric, orientation: Orientation, evidence: np.ndarray | None = None
 ) -> np.ndarray:
-    """Scores of a batch's rows with ``count`` classes appended; an S that overflows names its record."""
-    evidence = batch.evidence
-    if count:
-        evidence = _append_columns(evidence, count, appended_evidence)
+    """Scores of a batch's rows, or of ``evidence``, its rows widened; an S that overflows names its record."""
+    if evidence is None:
+        evidence = batch.evidence
     try:
         return _score_evidence(evidence, metric, orientation)
     except _NonFiniteStrength as exc:
@@ -243,20 +238,32 @@ class ExpansionRun:
         return self.rows[0]
 
 
+@np.errstate(over="ignore")  # an overflowing fill shows as a non-finite S when its rows are scored
 def _append_columns(evidence: np.ndarray, count: int, appended_evidence: float | str) -> np.ndarray:
     """Evidence matrix with ``count`` appended class columns; the original columns are copied.
 
-    Scores are recomputed from the widened rows, never from the closed form
-    (S + m)/(K + m), which can differ from the row sum in the last ulp.
+    A sweep widens each group once, to ``k_max``, and scores K + m from the
+    first K + m columns. Scores are recomputed from the widened rows, never
+    from the closed form (S + m)/(K + m), which can differ from the row sum
+    in the last ulp. A width no memory can hold is an error naming it.
     """
+    n, k = evidence.shape
     if appended_evidence == INVARIANCE_EVIDENCE:
         # The invariance value S/K - 1 is per row; S/K stays constant across
         # repeated appends, so one value covers all `count` new classes.
         alpha = evidence + 1.0
-        fill = alpha.sum(axis=1, keepdims=True) / evidence.shape[1] - 1.0
+        fill = alpha.sum(axis=1, keepdims=True) / k - 1.0
     else:
         fill = float(appended_evidence)
-    return np.hstack([evidence, np.broadcast_to(fill, (len(evidence), count))])
+    try:
+        widened = np.empty((n, k + count))
+    except (MemoryError, ValueError):  # ValueError: more bytes than an array can index
+        raise ValueError(
+            f"k_max {k + count} is too large: no memory holds {n} rows of {k + count} classes"
+        ) from None
+    widened[:, :k] = evidence
+    widened[:, k:] = fill
+    return widened
 
 
 def run_expansion_experiment(
@@ -270,7 +277,9 @@ def run_expansion_experiment(
 
     OOD_ONLY appends classes to the OOD group only; MATCHED appends to
     both groups. The baseline K must be uniform across both groups, and
-    the sweep runs from it to ``spec.k_max``.
+    the sweep runs from it to ``spec.k_max``. Each expanded group is
+    widened once, to ``spec.k_max`` columns, and row K scores its first K
+    columns: the same values, in the same order, as a matrix widened to K.
     """
     report = audit_cardinality(id_records, ood_records)
     if report.verdict is not Verdict.PASS:
@@ -283,21 +292,24 @@ def run_expansion_experiment(
     if spec.k_max <= base_k:
         raise ValueError(f"k_max {spec.k_max} must exceed the baseline K={base_k}")
 
-    def score(batch: RecordBatch, count: int) -> np.ndarray:
-        return _batch_scores(batch, metric, orientation, count, spec.appended_evidence)
+    def widened(batch: RecordBatch) -> np.ndarray:
+        return _append_columns(batch.evidence, spec.k_max - base_k, spec.appended_evidence)
 
     def evaluate(id_scores: np.ndarray, ood_scores: np.ndarray, k_id: int, k_ood: int):
         scores = np.concatenate([id_scores, ood_scores])
         return evaluate_scores(scores, labels, metric.value, k_id, k_ood)
 
+    matched = spec.mode is ExpansionMode.MATCHED
+    id_wide = widened(id_records) if matched else None
+    ood_wide = widened(ood_records)
     labels = np.concatenate([_labels(id_records, orientation), _labels(ood_records, orientation)])
-    id_scores = score(id_records, 0)
-    rows = [evaluate(id_scores, score(ood_records, 0), base_k, base_k)]
+    id_scores = _batch_scores(id_records, metric, orientation)
+    rows = [evaluate(id_scores, _batch_scores(ood_records, metric, orientation), base_k, base_k)]
     for k_target in range(base_k + 1, spec.k_max + 1):
-        count = k_target - base_k
-        ood_scores = score(ood_records, count)
-        if spec.mode is ExpansionMode.MATCHED:
-            rows.append(evaluate(score(id_records, count), ood_scores, k_target, k_target))
+        ood_scores = _batch_scores(ood_records, metric, orientation, ood_wide[:, :k_target])
+        if matched:
+            id_target = _batch_scores(id_records, metric, orientation, id_wide[:, :k_target])
+            rows.append(evaluate(id_target, ood_scores, k_target, k_target))
         else:
             rows.append(evaluate(id_scores, ood_scores, base_k, k_target))
     return ExpansionRun(

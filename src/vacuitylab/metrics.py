@@ -8,10 +8,13 @@ interpolation, which can be optimistic.
 
 The implementation works on arrays: ``auroc_scores``, ``aupr_scores`` and
 ``evaluate_scores`` take a float score vector and a 0/1 label vector, find
-tie runs from the scores in one stable ascending sort (AUPR reads it in
-reverse, so ``evaluate_scores`` sorts once for both), and never loop in
-Python. ``auroc``, ``aupr`` and ``evaluate_detection`` are adapters that
-take a list of ``ScoredSample`` and call them.
+tie runs from the scores in one ascending sort (AUPR reads it in reverse,
+so ``evaluate_scores`` sorts once for both), and never loop in Python.
+The sort need not be stable: AUROC credits every positive in a tie run
+with the run's one midrank, and AUPR reads the positive count only at
+run ends, so both depend on how many positives each run holds, never on
+their order inside it. ``auroc``, ``aupr`` and ``evaluate_detection``
+are adapters that take a list of ``ScoredSample`` and call them.
 """
 
 from __future__ import annotations
@@ -63,8 +66,13 @@ def _tie_run_ends(sorted_scores: np.ndarray) -> np.ndarray:
 
 
 def _ranked(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Labels in stable ascending score order, and the exclusive end of each tie run in that order."""
-    order = np.argsort(scores, kind="mergesort")
+    """Labels in ascending score order, and the exclusive end of each tie run in that order.
+
+    The order inside a tie run is whatever the sort leaves: each metric
+    reads a run only through its count of positives, so the bits do not
+    depend on it.
+    """
+    order = np.argsort(scores)
     return labels[order], _tie_run_ends(scores[order])
 
 
@@ -136,7 +144,7 @@ def evaluate_scores(
     """Compute AUROC, AUPR and the prevalence baseline for a score vector and 0/1 labels."""
     if not np.isfinite(scores).all():
         raise ValueError(f"scores must be finite, got {scores[~np.isfinite(scores)][0]}")
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1")
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos

@@ -6,8 +6,8 @@ One JSON object per line:
      "evidence": [12, 8, 9, 7], "label": 2}
 
 Each line carries exactly one of ``evidence`` (non-negative reals) or
-``logits`` (any reals; passed through softplus on ingestion, so the
-softplus happens in exactly one place). ``id`` is a string and
+``logits`` (any reals; passed through ``losses.softplus_evidence`` on
+ingestion, the library's one softplus). ``id`` is a string and
 ``label`` an optional gold index. Record ids must be unique within a
 file.
 
@@ -43,6 +43,7 @@ from typing import Iterable
 import numpy as np
 
 from .dirichlet import EvidenceRecord, Group
+from .losses import softplus_evidence
 
 
 class RecordParseError(ValueError):
@@ -381,7 +382,8 @@ def _duplicates(ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
 def _validated(batch: RecordBatch, logits: np.ndarray, groups: list, labels: list) -> RecordBatch:
     """The batch with softplus applied to its logits rows, once every per-file check passed.
 
-    One softplus call covers every logits row; each K block is then
+    One softplus call covers every finite logits entry (a row with a
+    non-finite entry is reported by the first check); each K block is then
     checked as one matrix, with S summed as the scorer sums it. The error names the earliest
     line with any defect and, on that line, the first defect in the order
     the checks are listed below.
@@ -389,12 +391,12 @@ def _validated(batch: RecordBatch, logits: np.ndarray, groups: list, labels: lis
     n = len(batch)
     finite = np.isfinite(batch.values)
     values = batch.values.copy()
-    soft = np.repeat(logits, batch.k)
+    soft = np.repeat(logits, batch.k) & finite
     nonfinite = np.zeros(n, dtype=bool)
     overflow = np.zeros(n, dtype=bool)
     negative = np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged below
-        values[soft] = np.logaddexp(0.0, values[soft])
+        values[soft] = softplus_evidence(values[soft])
         for k in np.unique(batch.k).tolist():
             rows = np.flatnonzero(batch.k == k)
             index = _flat_index(batch.k, rows)

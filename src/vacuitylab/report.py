@@ -291,19 +291,22 @@ def write_files(out_dir, files: dict[str, str]) -> list[Path]:
     return [out / name for name in files]
 
 
-def emit_report(results: list[dict], out_dir, fmt: str = "md") -> list[Path]:
+def emit_report(results: list[dict], out_dir, fmt: str = "md", tables: list[str] | None = None) -> list[Path]:
     """Write one table per result plus a plot + CSV per expansion sweep.
 
     Always writes the machine mirror ``<name>.result.json``; byte output
-    is deterministic for identical inputs.
+    is deterministic for identical inputs. ``tables``, when given, holds
+    each result's table as ``render_table`` already rendered it in ``fmt``.
     """
     if not results:
         raise ValueError("no results to report")
+    if tables is None:
+        tables = [render_table(result, fmt) for result in results]
     files = {}
-    for result in results:
+    for result, table in zip(results, tables):
         name = result["name"]
         files[f"{name}.result.json"] = json.dumps(result, indent=2) + "\n"
-        files[f"{name}.{fmt}"] = render_table(result, fmt)
+        files[f"{name}.{fmt}"] = table
         if result["kind"] == "expansion":
             files[f"{name}_sweep.svg"] = sweep_svg(result)
             files[f"{name}_sweep.csv"] = sweep_csv(result)

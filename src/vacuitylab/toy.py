@@ -369,14 +369,15 @@ def train_toy(config: ToyTrainConfig, points, labels) -> ToyTrainResult:
     heads = ("weights", "bias", "sigma_weights", "sigma_bias")
     heads = heads if config.mode is TrainingMode.IB_EDL else heads[:2]
     last_finite_loss = None
-    for step in range(config.steps):
-        lam = config.lambda_at(step)
-        grads = loss_gradient(params, batch, lam, config.beta_weight, int(step_seeds[step]))
-        if not math.isfinite(grads.loss.total):
-            raise TrainingDiverged(step, f"loss = {grads.loss.total}", last_finite_loss)
-        last_finite_loss = grads.loss.total
-        lr = config.learning_rate
-        params = replace(params, **{h: getattr(params, h) - lr * getattr(grads, h) for h in heads})
+    with np.errstate(all="ignore"):  # a step whose loss is not finite raises TrainingDiverged instead
+        for step in range(config.steps):
+            lam = config.lambda_at(step)
+            grads = loss_gradient(params, batch, lam, config.beta_weight, int(step_seeds[step]))
+            if not math.isfinite(grads.loss.total):
+                raise TrainingDiverged(step, f"loss = {grads.loss.total}", last_finite_loss)
+            last_finite_loss = grads.loss.total
+            lr = config.learning_rate
+            params = replace(params, **{h: getattr(params, h) - lr * getattr(grads, h) for h in heads})
 
     final_lambda = config.lambda_at(config.steps - 1) if config.steps else config.lambda_at(0)
     with np.errstate(all="ignore"):  # a non-finite final loss is an error below

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from vacuitylab import EvidenceRecord, RecordBatch, generate_evidence_population, overlap_population_params
+from vacuitylab import cli, report
 from vacuitylab.synthetic import stream_rng
 from vacuitylab.cli import main
 from vacuitylab.records import serialize_records
@@ -334,6 +335,20 @@ def test_bad_config_value_names_the_file(tmp_path, capsys, command, config, mess
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_diverging_training_prints_only_the_error(tmp_path, capsys):
+    """A run whose loss stops being finite says so in one line, with no numpy warning before it."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mode": "ib-edl", "steps": 50, "learning_rate": 1e9, "beta_weight": 1.0}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train-toy", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged at step 2: loss = inf (last finite loss: ")
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -697,3 +712,57 @@ def test_simulate_refuses_draws_no_record_file_can_hold(tmp_path, capsys, config
         assert all(np.isfinite(d).all() for d in draws)
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.sum(draws[2]) + 30)
+
+
+@pytest.mark.parametrize("mode", ["ood-only", "matched"])
+@pytest.mark.parametrize("k_max", ["1000000000000", str(10**19)])
+def test_k_max_no_memory_holds_is_input_error(files, capsys, mode, k_max):
+    """Widening the groups to k_max is refused at its one allocation, before any row is scored."""
+    argv = ["expand", str(files["id"]), str(files["ood"]), "--mode", mode, "--k-max", k_max]
+    assert main([*argv, "--out", str(files["out"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: k_max {k_max} is too large") and "Traceback" not in err
+    assert not files["out"].exists()
+
+
+PARSER_ARGV = [["--help"], ["nosuch"], [], *[[command, "--help"] for command in BASE_ARGV]]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "none")
+def test_parser_of_one_command_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    def run():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help
+            code = exc.code
+        return code, capsys.readouterr()
+
+    built = run()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full())
+    assert built == run()
+
+
+def test_parser_builds_only_the_named_command():
+    with pytest.raises(cli._UsageError, match=r"invalid choice: 'audit' \(choose from '?expand'?\)$"):
+        cli.build_parser(["expand"]).parse_args(["audit", "id.jsonl", "ood.jsonl"])
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_each_table_is_rendered_once(files, monkeypatch, capsys, fmt):
+    """The table printed to stdout is the one written to the file."""
+    calls = []
+
+    def counting(result, fmt):
+        calls.append(result["name"])
+        return render(result, fmt)
+
+    render = report.render_table
+    monkeypatch.setattr(cli, "render_table", counting)
+    monkeypatch.setattr(report, "render_table", counting)
+    out = files["out"]
+    argv = ["expand", str(files["id"]), str(files["ood"]), "--mode", "ood-only", "--k-max", "6"]
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    assert calls == ["expansion_ood_only"]
+    table = (out / f"expansion_ood_only.{fmt}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == table + f"wrote 4 files to {out}\n"

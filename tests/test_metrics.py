@@ -211,3 +211,34 @@ def test_shared_sort_is_bit_identical_to_one_sort_per_metric(instance):
     result = evaluate_scores(scores, labels, "vacuity", 4, 4)
     assert result.auroc == auroc_scores(scores, labels) == auroc_argsort(scores, labels)
     assert result.aupr == aupr_scores(scores, labels) == aupr_argsort(scores, labels)
+
+
+def large_tie_heavy(seed: int, n: int):
+    """n scores, most from a few values with -0.0 and 0.0 among them, and labels mixed inside the tie runs."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([-0.0, 0.0, 0.5, 1.0, 2.5, -3.0, 1e-300])[: int(rng.integers(2, 8))]
+    scores = rng.choice(pool, n)
+    untied = rng.random(n) < 0.1
+    scores[untied] = rng.normal(0.0, 1.0, int(untied.sum()))
+    labels = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(int)
+    return scores, labels
+
+
+LARGE = [(seed, n) for seed, n in enumerate((100, 257, 1000, 2000, 3001, 5000, 5000, 5000))]
+
+
+@pytest.mark.parametrize("seed, n", LARGE)
+def test_unstable_sort_is_bit_identical_to_the_stable_oracles(seed, n):
+    """Order inside a tie run is free: each metric reads a run only through its count of positives.
+
+    Every case holds a -0.0/0.0 tie run with both labels, and the default
+    sort reorders its tie runs, so the oracles' stable order really differs.
+    """
+    scores, labels = large_tie_heavy(seed, n)
+    zero = scores == 0.0
+    assert np.signbit(scores[zero]).any() and not np.signbit(scores[zero]).all()
+    assert 0 < labels[zero].sum() < zero.sum()
+    assert not np.array_equal(np.argsort(scores), np.argsort(scores, kind="mergesort"))
+    result = evaluate_scores(scores, labels, "vacuity", 4, 4)
+    assert result.auroc == auroc_argsort(scores, labels)
+    assert result.aupr == aupr_argsort(scores, labels)

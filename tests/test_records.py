@@ -121,8 +121,12 @@ class TestParse:
             '"evidence": [1' + "0" * 400 + ', 1]',
             '"evidence": [1e308, 1e308]',
             '"logits": [1e308, 1e308]',
+            '"logits": [1, Infinity]',
+            '"logits": [-Infinity, 1]',
+            '"logits": [NaN, 1]',
         ],
-        ids=["inf", "nan", "float-overflow", "int-overflow", "sum-overflow", "logit-sum-overflow"],
+        ids=["inf", "nan", "float-overflow", "int-overflow", "sum-overflow", "logit-sum-overflow",
+             "logit-inf", "logit-minus-inf", "logit-nan"],
     )
     def test_nonfinite_evidence_or_strength_names_line(self, tmp_path, values):
         path = tmp_path / "r.jsonl"

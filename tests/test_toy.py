@@ -320,7 +320,7 @@ class TestTrainToy:
         config = ToyTrainConfig(
             mode=TrainingMode.IB_EDL, steps=500, learning_rate=1e9, beta_weight=1.0, seed=2
         )
-        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as excinfo:
+        with pytest.raises(TrainingDiverged) as excinfo:
             train_toy(config, points, labels)
         assert excinfo.value.step >= 0
 
@@ -335,8 +335,8 @@ class TestTrainToy:
         assert excinfo.value.step == 2
         last = excinfo.value.last_finite_loss
         assert math.isfinite(last) and repr(last) in str(excinfo.value)
-        # the diverging step stops at its loss: no gradient formula adds warnings
-        assert sum(issubclass(w.category, RuntimeWarning) for w in caught) <= 1
+        # the steps run under np.errstate: the diverging step is reported, not warned about
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert TrainingDiverged(0, "loss = nan").last_finite_loss is None
 
     def test_non_finite_final_loss_is_refused(self):
