@@ -157,7 +157,10 @@ def build_parser(argv: Sequence[str] = ()) -> _Parser:
 
 
 def _load_groups(args):
-    """Both record files as batches; a record's group must match its file's role."""
+    """Both record files as batches; a record's group must match its file's role, and each file holds a record.
+
+    A defect in either file is reported before a file without records.
+    """
     batches = []
     for path, role, group in ((args.id_file, "id_file", Group.ID), (args.ood_file, "ood_file", Group.OOD)):
         batch = parse_records(path)
@@ -172,6 +175,9 @@ def _load_groups(args):
                 f"but the {role} holds {group.value!r} records",
             )
         batches.append(batch)
+    for path, batch in zip((args.id_file, args.ood_file), batches):
+        if not len(batch):
+            raise ValueError(f"{path}: no records")
     return batches
 
 

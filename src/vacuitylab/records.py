@@ -13,18 +13,22 @@ file.
 
 ``parse_records`` reads a file once into a ``RecordBatch`` of columns.
 Per line, the read loop strips the line, decodes it with one call of the
-C JSON scanner and runs the cheap structural gate: a JSON object with
+C JSON scanner, runs the cheap structural gate (a JSON object with
 ``id``, ``group`` and ``classes``, exactly one of ``evidence`` or
-``logits``, arrays for the values and the class names, a string id, an
-integer or absent label, and hashable class names. ``_structure_problem``
-words a defect, and runs only for a line that fails the gate. Everything
-else runs once per file on the collected columns: every value is a JSON
-number (not a bool), finite values, e >= 0, finite S, K >= 2, one string
-class name per value, a valid group, label in range and unique ids.
-Every error names the file and the line, and a file with several defects
-reports the earliest line, whichever kind it is: a structural defect, a
-non-number value or bytes that are not UTF-8 end the rows that the
-per-file checks see at their line.
+``logits``, arrays for the values and the class names, a string id and
+an integer or absent label) and appends the id, the values and the
+label. Per run of lines with equal group, class list, value kind and K,
+it stores those four once, and checks that the class names are
+hashable. ``_structure_problem`` words a defect, and runs only for a
+line that fails the gate. Everything else runs once per file on the
+collected columns: every value is a JSON number (not a bool), finite
+values, e >= 0, finite S, K >= 2, one string class name per value, a
+valid group, label in range and unique ids; a file of one K is checked
+as one (n, K) matrix. Line numbers come from the positions of the blank
+lines. Every error names the file and the line, and a file with several
+defects reports the earliest line, whichever kind it is: a structural
+defect, a non-number value or bytes that are not UTF-8 end the rows that
+the per-file checks see at their line.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ import math
 import re
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from itertools import compress, repeat
-from operator import eq, is_not
+from itertools import compress, islice, repeat
+from operator import is_not
 from typing import Iterable
 
 import numpy as np
@@ -208,6 +212,7 @@ _ID, _OOD = Group.ID.value, Group.OOD.value
 _VALUES_PROBLEM = "evidence/logits must be a numeric array"
 _CLASSES_PROBLEM = "classes must be an array of strings"
 _scan = json.scanner.make_scanner(json.JSONDecoder())
+_NO_RUN = object()  # equal to no decoded value
 _quote = json.encoder.encode_basestring_ascii  # json.dumps(str) with the default ensure_ascii
 
 
@@ -261,7 +266,7 @@ def _float(value) -> float:
 
 def _as_floats(flat: list) -> np.ndarray:
     try:
-        return np.array(flat, dtype=float)
+        return np.fromiter(flat, dtype=float, count=len(flat))
     except OverflowError:
         return np.array([_float(v) for v in flat], dtype=float)
 
@@ -296,20 +301,25 @@ def parse_records(path) -> RecordBatch:
 
 def _parse(path, source) -> RecordBatch:
     """The batch of the text lines that the context manager ``source`` yields."""
-    ids, groups, classes, flat, k, logits, labels, lines = [], [], [], [], [], [], [], []
+    ids, flat, labels = [], [], []
+    blanks = []  # the number of rows read before each blank line
+    # One entry per run of lines with equal group, class list, value kind and K
+    starts, groups, classes, logits, ks = [], [], [], [], []
+    run_group = run_classes = run_logit = run_k = _NO_RUN
     names: dict[tuple, int] = {}
     failure = None
     with source as handle:
-        for lineno, line in enumerate(handle, start=1):
+        for line in handle:
             text = line.strip()
             if not text:
+                blanks.append(len(ids))
                 continue
             try:
                 obj, end = _scan(text, 0)
             except (StopIteration, ValueError, RecursionError):
                 end = -1
             if end != len(text):
-                failure = RecordParseError(path, lineno, _json_problem(text))
+                failure = RecordParseError(path, len(ids) + len(blanks) + 1, _json_problem(text))
                 break
             # The gate: each test is one of _structure_problem's, which words the first that fails.
             try:
@@ -324,44 +334,59 @@ def _parse(path, source) -> RecordBatch:
                     and not (logit and "evidence" in obj)
                 ):
                     raise TypeError
-                index = names.setdefault(tuple(class_list), len(names))
+                if (
+                    group != run_group
+                    or class_list != run_classes
+                    or logit is not run_logit
+                    or len(values) != run_k
+                ):
+                    classes.append(names.setdefault(tuple(class_list), len(names)))
+                    starts.append(len(ids))
+                    groups.append(group)
+                    logits.append(logit)
+                    ks.append(len(values))
+                    # a group that is not a string ends its run, so two decoded containers are never compared
+                    run_group = group if type(group) is str else _NO_RUN
+                    run_classes, run_logit, run_k = class_list, logit, len(values)
             except (KeyError, TypeError):  # not an object, a field missing, or a field of the wrong type
-                failure = RecordParseError(path, lineno, _structure_problem(obj))
+                failure = RecordParseError(path, len(ids) + len(blanks) + 1, _structure_problem(obj))
                 break
-            classes.append(index)
             ids.append(rid)
-            groups.append(group)
             flat += values
-            k.append(len(values))
-            logits.append(logit)
             labels.append(label)
-            lines.append(lineno)
+    rows = np.arange(len(ids))
+    lines = rows + 1 + np.searchsorted(np.array(blanks, dtype=np.intp), rows, side="right")
+    starts = np.array(starts, dtype=np.intp)
+    k = np.repeat(np.array(ks, dtype=np.intp), np.diff(starts, append=len(ids)))
     if not _all_numbers(flat):
         first = next(i for i, v in enumerate(flat) if type(v) not in _NUMBER_TYPES)
-        row = int(np.searchsorted(np.cumsum(k), first, side="right"))
-        failure = RecordParseError(path, lines[row], _VALUES_PROBLEM)
-        del flat[sum(k[:row]) :]
-        for column in (ids, groups, classes, k, logits, labels, lines):
-            del column[row:]
+        n = int(np.searchsorted(np.cumsum(k), first, side="right"))
+        failure = RecordParseError(path, int(lines[n]), _VALUES_PROBLEM)
+        del flat[int(k[:n].sum()) :], ids[n:], labels[n:]
+        runs = int(np.searchsorted(starts, n))
+        starts, groups, classes, logits = starts[:runs], groups[:runs], classes[:runs], logits[:runs]
+        k, lines = k[:n], lines[:n]
     # Only the rows before the earliest structural defect or non-number value
     # were kept, so a numeric defect among them lies on an earlier line and is
     # the one reported.
+    lengths = np.diff(starts, append=len(ids))
     labelled = _mask(is_not, labels, None)
     batch = _validated(
         RecordBatch(
             ids=ids,
-            ood=_mask(eq, groups, _OOD),
+            ood=np.repeat(np.array([g == _OOD for g in groups], dtype=bool), lengths),
             class_names=tuple(names),
-            class_index=np.array(classes, dtype=np.intp),
-            k=np.array(k, dtype=np.intp),
+            class_index=np.repeat(np.array(classes, dtype=np.intp), lengths),
+            k=k,
             values=_as_floats(flat),
             labels=_as_labels(labels, labelled),
             labelled=labelled,
-            lines=np.array(lines, dtype=np.intp),
+            lines=lines,
             path=str(path),
         ),
-        np.array(logits, dtype=bool),
+        starts,
         groups,
+        np.array(logits, dtype=bool),
         labels,
     )
     if failure is not None:
@@ -379,29 +404,38 @@ def _duplicates(ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
     return duplicate, first
 
 
-def _validated(batch: RecordBatch, logits: np.ndarray, groups: list, labels: list) -> RecordBatch:
+def _validated(batch: RecordBatch, starts: np.ndarray, groups: list, logits: np.ndarray, labels: list) -> RecordBatch:
     """The batch with softplus applied to its logits rows, once every per-file check passed.
 
-    One softplus call covers every finite logits entry (a row with a
-    non-finite entry is reported by the first check); each K block is then
-    checked as one matrix, with S summed as the scorer sums it. The error names the earliest
-    line with any defect and, on that line, the first defect in the order
-    the checks are listed below.
+    ``starts``, ``groups`` and ``logits`` give each run of equal lines its
+    first row, its group and whether it holds logits. One softplus call
+    covers every finite logits entry (a row with a non-finite entry is
+    reported by the first check); each K block is then checked as one
+    matrix, with S summed as the scorer sums it, and a batch of one K is one
+    block. The error names the earliest line with any defect and, on that
+    line, the first defect in the order the checks are listed below.
     """
     n = len(batch)
+    lengths = np.diff(starts, append=n)
     finite = np.isfinite(batch.values)
     values = batch.values.copy()
-    soft = np.repeat(logits, batch.k) & finite
     nonfinite = np.zeros(n, dtype=bool)
     overflow = np.zeros(n, dtype=bool)
     negative = np.zeros(n, dtype=bool)
+    widths = set(batch.k[starts].tolist())
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged below
+        soft = np.repeat(logits, lengths * batch.k[starts]) & finite
         values[soft] = softplus_evidence(values[soft])
-        for k in np.unique(batch.k).tolist():
-            rows = np.flatnonzero(batch.k == k)
-            index = _flat_index(batch.k, rows)
-            block = values[index].reshape(len(rows), k)
-            nonfinite[rows] = ~finite[index].reshape(len(rows), k).all(axis=1)
+        for k in widths:
+            if len(widths) == 1:
+                rows = index = slice(None)
+                count = n
+            else:
+                rows = np.flatnonzero(batch.k == k)
+                index = _flat_index(batch.k, rows)
+                count = len(rows)
+            block = values[index].reshape(count, k)
+            nonfinite[rows] = ~finite[index].reshape(count, k).all(axis=1)
             overflow[rows] = ~finite_strength(block)
             negative[rows] = (block < 0).any(axis=1)
     ids, k = batch.ids, batch.k
@@ -417,8 +451,8 @@ def _validated(batch: RecordBatch, logits: np.ndarray, groups: list, labels: lis
         (nonfinite, lambda i: "evidence/logits must be finite"),
         (overflow, lambda i: "total strength S = sum(evidence + 1) overflows"),
         (
-            ~(batch.ood | _mask(eq, groups, _ID)),
-            lambda i: f"{groups[i]!r} is not a valid Group",
+            np.repeat(np.array([g != _ID and g != _OOD for g in groups], dtype=bool), lengths),
+            lambda i: f"{groups[int(np.searchsorted(starts, i, side='right')) - 1]!r} is not a valid Group",
         ),
         (bad_names[batch.class_index], lambda i: _CLASSES_PROBLEM),
         (
@@ -454,26 +488,30 @@ def serialize_records(batch: RecordBatch, path) -> None:
     has one), assembled from the columns: ids are quoted by the encoder
     ``json.dumps`` uses for a string, each class-name tuple is encoded once,
     and values print as the ``repr`` of the float, as ``json.dumps`` prints
-    them. A non-finite value is an error: no record file may hold one.
+    them: one ``repr`` per value, joined row by row without a Python-level
+    loop over the values. A non-finite value is an error: no record file
+    may hold one.
     """
     if not np.isfinite(batch.values).all():
         raise ValueError(f"{path}: cannot write non-finite evidence")
-    values = batch.values.tolist()
+    reprs = map(repr, batch.values.tolist())
+    if k := batch.class_count():  # rows of one K take the reprs K at a time
+        evidence = map(", ".join, zip(*[reprs] * k))
+    else:
+        evidence = map(", ".join, map(islice, repeat(reprs), batch.k.tolist()))
     classes = [json.dumps(list(names)) for names in batch.class_names]
     rows = zip(
         batch.ids,
         batch.ood.tolist(),
         batch.class_index.tolist(),
-        np.cumsum(batch.k).tolist(),
-        batch.k.tolist(),
+        evidence,
         batch.labels.tolist(),
         batch.labelled.tolist(),
     )
     with open(path, "w", encoding="utf-8") as handle:
-        for rid, ood, names, end, k, label, labelled in rows:
-            evidence = ", ".join(map(repr, values[end - k : end]))
+        for rid, ood, names, values, label, labelled in rows:
             tail = f', "label": {label}}}\n' if labelled else "}\n"
             handle.write(
                 f'{{"id": {_quote(rid)}, "group": "{_OOD if ood else _ID}", '
-                f'"classes": {classes[names]}, "evidence": [{evidence}]{tail}'
+                f'"classes": {classes[names]}, "evidence": [{values}]{tail}'
             )

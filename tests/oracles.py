@@ -14,6 +14,8 @@ check it against these one-record-at-a-time forms.
   below it; it is an accuracy reference for ``special.gamma_family``'s
   fixed ten-step shift (within 1e-13 relative), not a byte-for-byte one.
 - ``records_of`` rebuilds one ``EvidenceRecord`` per batch row.
+- ``parse_records_per_line`` reads a valid record file with one
+  ``json.loads`` per line into the columns ``parse_records`` builds.
 - ``auroc_bruteforce`` compares every positive with every negative
   (O(n^2)); ``aupr_reference`` recounts true and false positives at every
   threshold. Both take a list of ``vacuitylab.metrics.ScoredSample``.
@@ -22,6 +24,7 @@ check it against these one-record-at-a-time forms.
   ``-scores``). They are a bit-for-bit reference for the shared sort.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -142,6 +145,37 @@ def records_of(batch: RecordBatch) -> list[EvidenceRecord]:
         )
         for row, start in enumerate(starts)
     ]
+
+
+def parse_records_per_line(path) -> RecordBatch:
+    """The batch of a valid record file, one ``json.loads`` per line; logits go through ``np.logaddexp(0, x)``."""
+    ids, ood, index, k, values, labels, lines = [], [], [], [], [], [], []
+    names: dict[tuple, int] = {}
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            obj = json.loads(line)
+            row = np.array(obj["logits"] if "logits" in obj else obj["evidence"], dtype=float)
+            values.append(np.logaddexp(0.0, row) if "logits" in obj else row)
+            ids.append(obj["id"])
+            ood.append(obj["group"] == "ood")
+            index.append(names.setdefault(tuple(obj["classes"]), len(names)))
+            k.append(len(row))
+            labels.append(obj.get("label"))
+            lines.append(lineno)
+    return RecordBatch(
+        ids=ids,
+        ood=np.array(ood, dtype=bool),
+        class_names=tuple(names),
+        class_index=np.array(index, dtype=np.intp),
+        k=np.array(k, dtype=np.intp),
+        values=np.concatenate([np.zeros(0), *values]),
+        labels=np.array([-1 if g is None else g for g in labels], dtype=np.int64),
+        labelled=np.array([g is not None for g in labels], dtype=bool),
+        lines=np.array(lines, dtype=np.intp),
+        path=str(path),
+    )
 
 
 def digamma_trigamma_masked(x) -> tuple[np.ndarray, np.ndarray]:

@@ -414,6 +414,51 @@ def test_cli_import_loads_no_network_modules():
     assert not [m for m in loaded if m.split(".")[0] in network or m in network]
 
 
+def test_record_path_loads_no_numpy_ma(files, mixed_ood):
+    """Reading record files of one K or of mixed K never imports numpy.ma, which costs every process ~17 ms."""
+    code = "import sys; from vacuitylab.cli import main; main(sys.argv[1:]); print('numpy.ma' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for ood in (files["ood"], mixed_ood):
+        result = subprocess.run(
+            [sys.executable, "-c", code, "audit", str(files["id"]), str(ood)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.splitlines()[-1] == "False", (ood, result.stdout)
+
+
+RECORD_COMMANDS = [
+    ["audit"], ["metrics"], ["expand", "--mode", "ood-only", "--k-max", "6"], ["restrict", "--remove-class", "0"]
+]
+
+
+@pytest.mark.parametrize("command", RECORD_COMMANDS, ids=["audit", "metrics", "expand", "restrict"])
+@pytest.mark.parametrize("side", ["id", "ood"])
+@pytest.mark.parametrize("text", ["", "\n  \r\n\t\n"], ids=["empty", "blank-lines"])
+def test_file_without_records_names_itself(files, tmp_path, capsys, command, side, text):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(text)
+    pair = {"id": files["id"], "ood": files["ood"], side: empty}
+    out = tmp_path / "out"
+    assert main([command[0], str(pair["id"]), str(pair["ood"]), *command[1:], "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {empty}: no records\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "ood_text, message",
+    [("", "{id}: no records"), ("{broken\n", "{ood}:1: invalid JSON")],
+    ids=["empty", "malformed"],
+)
+def test_file_without_records_is_reported_after_defects(tmp_path, capsys, ood_text, message):
+    """Both files empty name the ID file; a defect in the OOD file is reported before an empty ID file."""
+    id_path, ood_path = tmp_path / "id.jsonl", tmp_path / "ood.jsonl"
+    id_path.write_text("\n")
+    ood_path.write_text(ood_text)
+    assert main(["audit", str(id_path), str(ood_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: " + message.format(id=id_path, ood=ood_path))
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1

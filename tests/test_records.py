@@ -14,7 +14,7 @@ from vacuitylab.cli import main
 from vacuitylab.dirichlet import EvidenceRecord
 from vacuitylab.records import _structure_problem
 
-from oracles import records_of
+from oracles import parse_records_per_line, records_of
 
 
 def write_lines(path, lines):
@@ -483,6 +483,133 @@ def test_non_number_value_names_its_line(tmp_path_factory, bad, where, data):
     with pytest.raises(RecordParseError, match="numeric array") as info:
         parse_records(path)
     assert info.value.lineno == lineno
+
+
+# (group, class-name prefix, logits?, K): the fields a run of equal lines shares
+RUN_FIELDS = (("id", "ood"), ("", "c", "é"), (False, True), (2, 3, 4, 5))
+
+
+def _changed(draw, shape):
+    """``shape`` with at least one field changed."""
+    shape = list(shape)
+    for field in draw(st.sets(st.integers(0, len(RUN_FIELDS) - 1), min_size=1)):
+        shape[field] = draw(st.sampled_from([v for v in RUN_FIELDS[field] if v != shape[field]]))
+    return tuple(shape)
+
+
+@st.composite
+def runs(draw):
+    """(shape, length) of each run: a new run at every line, in runs of 1-6 lines, or never."""
+    change = draw(st.sampled_from(["every", "runs", "never"]))
+    if change == "runs":
+        lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    else:
+        n = draw(st.integers(1, 25))
+        lengths = [1] * n if change == "every" else [n]
+    shapes = [draw(st.tuples(*map(st.sampled_from, RUN_FIELDS)))]
+    for _ in lengths[1:]:
+        shapes.append(_changed(draw, shapes[-1]))
+    return list(zip(shapes, lengths))
+
+
+def run_line(draw, rid, shape):
+    group, prefix, logits, k = shape
+    obj = {"id": rid, "group": group, "classes": [f"{prefix}{chr(65 + j)}" for j in range(k)]}
+    if logits:
+        value = st.integers(-30, 30) | st.floats(-700.0, 700.0, allow_nan=False)
+    else:
+        value = st.integers(0, 10**6) | st.floats(0.0, 1e12, allow_nan=False)
+    obj["logits" if logits else "evidence"] = draw(st.lists(value, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        obj["label"] = draw(st.integers(0, k - 1))
+    return json.dumps(obj)
+
+
+def joined(draw, lines):
+    """The file's bytes, with LF or CRLF line ends and blank lines mixed in, and each line's number."""
+    parts, linenos = [], []
+    for line in lines:
+        parts.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+        linenos.append(len(parts))
+        if draw(st.integers(0, 4)) == 0:
+            parts.append(draw(st.sampled_from(["\n", "  \r\n", "\t\n"])))
+    return "".join(parts).encode("utf-8"), linenos
+
+
+class TestRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_columns_equal_the_per_line_oracle_bit_for_bit(self, tmp_path_factory, data):
+        shapes = [shape for shape, length in data.draw(runs()) for _ in range(length)]
+        lines = [run_line(data.draw, f"row{i}", shape) for i, shape in enumerate(shapes)]
+        path = tmp_path_factory.mktemp("runs") / "r.jsonl"
+        path.write_bytes(joined(data.draw, lines)[0])
+        got, want = parse_records(path), parse_records_per_line(path)
+        assert (got.ids, got.class_names, got.path) == (want.ids, want.class_names, want.path)
+        for column in ("ood", "class_index", "k", "values", "labels", "labelled", "lines"):
+            a, b = getattr(got, column), getattr(want, column)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
+
+    @pytest.mark.parametrize("place", ["first", "last"])
+    @pytest.mark.parametrize("kind", DEFECTS)
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_defect_on_a_run_boundary_is_reported_as_alone(self, tmp_path_factory, kind, place, data):
+        """A defect on the first or last row of a run gets the line and message it gets with no runs around it."""
+        first_line = '{"id": "ok0", "group": "id", "classes": ["first", "line"], "evidence": [1, 2]}'
+        defect = DEFECTS[kind][0].replace("%d", "999")
+        tmp = tmp_path_factory.mktemp("defect")
+        alone = tmp / "alone.jsonl"
+        alone.write_text(f"{first_line}\n{defect}\n", encoding="utf-8")
+        with pytest.raises(RecordParseError) as info:
+            parse_records(alone)
+        assert info.value.lineno == 2 and DEFECTS[kind][1] in str(info.value)
+        message = str(info.value).removeprefix(f"{alone}:2: ")
+
+        file_runs = data.draw(runs())
+        run = data.draw(st.integers(0, len(file_runs) - 1))
+        # most defect lines have group "id", classes A and B and K=2: the run may share them
+        shared = ("id", "", '"logits"' in defect, 2)
+        neighbours = [shape for shape, _ in file_runs[max(run - 1, 0) : run + 2]]
+        if data.draw(st.booleans()) and shared not in neighbours:
+            file_runs[run] = (shared, file_runs[run][1])
+        shapes = [shape for shape, length in file_runs for _ in range(length)]
+        row = sum(length for _, length in file_runs[:run])
+        if place == "last":
+            row += file_runs[run][1] - 1
+        lines = [run_line(data.draw, f"row{i}", shape) for i, shape in enumerate(shapes)]
+        lines[row] = defect
+        text, linenos = joined(data.draw, [first_line, *lines])
+        path = tmp / "runs.jsonl"
+        path.write_bytes(text)
+        with pytest.raises(RecordParseError) as info:
+            parse_records(path)
+        assert str(info.value) == f"{path}:{linenos[row + 1]}: {message}"
+
+
+# every value here prints as its shortest repr: signed zero, exponent forms, the subnormal and largest finite
+EDGE_VALUES = [0.0, -0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("ks", [[k] for k in range(2, 13)] + [list(range(2, 13))],
+                         ids=[f"k{k}" for k in range(2, 13)] + ["mixed-k"])
+def test_writer_lines_are_json_dumps_of_edge_values(tmp_path, ks):
+    rows = []
+    for i in range(2 * len(EDGE_VALUES)):
+        k = ks[i % len(ks)]
+        obj = {"id": f"e{i}", "group": "ood" if i % 3 else "id", "classes": [f"C{j}" for j in range(k)],
+               "evidence": [EDGE_VALUES[(i + j) % len(EDGE_VALUES)] for j in range(k)]}
+        if i % 2:
+            obj["label"] = i % k
+        rows.append(obj)
+    batch = RecordBatch.from_records(
+        EvidenceRecord(id=o["id"], group=o["group"], class_names=o["classes"], evidence=o["evidence"],
+                       gold_label=o.get("label"))
+        for o in rows
+    )
+    serialize_records(batch, tmp_path / "r.jsonl")
+    written = (tmp_path / "r.jsonl").read_bytes().splitlines(keepends=True)
+    assert written == [(json.dumps(o) + "\n").encode() for o in rows]
 
 
 class TestBatchTransforms:
