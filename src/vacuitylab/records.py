@@ -23,8 +23,8 @@ hashable. ``_structure_problem`` words a defect, and runs only for a
 line that fails the gate. Everything else runs once per file on the
 collected columns: every value is a JSON number (not a bool), finite
 values, e >= 0, finite S, K >= 2, one string class name per value, a
-valid group, label in range and unique ids; a file of one K is checked
-as one (n, K) matrix. Line numbers come from the positions of the blank
+valid group, label in range and unique ids, with the rows of each K
+checked as one matrix. Line numbers come from the positions of the blank
 lines. Every error names the file and the line, and a file with several
 defects reports the earliest line, whichever kind it is: a structural
 defect, a non-number value or bytes that are not UTF-8 end the rows that
@@ -410,10 +410,10 @@ def _validated(batch: RecordBatch, starts: np.ndarray, groups: list, logits: np.
     ``starts``, ``groups`` and ``logits`` give each run of equal lines its
     first row, its group and whether it holds logits. One softplus call
     covers every finite logits entry (a row with a non-finite entry is
-    reported by the first check); each K block is then checked as one
-    matrix, with S summed as the scorer sums it, and a batch of one K is one
-    block. The error names the earliest line with any defect and, on that
-    line, the first defect in the order the checks are listed below.
+    reported by the first check); each K block is then gathered and checked
+    as one matrix, with S summed as the scorer sums it. The error names the
+    earliest line with any defect and, on that line, the first defect in
+    the order the checks are listed below.
     """
     n = len(batch)
     lengths = np.diff(starts, append=n)
@@ -427,15 +427,10 @@ def _validated(batch: RecordBatch, starts: np.ndarray, groups: list, logits: np.
         soft = np.repeat(logits, lengths * batch.k[starts]) & finite
         values[soft] = softplus_evidence(values[soft])
         for k in widths:
-            if len(widths) == 1:
-                rows = index = slice(None)
-                count = n
-            else:
-                rows = np.flatnonzero(batch.k == k)
-                index = _flat_index(batch.k, rows)
-                count = len(rows)
-            block = values[index].reshape(count, k)
-            nonfinite[rows] = ~finite[index].reshape(count, k).all(axis=1)
+            rows = np.flatnonzero(batch.k == k)
+            index = _flat_index(batch.k, rows)
+            block = values[index].reshape(len(rows), k)
+            nonfinite[rows] = ~finite[index].reshape(len(rows), k).all(axis=1)
             overflow[rows] = ~finite_strength(block)
             negative[rows] = (block < 0).any(axis=1)
     ids, k = batch.ids, batch.k
@@ -495,10 +490,7 @@ def serialize_records(batch: RecordBatch, path) -> None:
     if not np.isfinite(batch.values).all():
         raise ValueError(f"{path}: cannot write non-finite evidence")
     reprs = map(repr, batch.values.tolist())
-    if k := batch.class_count():  # rows of one K take the reprs K at a time
-        evidence = map(", ".join, zip(*[reprs] * k))
-    else:
-        evidence = map(", ".join, map(islice, repeat(reprs), batch.k.tolist()))
+    evidence = map(", ".join, map(islice, repeat(reprs), batch.k.tolist()))
     classes = [json.dumps(list(names)) for names in batch.class_names]
     rows = zip(
         batch.ids,
