@@ -64,17 +64,7 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Exits 1 on bad usage; a subcommand declares its options only when it is parsed."""
-
-    def __init__(self, *args, options=(), **kwargs):
-        super().__init__(*args, **kwargs)
-        self._pending = options
-
-    def parse_known_args(self, args=None, namespace=None):
-        for names, kwargs in self._pending:
-            self.add_argument(*names, **kwargs)
-        self._pending = ()
-        return super().parse_known_args(args, namespace)
+    """Exits 1 on bad usage."""
 
     def error(self, message):  # exit 1 on bad usage instead of argparse's 2
         raise _UsageError(message)
@@ -152,7 +142,10 @@ def build_parser(argv: Sequence[str] = ()) -> _Parser:
     ]
     named = [c for c in commands if argv and c[0] == argv[0]]
     for name, func, summary, options in named or commands:
-        sub.add_parser(name, help=summary, options=[_OUT, *options]).set_defaults(func=func)
+        command = sub.add_parser(name, help=summary)
+        command.set_defaults(func=func)
+        for names, kwargs in [_OUT, *options]:
+            command.add_argument(*names, **kwargs)
     return parser
 
 

@@ -11,24 +11,26 @@ ingestion, the library's one softplus). ``id`` is a string and
 ``label`` an optional gold index. Record ids must be unique within a
 file.
 
-``parse_records`` reads a file once into a ``RecordBatch`` of columns.
-Per line, the read loop strips the line, decodes it with one call of the
-C JSON scanner, runs the cheap structural gate (a JSON object with
+``parse_records`` reads a valid file once into a ``RecordBatch`` of
+columns. Per line, the reader strips the line, decodes it with one call
+of the C JSON scanner, runs a cheap structural gate (a JSON object with
 ``id``, ``group`` and ``classes``, exactly one of ``evidence`` or
 ``logits``, arrays for the values and the class names, a string id and
 an integer or absent label) and appends the id, the values and the
 label. Per run of lines with equal group, class list, value kind and K,
-it stores those four once, and checks that the class names are
-hashable. ``_structure_problem`` words a defect, and runs only for a
-line that fails the gate. Everything else runs once per file on the
-collected columns: every value is a JSON number (not a bool), finite
-values, e >= 0, finite S, K >= 2, one string class name per value, a
-valid group, label in range and unique ids, with the rows of each K
-checked as one matrix. Line numbers come from the positions of the blank
-lines. Every error names the file and the line, and a file with several
-defects reports the earliest line, whichever kind it is: a structural
-defect, a non-number value or bytes that are not UTF-8 end the rows that
-the per-file checks see at their line.
+it stores those four once. Once per file: every value is a JSON number
+(not a bool), each run has a valid group and K >= 2 string class names,
+ids are unique, labels are in range and values finite; one softplus call
+covers every logits entry, then e >= 0, and S is finite with the rows of
+each K summed as one matrix. Line numbers come from the positions of the
+blank lines.
+
+The reader only detects a defect. At the first sign of one (a line that
+fails the decode or the gate, a failed per-file check, an integer beyond
+the float or int64 range, or bytes that are not UTF-8) it gives up, and
+the refused file is re-read line by line to find its earliest defective
+line. Each line runs every check in one fixed order, and the error names
+the file, that line and the first check it fails.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import json.encoder
 import json.scanner
 import math
 import re
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import compress, islice, repeat
 from operator import is_not
@@ -204,15 +205,13 @@ def _flat_index(k: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.repeat(starts[rows] - out_starts, widths) + np.arange(int(widths.sum()))
 
 
-_REQUIRED_ORDER = ("id", "group", "classes")
-_REQUIRED = frozenset(_REQUIRED_ORDER)
 _NUMBER_TYPES = frozenset({int, float})  # bool is an int subclass, but JSON true/false is not a number
 _LABEL_TYPES = frozenset({int, type(None)})
 _ID, _OOD = Group.ID.value, Group.OOD.value
-_VALUES_PROBLEM = "evidence/logits must be a numeric array"
 _CLASSES_PROBLEM = "classes must be an array of strings"
 _scan = json.scanner.make_scanner(json.JSONDecoder())
 _NO_RUN = object()  # equal to no decoded value
+_undecodable = re.compile("[\udc80-\udcff]").search  # a byte that is not UTF-8 reads as a lone surrogate
 _quote = json.encoder.encode_basestring_ascii  # json.dumps(str) with the default ensure_ascii
 
 
@@ -220,95 +219,27 @@ def _all_numbers(values: list) -> bool:
     return set(map(type, values)) <= _NUMBER_TYPES
 
 
-def _json_problem(text: str) -> str:
-    """Why one stripped line does not decode; ``json.loads`` raises the error that words it."""
-    try:
-        json.loads(text)
-    except json.JSONDecodeError as exc:
-        return f"invalid JSON ({exc.msg})"
-    except RecursionError:
-        return "invalid JSON (nested too deeply)"
-    except ValueError as exc:  # e.g. an integer literal beyond the int conversion limit
-        return f"invalid JSON ({exc})"
-
-
-def _structure_problem(obj) -> str:
-    """What is wrong with the shape and types of one decoded line that failed the read loop's gate."""
-    if type(obj) is not dict:
-        return "expected a JSON object"
-    if not _REQUIRED <= obj.keys():
-        return f"missing field {next(key for key in _REQUIRED_ORDER if key not in obj)!r}"
-    has_evidence = "evidence" in obj
-    if has_evidence == ("logits" in obj):
-        return "each line needs exactly one of 'evidence' or 'logits'"
-    values = obj["evidence"] if has_evidence else obj["logits"]
-    if type(values) is not list or not _all_numbers(values):
-        return _VALUES_PROBLEM
-    if type(obj["classes"]) is not list:
-        return _CLASSES_PROBLEM
-    if type(obj.get("label")) not in _LABEL_TYPES:
-        return "label must be an integer index"
-    try:
-        hash(tuple(obj["classes"]))
-    except TypeError:  # an array or object among the class names
-        return _CLASSES_PROBLEM
-    if type(obj["id"]) is not str:
-        return "id must be a string"
-    raise AssertionError(f"the read loop's gate rejected a line with no structural defect: {obj!r}")
-
-
-def _float(value) -> float:
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range
-        return math.inf if value > 0 else -math.inf
-
-
-def _as_floats(flat: list) -> np.ndarray:
-    try:
-        return np.fromiter(flat, dtype=float, count=len(flat))
-    except OverflowError:
-        return np.array([_float(v) for v in flat], dtype=float)
-
-
-def _as_labels(raw: list, labelled: np.ndarray) -> np.ndarray:
-    labels = np.full(len(raw), -1, dtype=np.int64)
-    given = list(compress(raw, labelled))
-    try:
-        labels[labelled] = given
-    except OverflowError:  # out of range anyway; the error message quotes the raw value
-        labels[labelled] = [g if abs(g) < 2**62 else -1 for g in given]
-    return labels
-
-
-def _mask(op, column: list, value) -> np.ndarray:
-    """``[op(x, value) for x in column]`` as a bool array, without a Python-level loop."""
-    return np.fromiter(map(op, column, repeat(value)), dtype=bool, count=len(column))
+class _Refused(Exception):
+    """The reader saw a defect; ``_earliest_defect`` finds and words the earliest."""
 
 
 def parse_records(path) -> RecordBatch:
     """Read a line-delimited record file into one batch; blank lines are ignored."""
     try:
-        return _parse(path, open(path, encoding="utf-8"))
-    except UnicodeDecodeError:  # text mode decodes ahead, so the lines before the bad one are parsed alone
-        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-            text = handle.readlines()  # each undecodable byte reads as a lone surrogate
-    lineno, bad = next((n, m) for n, line in enumerate(text, 1) if (m := re.search("[\udc80-\udcff]", line)))
-    _parse(path, nullcontext(text[: lineno - 1]))  # a defect on an earlier line is reported first
-    byte = ord(bad.group()) - 0xDC00
-    raise RecordParseError(path, lineno, f"not UTF-8 text (byte 0x{byte:02x} at column {bad.start() + 1})")
+        return _parse(path)
+    except (_Refused, OverflowError, UnicodeDecodeError):  # OverflowError: an integer beyond float or int64
+        raise _earliest_defect(path) from None
 
 
-def _parse(path, source) -> RecordBatch:
-    """The batch of the text lines that the context manager ``source`` yields."""
+def _parse(path) -> RecordBatch:
+    """The batch of a valid record file; a defect raises ``_Refused`` or the error that showed it."""
     ids, flat, labels = [], [], []
     blanks = []  # the number of rows read before each blank line
     # One entry per run of lines with equal group, class list, value kind and K
     starts, groups, classes, logits, ks = [], [], [], [], []
     run_group = run_classes = run_logit = run_k = _NO_RUN
     names: dict[tuple, int] = {}
-    failure = None
-    with source as handle:
+    with open(path, encoding="utf-8") as handle:
         for line in handle:
             text = line.strip()
             if not text:
@@ -316,24 +247,18 @@ def _parse(path, source) -> RecordBatch:
                 continue
             try:
                 obj, end = _scan(text, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = -1
-            if end != len(text):
-                failure = RecordParseError(path, len(ids) + len(blanks) + 1, _json_problem(text))
-                break
-            # The gate: each test is one of _structure_problem's, which words the first that fails.
-            try:
                 rid, group, class_list = obj["id"], obj["group"], obj["classes"]
                 values = obj["logits"] if (logit := "logits" in obj) else obj["evidence"]
                 label = obj.get("label")
                 if not (
-                    type(rid) is str
+                    end == len(text)
+                    and type(rid) is str
                     and type(class_list) is list
                     and type(values) is list
                     and type(label) in _LABEL_TYPES
                     and not (logit and "evidence" in obj)
                 ):
-                    raise TypeError
+                    raise _Refused
                 if (
                     group != run_group
                     or class_list != run_classes
@@ -348,131 +273,151 @@ def _parse(path, source) -> RecordBatch:
                     # a group that is not a string ends its run, so two decoded containers are never compared
                     run_group = group if type(group) is str else _NO_RUN
                     run_classes, run_logit, run_k = class_list, logit, len(values)
-            except (KeyError, TypeError):  # not an object, a field missing, or a field of the wrong type
-                failure = RecordParseError(path, len(ids) + len(blanks) + 1, _structure_problem(obj))
-                break
+            # not JSON, not an object, a field missing or of the wrong type, or an unhashable class name
+            except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
+                raise _Refused from None
             ids.append(rid)
             flat += values
             labels.append(label)
+    class_names = tuple(names)
+    if not (
+        _all_numbers(flat)
+        and all(g == _ID or g == _OOD for g in groups)
+        and all(len(class_names[c]) == k >= 2 for c, k in zip(classes, ks))
+        and all(type(c) is str for key in class_names for c in key)
+        and len(set(ids)) == len(ids)
+    ):
+        raise _Refused
     rows = np.arange(len(ids))
     lines = rows + 1 + np.searchsorted(np.array(blanks, dtype=np.intp), rows, side="right")
-    starts = np.array(starts, dtype=np.intp)
-    k = np.repeat(np.array(ks, dtype=np.intp), np.diff(starts, append=len(ids)))
-    if not _all_numbers(flat):
-        first = next(i for i, v in enumerate(flat) if type(v) not in _NUMBER_TYPES)
-        n = int(np.searchsorted(np.cumsum(k), first, side="right"))
-        failure = RecordParseError(path, int(lines[n]), _VALUES_PROBLEM)
-        del flat[int(k[:n].sum()) :], ids[n:], labels[n:]
-        runs = int(np.searchsorted(starts, n))
-        starts, groups, classes, logits = starts[:runs], groups[:runs], classes[:runs], logits[:runs]
-        k, lines = k[:n], lines[:n]
-    # Only the rows before the earliest structural defect or non-number value
-    # were kept, so a numeric defect among them lies on an earlier line and is
-    # the one reported.
-    lengths = np.diff(starts, append=len(ids))
-    labelled = _mask(is_not, labels, None)
-    batch = _validated(
-        RecordBatch(
-            ids=ids,
-            ood=np.repeat(np.array([g == _OOD for g in groups], dtype=bool), lengths),
-            class_names=tuple(names),
-            class_index=np.repeat(np.array(classes, dtype=np.intp), lengths),
-            k=k,
-            values=_as_floats(flat),
-            labels=_as_labels(labels, labelled),
-            labelled=labelled,
-            lines=lines,
-            path=str(path),
-        ),
-        starts,
-        groups,
-        np.array(logits, dtype=bool),
-        labels,
+    lengths = np.diff(np.array(starts, dtype=np.intp), append=len(ids))
+    k = np.repeat(np.array(ks, dtype=np.intp), lengths)
+    labelled = np.fromiter(map(is_not, labels, repeat(None)), dtype=bool, count=len(labels))
+    label_column = np.full(len(ids), -1, dtype=np.int64)
+    label_column[labelled] = list(compress(labels, labelled))
+    if (labelled & ((label_column < 0) | (label_column >= k))).any():
+        raise _Refused
+    values = np.fromiter(flat, dtype=float, count=len(flat))
+    return RecordBatch(
+        ids=ids,
+        ood=np.repeat(np.array([g == _OOD for g in groups], dtype=bool), lengths),
+        class_names=class_names,
+        class_index=np.repeat(np.array(classes, dtype=np.intp), lengths),
+        k=k,
+        values=_evidence(values, k, np.repeat(np.array(logits, dtype=bool), lengths), set(ks)),
+        labels=label_column,
+        labelled=labelled,
+        lines=lines,
+        path=str(path),
     )
-    if failure is not None:
-        raise failure
-    return batch
 
 
-def _duplicates(ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
-    """Mask of rows whose id appeared on an earlier row, and each id's first row."""
-    duplicate = np.zeros(len(ids), dtype=bool)
-    first: dict[str, int] = {}
-    if len(set(ids)) < len(ids):
-        for row, rid in enumerate(ids):
-            duplicate[row] = first.setdefault(rid, row) != row
-    return duplicate, first
+def _evidence(values: np.ndarray, k: np.ndarray, logits: np.ndarray, widths: set[int]) -> np.ndarray:
+    """``values`` with softplus applied in place to the logits rows; ``_Refused`` if a numeric check fails.
 
-
-def _validated(batch: RecordBatch, starts: np.ndarray, groups: list, logits: np.ndarray, labels: list) -> RecordBatch:
-    """The batch with softplus applied to its logits rows, once every per-file check passed.
-
-    ``starts``, ``groups`` and ``logits`` give each run of equal lines its
-    first row, its group and whether it holds logits. One softplus call
-    covers every finite logits entry (a row with a non-finite entry is
-    reported by the first check); each K block is then gathered and checked
-    as one matrix, with S summed as the scorer sums it. The error names the
-    earliest line with any defect and, on that line, the first defect in
-    the order the checks are listed below.
+    ``k`` gives each row's K, ``logits`` marks the rows that hold logits and
+    ``widths`` lists the distinct K. One softplus call covers every logits
+    entry; each K block is then gathered as one matrix and its S summed as
+    the scorer sums it.
     """
-    n = len(batch)
-    lengths = np.diff(starts, append=n)
-    finite = np.isfinite(batch.values)
-    values = batch.values.copy()
-    nonfinite = np.zeros(n, dtype=bool)
-    overflow = np.zeros(n, dtype=bool)
-    negative = np.zeros(n, dtype=bool)
-    widths = set(batch.k[starts].tolist())
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged below
-        soft = np.repeat(logits, lengths * batch.k[starts]) & finite
-        values[soft] = softplus_evidence(values[soft])
-        for k in widths:
-            rows = np.flatnonzero(batch.k == k)
-            index = _flat_index(batch.k, rows)
-            block = values[index].reshape(len(rows), k)
-            nonfinite[rows] = ~finite[index].reshape(len(rows), k).all(axis=1)
-            overflow[rows] = ~finite_strength(block)
-            negative[rows] = (block < 0).any(axis=1)
-    ids, k = batch.ids, batch.k
-    bad_names = np.array([not all(type(c) is str for c in key) for key in batch.class_names], dtype=bool)
-    class_counts = np.array([len(key) for key in batch.class_names], dtype=np.intp)
-    duplicate, first_row = _duplicates(ids)
+    if not np.isfinite(values).all():
+        raise _Refused
+    soft = np.repeat(logits, k)
+    values[soft] = softplus_evidence(values[soft])
+    if (values < 0).any():
+        raise _Refused
+    for width in widths:
+        rows = np.flatnonzero(k == width)
+        if not finite_strength(values[_flat_index(k, rows)].reshape(len(rows), width)).all():
+            raise _Refused
+    return values
 
-    def first_negative(row: int) -> int:
-        start = int(k[:row].sum())
-        return int(np.argmax(values[start : start + k[row]] < 0))
 
-    checks = [
-        (nonfinite, lambda i: "evidence/logits must be finite"),
-        (overflow, lambda i: "total strength S = sum(evidence + 1) overflows"),
-        (
-            np.repeat(np.array([g != _ID and g != _OOD for g in groups], dtype=bool), lengths),
-            lambda i: f"{groups[int(np.searchsorted(starts, i, side='right')) - 1]!r} is not a valid Group",
-        ),
-        (bad_names[batch.class_index], lambda i: _CLASSES_PROBLEM),
-        (
-            class_counts[batch.class_index] != k,
-            lambda i: (
-                f"record {ids[i]!r}: evidence length {k[i]} != "
-                f"class count {class_counts[batch.class_index[i]]}"
-            ),
-        ),
-        (k < 2, lambda i: f"record {ids[i]!r}: needs at least 2 classes"),
-        (negative, lambda i: f"record {ids[i]!r}: negative evidence at index {first_negative(i)}"),
-        (
-            batch.labelled & ((batch.labels < 0) | (batch.labels >= k)),
-            lambda i: f"record {ids[i]!r}: gold_label {labels[i]} out of range",
-        ),
-        (
-            duplicate,
-            lambda i: f"duplicate id {ids[i]!r} (first on line {batch.lines[first_row[ids[i]]]})",
-        ),
-    ]
-    found = [(int(np.argmax(bad)), c) for c, (bad, _) in enumerate(checks) if bad.any()]
-    if found:
-        row, c = min(found)
-        raise RecordParseError(batch.path, int(batch.lines[row]), checks[c][1](row))
-    return replace(batch, values=values)
+def _float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def _earliest_defect(path) -> RecordParseError:
+    """The error of a refused file's earliest defective line, found by reading it line by line.
+
+    A file in which no line fails a check was refused by mistake, which
+    raises ``AssertionError`` rather than inventing a message.
+    """
+    first_lines: dict[str, int] = {}  # each id's line so far
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, 1):
+            problem = _line_problem(line, lineno, first_lines)
+            if problem is not None:
+                return RecordParseError(path, lineno, problem)
+    raise AssertionError(f"{path}: the reader refused a file in which no line has a defect")
+
+
+def _line_problem(line: str, lineno: int, first_lines: dict[str, int]) -> str | None:
+    """What is wrong with one line, by the first check that fails in the order below; None if nothing is."""
+    bad = not line.isascii() and _undecodable(line)
+    if bad:
+        return f"not UTF-8 text (byte 0x{ord(bad.group()) - 0xDC00:02x} at column {bad.start() + 1})"
+    text = line.strip()
+    if not text:
+        return None
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON ({exc.msg})"
+    except RecursionError:
+        return "invalid JSON (nested too deeply)"
+    except ValueError as exc:  # e.g. an integer literal beyond the int conversion limit
+        return f"invalid JSON ({exc})"
+    if type(obj) is not dict:
+        return "expected a JSON object"
+    missing = [key for key in ("id", "group", "classes") if key not in obj]
+    if missing:
+        return f"missing field {missing[0]!r}"
+    logit = "logits" in obj
+    if logit == ("evidence" in obj):
+        return "each line needs exactly one of 'evidence' or 'logits'"
+    rid, group, class_list, label = obj["id"], obj["group"], obj["classes"], obj.get("label")
+    values = obj["logits"] if logit else obj["evidence"]
+    if type(values) is not list or not _all_numbers(values):
+        return "evidence/logits must be a numeric array"
+    if type(class_list) is not list:
+        return _CLASSES_PROBLEM
+    if type(label) not in _LABEL_TYPES:
+        return "label must be an integer index"
+    try:
+        hash(tuple(class_list))
+    except TypeError:  # an array or object among the class names
+        return _CLASSES_PROBLEM
+    if type(rid) is not str:
+        return "id must be a string"
+    row = [_float(v) for v in values]
+    if not all(map(math.isfinite, row)):
+        return "evidence/logits must be finite"
+    if logit:
+        row = softplus_evidence(row).tolist()
+    # S can overflow, in any summation order, only if the magnitudes sum near the float maximum
+    if sum(map(abs, row)) + len(row) > 1e300 and not finite_strength(np.array([row]))[0]:
+        return "total strength S = sum(evidence + 1) overflows"
+    if group != _ID and group != _OOD:
+        return f"{group!r} is not a valid Group"
+    if not all(type(c) is str for c in class_list):
+        return _CLASSES_PROBLEM
+    k = len(values)
+    if k != len(class_list):
+        return f"record {rid!r}: evidence length {k} != class count {len(class_list)}"
+    if k < 2:
+        return f"record {rid!r}: needs at least 2 classes"
+    if min(row) < 0:
+        return f"record {rid!r}: negative evidence at index {next(i for i, v in enumerate(row) if v < 0)}"
+    if label is not None and not 0 <= label < k:
+        return f"record {rid!r}: gold_label {label} out of range"
+    first = first_lines.setdefault(rid, lineno)
+    if first != lineno:
+        return f"duplicate id {rid!r} (first on line {first})"
+    return None
 
 
 def serialize_records(batch: RecordBatch, path) -> None:

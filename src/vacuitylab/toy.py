@@ -343,7 +343,8 @@ def train_toy(config: ToyTrainConfig, points, labels) -> ToyTrainResult:
     """Fit the toy evidential head on labeled 2-D points.
 
     Deterministic given ``config.seed``. Raises :class:`TrainingDiverged`
-    if the loss stops being finite, reporting the offending step, and
+    if the loss stops being finite or the logits hold a NaN (an update left
+    the parameters non-finite), reporting the offending step, and
     ``ValueError`` if only the inference noise scale ``sigma_mult`` makes
     the final loss non-finite.
     """
@@ -372,7 +373,10 @@ def train_toy(config: ToyTrainConfig, points, labels) -> ToyTrainResult:
     with np.errstate(all="ignore"):  # a step whose loss is not finite raises TrainingDiverged instead
         for step in range(config.steps):
             lam = config.lambda_at(step)
-            grads = loss_gradient(params, batch, lam, config.beta_weight, int(step_seeds[step]))
+            try:
+                grads = loss_gradient(params, batch, lam, config.beta_weight, int(step_seeds[step]))
+            except ValueError as exc:  # NaN logits: the last update left the parameters non-finite
+                raise TrainingDiverged(step, str(exc), last_finite_loss) from None
             if not math.isfinite(grads.loss.total):
                 raise TrainingDiverged(step, f"loss = {grads.loss.total}", last_finite_loss)
             last_finite_loss = grads.loss.total
@@ -381,7 +385,10 @@ def train_toy(config: ToyTrainConfig, points, labels) -> ToyTrainResult:
 
     final_lambda = config.lambda_at(config.steps - 1) if config.steps else config.lambda_at(0)
     with np.errstate(all="ignore"):  # a non-finite final loss is an error below
-        final_loss = total_loss(params, batch, final_lambda, config.beta_weight, 0, training=False).total
+        try:
+            final_loss = total_loss(params, batch, final_lambda, config.beta_weight, 0, training=False).total
+        except ValueError as exc:  # NaN logits after the last update
+            raise TrainingDiverged(config.steps, str(exc), last_finite_loss) from None
         if not math.isfinite(final_loss):
             # finite at the training noise scale: the inference scale sigma_mult is at fault
             if math.isfinite(total_loss(params, batch, final_lambda, config.beta_weight, 0).total):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from vacuitylab import RecordBatch, RecordParseError, parse_records, remove_class, serialize_records
 from vacuitylab.cli import main
 from vacuitylab.dirichlet import EvidenceRecord
-from vacuitylab.records import _structure_problem
+from vacuitylab.records import _earliest_defect
 
 from oracles import parse_records_per_line, records_of
 
@@ -451,10 +451,12 @@ def test_defect_before_a_non_utf8_line_is_reported(tmp_path, first, n_good):
     assert DEFECTS[first][1] in str(info.value)
 
 
-def test_structure_problem_refuses_a_line_the_gate_passes():
-    """A gate test without a branch in _structure_problem fails loudly instead of getting another's message."""
+def test_checker_refuses_a_file_the_reader_passes(tmp_path):
+    """A file refused with no defect on any line fails loudly instead of getting some line's message."""
+    path = tmp_path / "r.jsonl"
+    path.write_text("".join(GOOD_LINE % n + "\n" for n in range(3)), encoding="utf-8")
     with pytest.raises(AssertionError):
-        _structure_problem(json.loads(GOOD_LINE % 0))
+        _earliest_defect(path)
 
 
 # A non-number among the values: types the per-file check must reject
@@ -483,6 +485,44 @@ def test_non_number_value_names_its_line(tmp_path_factory, bad, where, data):
     with pytest.raises(RecordParseError, match="numeric array") as info:
         parse_records(path)
     assert info.value.lineno == lineno
+
+
+@pytest.mark.parametrize("kind", [None, *DEFECTS, *BAD_VALUES])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_reader_and_checker_agree(tmp_path_factory, kind, data):
+    """A valid file is read; with one defective line injected, that line is reported with its kind's message.
+
+    Files mix K, blank lines and LF or CRLF ends. A file the reader refuses
+    but the checker finds valid would raise AssertionError here.
+    """
+    lines = data.draw(record_files()).split("\n")[:-1]
+    rows = [i for i, line in enumerate(lines) if line.strip()]
+    if kind in BAD_VALUES:
+        obj = json.loads(lines[data.draw(st.sampled_from(rows))])
+        key = "evidence" if "evidence" in obj else "logits"
+        values = list(obj[key])
+        values[data.draw(st.integers(0, len(values) - 1))] = BAD_VALUES[kind]
+        injected, message = json.dumps(dict(obj, id="bad", **{key: values})), "numeric array"
+    elif kind is not None:
+        injected, message = DEFECTS[kind][0].replace("%d", "999"), DEFECTS[kind][1]
+    if kind is not None:
+        # inserted before a row, or after the last; a duplicate needs an earlier row to repeat
+        at = data.draw(st.integers(int(kind == "duplicate"), len(rows)))
+        if kind == "duplicate":
+            earlier = rows[data.draw(st.integers(0, at - 1))]
+            lines[earlier] = json.dumps(dict(json.loads(lines[earlier]), id="ok0"))
+        position = rows[at] if at < len(rows) else len(lines)
+        lines.insert(position, injected)
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    path = tmp_path_factory.mktemp("agree") / "r.jsonl"
+    path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode("utf-8"))
+    if kind is None:
+        assert len(parse_records(path)) == len(rows)
+        return
+    with pytest.raises(RecordParseError) as info:
+        parse_records(path)
+    assert info.value.lineno == position + 1 and message in str(info.value), (kind, str(info.value))
 
 
 # (group, class-name prefix, logits?, K): the fields a run of equal lines shares

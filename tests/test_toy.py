@@ -339,6 +339,17 @@ class TestTrainToy:
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert TrainingDiverged(0, "loss = nan").last_finite_loss is None
 
+    @pytest.mark.parametrize("steps", [2, 50])
+    def test_nan_logits_are_a_divergence(self, tmp_path, capsys, steps):
+        """Step 1's loss is finite but its gradient is not: step 2's NaN logits end training, also on the last step."""
+        config = tmp_path / "toy.json"
+        config.write_text(json.dumps({"mode": "edl", "steps": steps, "learning_rate": 1e100}), encoding="utf-8")
+        assert main(["train-toy", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at step 2: logits must not contain NaN (last finite loss: ")
+        last = float(err.rsplit(": ", 1)[1].rstrip(")\n"))
+        assert math.isfinite(last) and last > 0
+
     def test_non_finite_final_loss_is_refused(self):
         """A last step that diverges, or an inference noise scale too large, leaves no NaN summary."""
         points, labels = generate_toy_classification(60, 4.0, seed=2)
