@@ -1,4 +1,4 @@
-"""Evidential training objectives.
+"""Evidential training objectives, evaluated in place.
 
 The classification loss is the expected Brier score under the predicted
 Dirichlet,
@@ -14,6 +14,17 @@ alpha_tilde keeps all wrong-class concentrations and resets the true class
 to 1. The information-bottleneck penalty is the proportional form
 0.5 (||mu||^2 + ||sigma||^2 - 2 sum log sigma_i); it differs from the exact
 Gaussian KL to a standard normal by the constant -C/2.
+
+Each term is the mean over a batch of (n, K) rows, computed, and followed
+by its gradient, in one pass over a ``LossArrays`` allocated once per
+batch. Its per-class arrays are class-major (Fortran order), and every
+elementwise op keeps that order, so a sum over classes is K - 1 vector
+adds instead of n short reductions. For K < 8 numpy adds the K entries of
+a row left to right in either order, and each op is the one of the
+row-major formula, operands swapped at most, so the bits are those of
+row-major arrays; for K >= 8 a row-major row sum is pairwise and the last
+bits may differ. Batch means are ``np.add.reduce(...) / n``, the bits of
+``.mean()``.
 """
 
 from __future__ import annotations
@@ -31,63 +42,125 @@ def softplus_evidence(logits) -> np.ndarray:
     return np.logaddexp(0.0, arr)
 
 
-class ExpectedBrier:
-    """Expected Brier score of (n, K) concentrations against one-hot targets.
+class LossArrays:
+    """The work arrays of the loss terms of n rows and K classes.
 
-    S and alpha/S are computed once and shared by the per-row score and its
-    gradient, so a training step can check the score before it asks for
-    the gradient.
+    ``p``, ``error``, ``am1``, ``t`` and ``u`` are class-major (n, K);
+    ``stacked`` is the class-major (n, K+1) ``[alpha_tilde | S]`` that
+    ``gamma_family`` reads, with ``alpha_tilde`` and ``total`` its views;
+    ``s`` to ``c2`` are (n, 1) columns. ``t``, ``u``, ``rows``, ``c1`` and
+    ``c2`` are scratch; the others carry a term's values to its gradient.
     """
 
-    def __init__(self, alpha, y_onehot):
-        self.alpha = alpha
-        self.y_onehot = y_onehot
-        self.s = alpha.sum(axis=1, keepdims=True)
-        self.p = alpha / self.s
-
-    def rows(self) -> np.ndarray:
-        """Per-row expected Brier score."""
-        alpha, s = self.alpha, self.s
-        squared = ((self.y_onehot - self.p) ** 2).sum(axis=1)
-        variance = (alpha * (s - alpha)).sum(axis=1) / (s[:, 0] ** 2 * (s[:, 0] + 1.0))
-        return squared + variance
-
-    def grad(self) -> np.ndarray:
-        """d/d alpha of the expected Brier score, per row."""
-        alpha, s, p = self.alpha, self.s, self.p
-        q = (alpha**2).sum(axis=1, keepdims=True)
-        denom = s**2 * (s + 1.0)
-        error = p - self.y_onehot
-        g_squared = (2.0 / s) * (error - (error * p).sum(axis=1, keepdims=True))
-        g_variance = ((2.0 * s - 2.0 * alpha) * denom - (s**2 - q) * (3.0 * s**2 + 2.0 * s)) / denom**2
-        return g_squared + g_variance
+    def __init__(self, n: int, k: int):
+        self.p, self.error, self.am1, self.t, self.u = (np.empty((n, k), order="F") for _ in range(5))
+        self.stacked = np.empty((n, k + 1), order="F")
+        self.alpha_tilde, self.total = self.stacked[:, :k], self.stacked[:, k:]
+        self.psi1 = None
+        self.s, self.s2, self.denom, self.rows, self.c1, self.c2 = (np.empty((n, 1)) for _ in range(6))
 
 
-def kl_to_uniform_rows(alpha_tilde, log_gamma_k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row KL(Dir(alpha_tilde) || Dir(1)) for (n, K) rows, and psi' of [alpha_tilde | S].
+def _mean(rows: np.ndarray) -> float:
+    return float(np.add.reduce(rows, axis=None)) / len(rows)
+
+
+def expected_brier(alpha, y_onehot, w: LossArrays) -> float:
+    """Mean expected Brier score; leaves S, S^2, S^2 (S + 1), p and p - y in ``w`` for the gradient."""
+    s, s2, denom, rows, c1, t = w.s, w.s2, w.denom, w.rows, w.c1, w.t
+    np.add.reduce(alpha, axis=1, keepdims=True, out=s)
+    np.multiply(s, s, out=s2)
+    np.add(s, 1.0, out=denom)
+    denom *= s2
+    np.divide(alpha, s, out=w.p)
+    error = np.subtract(w.p, y_onehot, out=w.error)
+    np.add.reduce(np.multiply(error, error, out=t), axis=1, keepdims=True, out=rows)
+    np.subtract(s, alpha, out=t)
+    t *= alpha
+    np.add.reduce(t, axis=1, keepdims=True, out=c1)
+    c1 /= denom
+    rows += c1
+    return _mean(rows)
+
+
+def expected_brier_grad(alpha, w: LossArrays) -> np.ndarray:
+    """d/d alpha of each row's Brier score, after ``expected_brier``; written over ``w.error``.
+
+    (2 / S) (e - sum e p) with e = p - y, plus
+    ((2 S - 2 alpha) S^2 (S + 1) - (S^2 - sum alpha^2) (3 S^2 + 2 S)) / (S^2 (S + 1))^2.
+    """
+    s, s2, denom, rows, c1, c2, t = w.s, w.s2, w.denom, w.rows, w.c1, w.c2, w.t
+    d_alpha = w.error
+    np.add.reduce(np.multiply(d_alpha, w.p, out=t), axis=1, keepdims=True, out=c1)
+    d_alpha -= c1
+    np.divide(2.0, s, out=c1)
+    d_alpha *= c1
+    np.multiply(alpha, 2.0, out=t)
+    np.multiply(s, 2.0, out=c1)
+    np.subtract(c1, t, out=t)
+    t *= denom
+    np.add.reduce(np.multiply(alpha, alpha, out=w.u), axis=1, keepdims=True, out=c1)
+    np.subtract(s2, c1, out=c1)
+    np.multiply(s2, 3.0, out=c2)
+    np.multiply(s, 2.0, out=rows)
+    c2 += rows
+    c1 *= c2
+    t -= c1
+    np.multiply(denom, denom, out=c1)
+    t /= c1
+    d_alpha += t
+    return d_alpha
+
+
+def kl_to_uniform(alpha, y_onehot, not_y, log_gamma_k: float, w: LossArrays) -> float:
+    """Mean KL(Dir(alpha_tilde) || Dir(1)) with alpha_tilde = y + (1 - y) alpha.
 
     Closed form, with S = sum a and ``log_gamma_k`` = log G(K):
         log G(S) - log G(K) - sum log G(a_i) + sum (a_i - 1) (psi(a_i) - psi(S))
-    ``gamma_family`` runs once over the stacked (n, K+1) array; the
-    returned psi' values feed ``kl_to_uniform_grad``.
+    ``gamma_family`` runs once over ``[alpha_tilde | S]``; alpha_tilde - 1,
+    S and psi' stay in ``w`` for ``add_kl_to_uniform_grad``.
     """
-    n, k = alpha_tilde.shape
-    # class-major, like the toy's arrays, so the sums over classes below are vector adds
-    stacked = np.empty((n, k + 1), order="F")
-    stacked[:, :k] = alpha_tilde
-    stacked[:, k] = alpha_tilde.sum(axis=1)
-    lg, psi, psi1 = gamma_family(stacked)
-    digamma_term = ((alpha_tilde - 1.0) * (psi[:, :k] - psi[:, k:])).sum(axis=1)
-    return lg[:, k] - log_gamma_k - lg[:, :k].sum(axis=1) + digamma_term, psi1
+    k = alpha.shape[1]
+    alpha_tilde, rows, c1, c2, t = w.alpha_tilde, w.rows, w.c1, w.c2, w.t
+    np.multiply(not_y, alpha, out=alpha_tilde)
+    alpha_tilde += y_onehot
+    np.add.reduce(alpha_tilde, axis=1, keepdims=True, out=w.total)
+    lg, psi, w.psi1 = gamma_family(w.stacked)
+    np.subtract(alpha_tilde, 1.0, out=w.am1)
+    np.subtract(psi[:, :k], psi[:, k:], out=t)
+    t *= w.am1
+    np.add.reduce(t, axis=1, keepdims=True, out=c1)
+    np.add.reduce(lg[:, :k], axis=1, keepdims=True, out=c2)
+    np.subtract(lg[:, k:], log_gamma_k, out=rows)
+    rows -= c2
+    rows += c1
+    return _mean(rows)
 
 
-def kl_to_uniform_grad(alpha_tilde, psi1) -> np.ndarray:
-    """d/d alpha_tilde of the per-row KL, from the psi' that ``kl_to_uniform_rows`` returned."""
-    k = alpha_tilde.shape[1]
-    totals = alpha_tilde.sum(axis=1, keepdims=True)
-    return (alpha_tilde - 1.0) * psi1[:, :k] - (totals - k) * psi1[:, k:]
+def add_kl_to_uniform_grad(d_alpha, not_y, lam: float, w: LossArrays) -> None:
+    """Add lam times d KL / d alpha, after ``kl_to_uniform``, to ``d_alpha``.
+
+    d KL / d alpha_tilde = (alpha_tilde - 1) psi'(alpha_tilde) - (S - K) psi'(S),
+    zero for the true class, whose alpha_tilde does not depend on alpha.
+    """
+    k = d_alpha.shape[1]
+    psi1, c1, t = w.psi1, w.c1, w.t
+    np.multiply(w.am1, psi1[:, :k], out=t)
+    np.subtract(w.total, k, out=c1)
+    c1 *= psi1[:, k:]
+    t -= c1
+    t *= not_y
+    t *= lam
+    d_alpha += t
 
 
-def ib_info_rows(mu, sigma) -> np.ndarray:
-    """Per-row penalty 0.5 (||mu||^2 + ||sigma||^2 - 2 sum log sigma) for (n, C) rows."""
-    return 0.5 * ((mu**2).sum(axis=1) + (sigma**2).sum(axis=1) - 2.0 * np.log(sigma).sum(axis=1))
+def ib_info(mu, sigma, w: LossArrays) -> float:
+    """Mean penalty 0.5 (||mu||^2 + ||sigma||^2 - 2 sum log sigma) of (n, C) rows."""
+    rows, c1, t = w.rows, w.c1, w.t
+    np.add.reduce(np.multiply(mu, mu, out=t), axis=1, keepdims=True, out=rows)
+    np.add.reduce(np.multiply(sigma, sigma, out=t), axis=1, keepdims=True, out=c1)
+    rows += c1
+    np.add.reduce(np.log(sigma, out=t), axis=1, keepdims=True, out=c1)
+    c1 *= 2.0
+    rows -= c1
+    rows *= 0.5
+    return _mean(rows)

@@ -15,7 +15,7 @@ test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -124,22 +124,49 @@ def init_params(
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """0.5 (1 + tanh(x / 2)), written into ``out``."""
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
-@dataclass(frozen=True)
+class _WorkArrays:
+    """The arrays a loss evaluation writes, allocated once per batch.
+
+    ``mu``, ``sigma_raw``, ``z`` and the scratch ``t`` and ``u`` are
+    class-major (n, K), ``grad`` is one head's row-major (n, K) logit
+    gradient, and ``loss`` holds the loss terms' arrays.
+    """
+
+    def __init__(self, n: int, k: int):
+        self.mu, self.sigma_raw, self.z, self.t, self.u = (np.empty((n, k), order="F") for _ in range(5))
+        self.grad = np.empty((n, k))
+        self.loss = losses.LossArrays(n, k)
+
+
+@dataclass(frozen=True, eq=False)
 class ToyBatch:
-    """A validated batch with its per-run invariants: one-hot labels and log G(K)."""
+    """A validated batch with its per-run invariants and the work arrays of its steps.
+
+    ``y_onehot`` and ``not_y = 1 - y_onehot`` are class-major (n, K), and
+    ``log_gamma_k`` is log G(K). Every ``total_loss`` or ``loss_gradient``
+    on the batch overwrites ``work``, so one batch serves one caller at a
+    time; what they return never aliases it.
+    """
 
     x: np.ndarray
     y_onehot: np.ndarray
+    not_y: np.ndarray
     log_gamma_k: float
+    work: _WorkArrays
 
     @classmethod
     def of(cls, params: ToyModelParams, features, labels) -> "ToyBatch":
         x = np.asarray(features, dtype=float)
-        y = np.asarray(labels, dtype=int)
+        y = _integer_labels(labels)
         if x.ndim != 2 or x.shape[1] != params.feature_dim:
             raise ValueError(f"features must be (n, {params.feature_dim})")
         if y.shape != (x.shape[0],):
@@ -149,78 +176,93 @@ class ToyBatch:
         if (y < 0).any() or (y >= params.n_classes).any():
             raise ValueError("labels out of range")
         y_onehot = np.asfortranarray(np.eye(params.n_classes)[y])
-        return cls(x, y_onehot, log_gamma(float(params.n_classes)))
+        return cls(x, y_onehot, 1.0 - y_onehot, log_gamma(float(params.n_classes)),
+                   _WorkArrays(x.shape[0], params.n_classes))
 
 
-# The per-class (n, K) arrays of a step are class-major (Fortran order), and
-# every elementwise op keeps that order, so a sum over classes is K - 1 vector
-# adds instead of n short reductions. For K < 8 numpy adds the K entries of a
-# row left to right in either order, so the bits are those of row-major
-# arrays; for K >= 8 a row-major row sum is pairwise and the last bits may
-# differ. Gradients go back to row-major before the sums over the batch, whose
+def _integer_labels(labels) -> np.ndarray:
+    """Labels as an array, refused unless their dtype is an integer one (a float or bool label is not cast)."""
+    y = np.asarray(labels)
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {y.dtype}")
+    return y
+
+
+# The forward arrays are class-major like the loss terms' (see ``losses``),
+# and gradients go back to row-major before the sums over the batch, whose
 # order does depend on the layout.
 
 
-def _forward(params: ToyModelParams, x: np.ndarray, rng_seed: int, training: bool) -> dict:
-    """Shared forward pass; IB noise is reparameterized with a seeded rng."""
-    mu = np.asfortranarray(x @ params.weights.T + params.bias)
-    out = {"mu": mu}
-    if params.mode is TrainingMode.EDL:
-        z = mu
-    else:
-        sigma_raw = np.asfortranarray(x @ params.sigma_weights.T + params.sigma_bias)
+def _forward(params: ToyModelParams, x: np.ndarray, rng_seed: int, training: bool, work: _WorkArrays):
+    """alpha = softplus(z) + 1, with z, and in IB mode sigma and eps (else None).
+
+    z = mu in EDL mode and mu + scale * sigma * eps in IB mode, where eps is
+    drawn from a generator seeded by ``rng_seed`` and the noise scale is 1
+    in training and ``params.sigma_mult`` otherwise. mu, and in IB mode
+    sigma_raw and z, are written into ``work``.
+    """
+    z = mu = np.add(x @ params.weights.T, params.bias, out=work.mu)
+    sigma = eps = None
+    if params.mode is TrainingMode.IB_EDL:
+        sigma_raw = np.add(x @ params.sigma_weights.T, params.sigma_bias, out=work.sigma_raw)
         sigma = losses.softplus_evidence(sigma_raw)
-        scale = 1.0 if training else params.sigma_mult
-        eps = np.asfortranarray(np.random.default_rng(rng_seed).standard_normal(mu.shape))
-        z = mu + scale * sigma * eps
-        out.update(sigma_raw=sigma_raw, sigma=sigma, eps=eps, scale=scale)
-    alpha = losses.softplus_evidence(z) + 1.0
-    out.update(z=z, alpha=alpha)
-    return out
+        eps = np.random.default_rng(rng_seed).standard_normal(mu.shape)
+        z = np.multiply(sigma, 1.0 if training else params.sigma_mult, out=work.z)
+        z *= eps
+        z += mu
+    alpha = losses.softplus_evidence(z)
+    alpha += 1.0
+    return alpha, z, sigma, eps
+
+
+def _batch_means(d_logits: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A head's weight and bias gradients: the batch means of d_logits x^T and of d_logits."""
+    n = x.shape[0]
+    weights = d_logits.T @ x
+    weights /= n
+    bias = np.add.reduce(d_logits, axis=0)
+    bias /= n
+    return weights, bias
 
 
 def _evaluate(params, batch: ToyBatch, lam, beta, rng_seed, training, gradient):
     """One forward pass: the loss terms, then the gradients if asked for and the loss is finite."""
-    x, y_onehot = batch.x, batch.y_onehot
-    fwd = _forward(params, x, rng_seed, training)
-    alpha = fwd["alpha"]
-    brier = losses.ExpectedBrier(alpha, y_onehot)
-    mse = float(brier.rows().mean())
+    w, y, not_y = batch.work, batch.y_onehot, batch.not_y
+    alpha, z, sigma, eps = _forward(params, batch.x, rng_seed, training, w)
+    mse = losses.expected_brier(alpha, y, w.loss)
     if params.mode is TrainingMode.EDL:
-        alpha_tilde = y_onehot + (1.0 - y_onehot) * alpha
-        kl_rows, psi1 = losses.kl_to_uniform_rows(alpha_tilde, batch.log_gamma_k)
-        kl = float(kl_rows.mean())
+        kl = losses.kl_to_uniform(alpha, y, not_y, batch.log_gamma_k, w.loss)
         loss = LossBreakdown(mse_term=mse, kl_term=kl, ib_info_term=0.0,
                              lambda_weight=lam, beta_weight=0.0, total=mse + lam * kl)
     else:
-        mu, sigma = fwd["mu"], fwd["sigma"]
-        info = float(losses.ib_info_rows(mu, sigma).mean())
+        info = losses.ib_info(w.mu, sigma, w.loss)
         loss = LossBreakdown(mse_term=mse, kl_term=0.0, ib_info_term=info,
                              lambda_weight=0.0, beta_weight=beta, total=mse + beta * info)
     if not gradient or not math.isfinite(loss.total):
         return ToyModelGrads(loss=loss, weights=None, bias=None)
 
-    n = x.shape[0]
-    d_alpha = brier.grad()
+    d_alpha = losses.expected_brier_grad(alpha, w.loss)
+    t, u = w.t, w.u
     if params.mode is TrainingMode.EDL:
-        # alpha_tilde keeps the wrong-class concentrations only
-        d_kl = losses.kl_to_uniform_grad(alpha_tilde, psi1) * (1.0 - y_onehot)
-        d_alpha = d_alpha + lam * d_kl
-        d_logits = np.ascontiguousarray(d_alpha * _sigmoid(fwd["z"]))
-        return ToyModelGrads(loss=loss, weights=d_logits.T @ x / n, bias=d_logits.mean(axis=0))
+        losses.add_kl_to_uniform_grad(d_alpha, not_y, lam, w.loss)
+        weights, bias = _batch_means(np.multiply(d_alpha, _sigmoid(z, t), out=w.grad), batch.x)
+        return ToyModelGrads(loss=loss, weights=weights, bias=bias)
 
-    eps, scale = fwd["eps"], fwd["scale"]
-    d_z = d_alpha * _sigmoid(fwd["z"])
-    d_mu = np.ascontiguousarray(d_z + beta * mu)
-    d_sigma = d_z * (scale * eps) + beta * (sigma - 1.0 / sigma)
-    d_sigma_raw = np.ascontiguousarray(d_sigma * _sigmoid(fwd["sigma_raw"]))
-    return ToyModelGrads(
-        loss=loss,
-        weights=d_mu.T @ x / n,
-        bias=d_mu.mean(axis=0),
-        sigma_weights=d_sigma_raw.T @ x / n,
-        sigma_bias=d_sigma_raw.mean(axis=0),
-    )
+    # d_z = d_alpha sigmoid(z); the logit gradients are d_z + beta mu for the mean
+    # head and (d_z scale eps + beta (sigma - 1 / sigma)) sigmoid(sigma_raw) for sigma's
+    d_z = d_alpha
+    d_z *= _sigmoid(z, t)
+    np.multiply(w.mu, beta, out=t)
+    weights, bias = _batch_means(np.add(d_z, t, out=w.grad), batch.x)
+    np.multiply(eps, 1.0 if training else params.sigma_mult, out=t)
+    t *= d_z
+    np.divide(1.0, sigma, out=u)
+    np.subtract(sigma, u, out=u)
+    u *= beta
+    t += u
+    sigma_weights, sigma_bias = _batch_means(np.multiply(t, _sigmoid(w.sigma_raw, u), out=w.grad), batch.x)
+    return ToyModelGrads(loss=loss, weights=weights, bias=bias,
+                         sigma_weights=sigma_weights, sigma_bias=sigma_bias)
 
 
 def total_loss(
@@ -332,7 +374,7 @@ def predict_alpha(
 ) -> np.ndarray:
     """Inference-time concentrations (IB noise scaled by sigma_mult)."""
     feats = featurizer.transform(points)
-    return _forward(params, feats, rng_seed, training=False)["alpha"]
+    return _forward(params, feats, rng_seed, False, _WorkArrays(feats.shape[0], params.n_classes))[0]
 
 
 def _mean_vacuity(alpha: np.ndarray) -> float:
@@ -349,7 +391,7 @@ def train_toy(config: ToyTrainConfig, points, labels) -> ToyTrainResult:
     the final loss non-finite.
     """
     pts = np.asarray(points, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    y = _integer_labels(labels)
     if pts.ndim != 2 or pts.shape[1] != 2 or y.shape != (pts.shape[0],):
         raise ValueError("expected (n, 2) points with matching labels")
     classes, counts = np.unique(y, return_counts=True)
@@ -369,6 +411,7 @@ def train_toy(config: ToyTrainConfig, points, labels) -> ToyTrainResult:
 
     heads = ("weights", "bias", "sigma_weights", "sigma_bias")
     heads = heads if config.mode is TrainingMode.IB_EDL else heads[:2]
+    arrays = [getattr(params, h) for h in heads]  # updated in place, step by step
     last_finite_loss = None
     with np.errstate(all="ignore"):  # a step whose loss is not finite raises TrainingDiverged instead
         for step in range(config.steps):
@@ -380,8 +423,8 @@ def train_toy(config: ToyTrainConfig, points, labels) -> ToyTrainResult:
             if not math.isfinite(grads.loss.total):
                 raise TrainingDiverged(step, f"loss = {grads.loss.total}", last_finite_loss)
             last_finite_loss = grads.loss.total
-            lr = config.learning_rate
-            params = replace(params, **{h: getattr(params, h) - lr * getattr(grads, h) for h in heads})
+            for array, head in zip(arrays, heads):
+                array -= config.learning_rate * getattr(grads, head)
 
     final_lambda = config.lambda_at(config.steps - 1) if config.steps else config.lambda_at(0)
     with np.errstate(all="ignore"):  # a non-finite final loss is an error below

@@ -6,9 +6,15 @@ check it against these one-record-at-a-time forms.
 - ``DirichletState`` and the functions of one state (``vacuity``,
   ``max_probability``, ``normalized_entropy``, ``invariance_concentration``
   and the rest) score one record from its evidence.
-- ``edl_mse_loss``, ``adjusted_alpha``, ``kl_to_uniform`` and
-  ``ib_info_loss`` are single-example wrappers over the library's batch
-  losses (``ExpectedBrier``, ``kl_to_uniform_rows``, ``ib_info_rows``).
+- ``ExpectedBrier``, ``kl_to_uniform_rows`` with ``kl_to_uniform_grad``,
+  and ``ib_info_rows`` are the loss terms and their gradients as
+  functions of (n, K) rows, each making new arrays; ``edl_mse_loss``,
+  ``adjusted_alpha``, ``kl_to_uniform`` and ``ib_info_loss`` call them on
+  a batch of one. ``row_major_step`` is the toy's loss and gradient step
+  built from them on row-major arrays: a bit-for-bit reference for
+  ``toy.loss_gradient`` (which runs ``vacuitylab.losses``'s in-place
+  class-major forms) below K = 8, where numpy adds the K entries of a row
+  left to right in either memory order, and a 1e-12 one from K = 8 on.
 - ``digamma_trigamma_masked`` shifts every entry below the cutoff one
   step at a time with a masked ``np.where``, repeated while any entry is
   below it; it is an accuracy reference for ``special.gamma_family``'s
@@ -32,10 +38,11 @@ from typing import Sequence
 import numpy as np
 
 from vacuitylab.dirichlet import EvidenceRecord, Group
-from vacuitylab.losses import ExpectedBrier, ib_info_rows, kl_to_uniform_rows
+from vacuitylab.losses import softplus_evidence
 from vacuitylab.metrics import ScoredSample
 from vacuitylab.records import RecordBatch
-from vacuitylab.special import log_gamma
+from vacuitylab.special import gamma_family, log_gamma
+from vacuitylab.toy import LossBreakdown, ToyModelGrads, TrainingMode
 
 
 @dataclass(frozen=True)
@@ -201,6 +208,113 @@ def digamma_trigamma_masked(x) -> tuple[np.ndarray, np.ndarray]:
         + u / arr * (1.0 / 6.0 - u * (1.0 / 30.0 - u * (1.0 / 42.0 - u * (1.0 / 30.0 - u * 5.0 / 66.0))))
     )
     return psi, psi1
+
+
+class ExpectedBrier:
+    """Expected Brier score of (n, K) concentrations against one-hot targets.
+
+    S and alpha/S are computed once and shared by the per-row score and its
+    gradient.
+    """
+
+    def __init__(self, alpha, y_onehot):
+        self.alpha = alpha
+        self.y_onehot = y_onehot
+        self.s = alpha.sum(axis=1, keepdims=True)
+        self.p = alpha / self.s
+
+    def rows(self) -> np.ndarray:
+        """Per-row expected Brier score."""
+        alpha, s = self.alpha, self.s
+        squared = ((self.y_onehot - self.p) ** 2).sum(axis=1)
+        variance = (alpha * (s - alpha)).sum(axis=1) / (s[:, 0] ** 2 * (s[:, 0] + 1.0))
+        return squared + variance
+
+    def grad(self) -> np.ndarray:
+        """d/d alpha of the expected Brier score, per row."""
+        alpha, s, p = self.alpha, self.s, self.p
+        q = (alpha**2).sum(axis=1, keepdims=True)
+        denom = s**2 * (s + 1.0)
+        error = p - self.y_onehot
+        g_squared = (2.0 / s) * (error - (error * p).sum(axis=1, keepdims=True))
+        g_variance = ((2.0 * s - 2.0 * alpha) * denom - (s**2 - q) * (3.0 * s**2 + 2.0 * s)) / denom**2
+        return g_squared + g_variance
+
+
+def kl_to_uniform_rows(alpha_tilde, log_gamma_k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row KL(Dir(alpha_tilde) || Dir(1)) for (n, K) rows, and psi' of [alpha_tilde | S].
+
+    Closed form, with S = sum a and ``log_gamma_k`` = log G(K):
+        log G(S) - log G(K) - sum log G(a_i) + sum (a_i - 1) (psi(a_i) - psi(S))
+    ``gamma_family`` runs once over the stacked class-major (n, K+1) array;
+    the returned psi' values feed ``kl_to_uniform_grad``.
+    """
+    n, k = alpha_tilde.shape
+    stacked = np.empty((n, k + 1), order="F")
+    stacked[:, :k] = alpha_tilde
+    stacked[:, k] = alpha_tilde.sum(axis=1)
+    lg, psi, psi1 = gamma_family(stacked)
+    digamma_term = ((alpha_tilde - 1.0) * (psi[:, :k] - psi[:, k:])).sum(axis=1)
+    return lg[:, k] - log_gamma_k - lg[:, :k].sum(axis=1) + digamma_term, psi1
+
+
+def kl_to_uniform_grad(alpha_tilde, psi1) -> np.ndarray:
+    """d/d alpha_tilde of the per-row KL, from the psi' that ``kl_to_uniform_rows`` returned."""
+    k = alpha_tilde.shape[1]
+    totals = alpha_tilde.sum(axis=1, keepdims=True)
+    return (alpha_tilde - 1.0) * psi1[:, :k] - (totals - k) * psi1[:, k:]
+
+
+def ib_info_rows(mu, sigma) -> np.ndarray:
+    """Per-row penalty 0.5 (||mu||^2 + ||sigma||^2 - 2 sum log sigma) for (n, C) rows."""
+    return 0.5 * ((mu**2).sum(axis=1) + (sigma**2).sum(axis=1) - 2.0 * np.log(sigma).sum(axis=1))
+
+
+def row_major_step(params, features, labels, lam, beta, rng_seed, training=True) -> ToyModelGrads:
+    """The loss terms and gradients of ``toy.loss_gradient``, from row-major arrays and the row forms above."""
+    x = np.asarray(features, dtype=float)
+    n, k = x.shape[0], params.n_classes
+    y_onehot = np.eye(k)[np.asarray(labels)]
+    mu = x @ params.weights.T + params.bias
+    if params.mode is TrainingMode.EDL:
+        z = mu
+    else:
+        sigma_raw = x @ params.sigma_weights.T + params.sigma_bias
+        sigma = softplus_evidence(sigma_raw)
+        scale = 1.0 if training else params.sigma_mult
+        eps = np.random.default_rng(rng_seed).standard_normal(mu.shape)
+        z = mu + scale * sigma * eps
+    alpha = softplus_evidence(z) + 1.0
+    brier = ExpectedBrier(alpha, y_onehot)
+    mse = float(brier.rows().mean())
+    d_alpha = brier.grad()
+
+    def sigmoid(v):
+        return 0.5 * (1.0 + np.tanh(0.5 * v))
+
+    if params.mode is TrainingMode.EDL:
+        alpha_tilde = y_onehot + (1.0 - y_onehot) * alpha
+        kl_rows, psi1 = kl_to_uniform_rows(alpha_tilde, log_gamma(float(k)))
+        kl = float(kl_rows.mean())
+        loss = LossBreakdown(mse_term=mse, kl_term=kl, ib_info_term=0.0,
+                             lambda_weight=lam, beta_weight=0.0, total=mse + lam * kl)
+        d_kl = kl_to_uniform_grad(alpha_tilde, psi1) * (1.0 - y_onehot)
+        d_logits = (d_alpha + lam * d_kl) * sigmoid(z)
+        return ToyModelGrads(loss=loss, weights=d_logits.T @ x / n, bias=d_logits.mean(axis=0))
+
+    info = float(ib_info_rows(mu, sigma).mean())
+    loss = LossBreakdown(mse_term=mse, kl_term=0.0, ib_info_term=info,
+                         lambda_weight=0.0, beta_weight=beta, total=mse + beta * info)
+    d_z = d_alpha * sigmoid(z)
+    d_mu = d_z + beta * mu
+    d_sigma_raw = (d_z * (scale * eps) + beta * (sigma - 1.0 / sigma)) * sigmoid(sigma_raw)
+    return ToyModelGrads(
+        loss=loss,
+        weights=d_mu.T @ x / n,
+        bias=d_mu.mean(axis=0),
+        sigma_weights=d_sigma_raw.T @ x / n,
+        sigma_bias=d_sigma_raw.mean(axis=0),
+    )
 
 
 def _validate_one_hot(y, k: int) -> np.ndarray:

@@ -1,11 +1,13 @@
-"""Loss functions against independent oracles.
+"""The toy's loss terms against independent oracles.
 
-The expected-Brier loss is checked against Monte-Carlo estimates of
-E_{p ~ Dir(alpha)}[sum (y - p)^2] (the quantity it claims to equal in
+The row forms in ``tests/oracles.py`` (the reference that
+``toy.loss_gradient`` is checked against bit for bit in ``test_toy.py``)
+are checked here: the expected-Brier loss against Monte-Carlo estimates
+of E_{p ~ Dir(alpha)}[sum (y - p)^2] (the quantity it claims to equal in
 closed form), and the KL regularizer against both a Monte-Carlo estimate
 of the log density ratio and an adaptive-quadrature integral over the
-simplex. Oracles use numpy/scipy machinery only, never the package's own
-special functions.
+simplex. Those estimates use numpy/scipy machinery only, never the
+package's own special functions.
 """
 
 import math
@@ -15,10 +17,18 @@ import pytest
 from scipy import integrate
 
 from vacuitylab import softplus_evidence
-from vacuitylab.losses import ExpectedBrier, kl_to_uniform_grad, kl_to_uniform_rows
 from vacuitylab.special import log_gamma
 
-from oracles import adjusted_alpha, dirichlet_state, edl_mse_loss, ib_info_loss, kl_to_uniform
+from oracles import (
+    ExpectedBrier,
+    adjusted_alpha,
+    dirichlet_state,
+    edl_mse_loss,
+    ib_info_loss,
+    kl_to_uniform,
+    kl_to_uniform_grad,
+    kl_to_uniform_rows,
+)
 
 # KL(Dir(2,2,2) || Dir(1,1,1)) by scipy dblquad over the 2-simplex,
 # frozen from a run with epsabs=epsrel=1e-12 (error estimate ~1e-12).

@@ -7,6 +7,7 @@ accuracy on separated blobs and the vacuity gap between the data region
 and far-away probes.
 """
 
+import copy
 import hashlib
 import json
 import math
@@ -33,9 +34,8 @@ from vacuitylab import (
 )
 from vacuitylab import special, toy
 from vacuitylab.cli import main
-from vacuitylab.special import log_gamma
 
-from oracles import adjusted_alpha, dirichlet_state, edl_mse_loss, kl_to_uniform
+from oracles import adjusted_alpha, dirichlet_state, edl_mse_loss, kl_to_uniform, row_major_step
 
 REL_TOL = 1e-5
 ABS_FLOOR = 1e-8
@@ -173,6 +173,13 @@ class TestTotalLoss:
         with pytest.raises(ValueError, match="empty"):
             ToyBatch.of(params, np.zeros((0, 3)), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize("labels", [[0.9, 1.7], [0.0, 1.0], np.array([False, True])])
+    def test_non_integer_labels_rejected(self, labels):
+        """A float or bool label is refused, not truncated or cast: [0.9, 1.7] would read as [0, 1]."""
+        params = init_params(TrainingMode.EDL, 2, 3)
+        with pytest.raises(ValueError, match="labels must be integers, got dtype (float64|bool)"):
+            ToyBatch.of(params, np.zeros((2, 3)), labels)
+
 
 class TestLossGradient:
     def test_edl_random_configs(self):
@@ -216,29 +223,74 @@ class TestLossGradient:
         np.testing.assert_allclose(g.bias[0], g.bias[1], rtol=1e-12)
 
 
-@pytest.mark.parametrize("mode", list(TrainingMode))
-@pytest.mark.parametrize("k", range(2, 8))
-def test_class_major_step_has_row_major_bits(monkeypatch, mode, k):
-    """The loss and gradients of a class-major step equal those of the same step on row-major arrays."""
+HEADS = ("weights", "bias", "sigma_weights", "sigma_bias")
+
+
+def step_cases(mode, k):
+    """The class-major step and the row-major reference on the benchmark toy's batch size and features.
+
+    Yields both at the training noise scale and at inference with
+    sigma_mult = 0.7 (the IB noise scale; EDL ignores it).
+    """
+    points, _ = generate_toy_classification(250, 3.0, seed=k)
+    features = RbfFeaturizer.for_data(points).transform(points)
     rng = np.random.default_rng(k)
-    params = random_params(rng, mode, k=k, d=6)
-    features, labels = random_batch(rng, k=k, d=6, n=40)
+    params = random_params(rng, mode, k=k, d=features.shape[1])
+    params = ToyModelParams(params.weights, params.bias, mode, params.sigma_weights, params.sigma_bias, 0.7)
+    labels = rng.integers(0, k, len(features))
     batch = ToyBatch.of(params, features, labels)
     assert batch.y_onehot.flags.f_contiguous
-    assert toy._forward(params, batch.x, 5, True)["alpha"].flags.f_contiguous
-    class_major = loss_gradient(params, batch, 0.7, 1e-2, 5)
+    assert toy._forward(params, batch.x, 5, True, batch.work)[0].flags.f_contiguous
+    for training in (True, False):
+        yield (loss_gradient(params, batch, 0.7, 1e-2, 5, training),
+               row_major_step(params, features, labels, 0.7, 1e-2, 5, training))
 
-    forward = toy._forward
-    monkeypatch.setattr(toy, "_forward", lambda *args: {
-        name: np.ascontiguousarray(value) if isinstance(value, np.ndarray) else value
-        for name, value in forward(*args).items()
-    })
-    row_major_batch = ToyBatch(batch.x, np.eye(k)[labels], log_gamma(float(k)))
-    row_major = loss_gradient(params, row_major_batch, 0.7, 1e-2, 5)
-    assert class_major.loss == row_major.loss
-    for head in ("weights", "bias", "sigma_weights", "sigma_bias"):
-        got, expected = getattr(class_major, head), getattr(row_major, head)
-        assert (got is None and expected is None) or got.tobytes() == expected.tobytes(), head
+
+def assert_same_step(got, expected):
+    """Equal loss terms and gradient heads, bit for bit."""
+    assert got.loss == expected.loss
+    for head in HEADS:
+        g, e = getattr(got, head), getattr(expected, head)
+        assert (g is None and e is None) or g.tobytes() == e.tobytes(), head
+
+
+@pytest.mark.parametrize("mode", list(TrainingMode))
+@pytest.mark.parametrize("k", range(2, 8))
+def test_class_major_step_has_row_major_bits(mode, k):
+    """Below K = 8 the loss terms and every gradient head equal the row-major reference step's bit for bit."""
+    for got, expected in step_cases(mode, k):
+        assert_same_step(got, expected)
+
+
+@pytest.mark.parametrize("mode", list(TrainingMode))
+@pytest.mark.parametrize("k", range(8, 13))
+def test_class_major_step_is_near_row_major_from_eight_classes(mode, k):
+    """From K = 8 on a row-major row sum is pairwise: the step agrees with the reference within 1e-12."""
+    for got, expected in step_cases(mode, k):
+        for term in ("mse_term", "kl_term", "ib_info_term", "total"):
+            assert getattr(got.loss, term) == pytest.approx(getattr(expected.loss, term), rel=1e-12, abs=0.0)
+        for head in HEADS:
+            g, e = getattr(got, head), getattr(expected, head)
+            assert (g is None) == (e is None), head
+            if e is not None:
+                assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max(), head
+
+
+@pytest.mark.parametrize("mode", list(TrainingMode))
+def test_work_arrays_do_not_leak_between_calls(mode):
+    """A batch's work arrays are rewritten by every call; what an earlier call returned stays as it was."""
+    rng = np.random.default_rng(9)
+    first, second = random_params(rng, mode, d=6), random_params(rng, mode, d=6)
+    features, labels = random_batch(rng, d=6, n=30)
+    batch = ToyBatch.of(first, features, labels)
+    grads = loss_gradient(first, batch, 0.7, 1e-2, 5)
+    kept = copy.deepcopy(grads)
+    assert loss_gradient(second, batch, 0.7, 1e-2, 6).loss != grads.loss
+    assert_same_step(grads, kept)
+    # a loss-only evaluation between two steps changes neither the first step nor the next
+    total_loss(second, batch, 0.7, 1e-2, 6, training=False)
+    assert_same_step(loss_gradient(first, batch, 0.7, 1e-2, 5), kept)
+    assert_same_step(grads, kept)
 
 
 def test_edl_step_validates_its_special_arguments_once(monkeypatch):
@@ -369,6 +421,13 @@ class TestTrainToy:
             train_toy(ToyTrainConfig(), points, labels)
         with pytest.raises(ValueError, match="2 classes"):
             train_toy(ToyTrainConfig(), np.zeros((60, 2)), np.zeros(60, dtype=int))
+
+    def test_non_integer_labels_rejected(self):
+        """Labels 0/1 shifted by 0.6 would truncate back to 0/1 and train; float and bool labels are refused."""
+        points, labels = generate_toy_classification(60, 4.0, seed=1)
+        for bad in (labels + 0.6, labels.astype(bool)):
+            with pytest.raises(ValueError, match="labels must be integers"):
+                train_toy(ToyTrainConfig(steps=1), points, bad)
 
     def test_probes_are_far(self):
         points, _ = generate_toy_classification(60, 4.0, seed=1)
