@@ -185,8 +185,6 @@ def _print_audit(report) -> None:
 
 
 def _write_warnings(out_dir: str | None, warnings: list[dict]) -> None:
-    if not warnings:
-        return
     for w in warnings:
         print(f"warning: {json.dumps(w)}", file=sys.stderr)
     if out_dir is not None:
@@ -365,9 +363,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CardinalityMismatchError as exc:
         _print_audit(exc.report)
         print(exc)

@@ -303,15 +303,13 @@ def run_expansion_experiment(
     id_wide = widened(id_records) if matched else None
     ood_wide = widened(ood_records)
     labels = np.concatenate([_labels(id_records, orientation), _labels(ood_records, orientation)])
-    id_scores = _batch_scores(id_records, metric, orientation)
-    rows = [evaluate(id_scores, _batch_scores(ood_records, metric, orientation), base_k, base_k)]
-    for k_target in range(base_k + 1, spec.k_max + 1):
+    id_scores = None if matched else _batch_scores(id_records, metric, orientation)
+    rows = []
+    for k_target in range(base_k, spec.k_max + 1):
         ood_scores = _batch_scores(ood_records, metric, orientation, ood_wide[:, :k_target])
         if matched:
-            id_target = _batch_scores(id_records, metric, orientation, id_wide[:, :k_target])
-            rows.append(evaluate(id_target, ood_scores, k_target, k_target))
-        else:
-            rows.append(evaluate(id_scores, ood_scores, base_k, k_target))
+            id_scores = _batch_scores(id_records, metric, orientation, id_wide[:, :k_target])
+        rows.append(evaluate(id_scores, ood_scores, k_target if matched else base_k, k_target))
     return ExpansionRun(
         mode=spec.mode,
         metric=metric,

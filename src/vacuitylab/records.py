@@ -177,9 +177,9 @@ class RecordBatch:
         evidence = self.evidence
         k = evidence.shape[1]
         if not 0 <= index < k:
-            raise ValueError(f"class_index {index} out of range for K={k}")
+            raise ValueError(f"{self.path or '<records>'}: class_index {index} out of range for K={k}")
         if k <= 2:
-            raise ValueError("cannot remove a class from a 2-class record")
+            raise ValueError(f"{self.path or '<records>'}: cannot remove a class from a 2-class record")
         if (self.labelled & (self.labels == index)).any():
             raise ValueError(f"rows labelled with class {index} must be excluded first")
         return replace(

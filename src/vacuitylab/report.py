@@ -55,20 +55,18 @@ def _row(condition: str, res: DetectionResult, baseline: DetectionResult | None)
     }
 
 
+def _result(kind: str, name: str, metric: str, rows: list[dict], **fields) -> dict:
+    """A result object in its fixed key order: kind, name, metric, the kind's own fields, rows."""
+    return {"kind": kind, "name": name, "metric": metric, **fields, "rows": rows}
+
+
 def expansion_result_dict(name: str, run: ExpansionRun) -> dict:
-    rows = [_row("baseline", run.baseline, None)]
     label = f"{run.mode.value} expansion"
-    for res in run.rows[1:]:
-        rows.append(_row(label, res, run.baseline))
-    return {
-        "kind": "expansion",
-        "name": name,
-        "metric": run.metric.value,
-        "orientation": run.orientation.value,
-        "mode": run.mode.value,
-        "appended_evidence": run.appended_evidence,
-        "rows": rows,
-    }
+    rows = [_row("baseline", run.baseline, None), *(_row(label, res, run.baseline) for res in run.rows[1:])]
+    return _result(
+        "expansion", name, run.metric.value, rows,
+        orientation=run.orientation.value, mode=run.mode.value, appended_evidence=run.appended_evidence,
+    )
 
 
 def restriction_result_dict(
@@ -78,26 +76,15 @@ def restriction_result_dict(
         _row("as-is (mismatched K)", result.as_is, None),
         _row(f"removed class {removed_class_index}", result.removed, result.as_is),
     ]
-    return {
-        "kind": "restriction",
-        "name": name,
-        "metric": result.as_is.metric_name,
-        "removed_class_index": removed_class_index,
-        "excluded_ids": list(result.excluded_ids),
-        "excluded_count": len(result.excluded_ids),
-        "warnings": list(result.warnings),
-        "rows": rows,
-    }
+    return _result(
+        "restriction", name, result.as_is.metric_name, rows,
+        removed_class_index=removed_class_index, excluded_ids=list(result.excluded_ids),
+        excluded_count=len(result.excluded_ids), warnings=list(result.warnings),
+    )
 
 
 def detection_result_dict(name: str, condition: str, res: DetectionResult, orientation: str) -> dict:
-    return {
-        "kind": "detection",
-        "name": name,
-        "metric": res.metric_name,
-        "orientation": orientation,
-        "rows": [_row(condition, res, None)],
-    }
+    return _result("detection", name, res.metric_name, [_row(condition, res, None)], orientation=orientation)
 
 
 def _is_number(value) -> bool:
@@ -135,14 +122,21 @@ def result_problem(result) -> str | None:
     return None
 
 
-def _fmt_cell(key: str, value, human: bool) -> str:
+def _md_cell(key: str, value) -> str:
     if isinstance(value, float):
-        if not human:
-            return repr(value)
         if key.startswith("delta_"):
             return f"{value:+.3f}" if value else "0.000"
         return f"{value:.3f}"
     return str(value)
+
+
+def _csv(rows: list[dict], columns: tuple[str, ...]) -> str:
+    """A header line of ``columns``, then one line per row: floats by repr (round-trip exact), the rest by str."""
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = [row[c] for c in columns]
+        lines.append(",".join([repr(v) if isinstance(v, float) else str(v) for v in cells]))
+    return "\n".join(lines) + "\n"
 
 
 def render_table(result: dict, fmt: str) -> str:
@@ -151,10 +145,7 @@ def render_table(result: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(result, indent=2) + "\n"
     if fmt == "csv":
-        lines = [",".join(TABLE_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(_fmt_cell(c, row[c], human=False) for c in TABLE_COLUMNS))
-        return "\n".join(lines) + "\n"
+        return _csv(rows, TABLE_COLUMNS)
     if fmt == "md":
         headers = ("Condition", "K_ID", "K_OOD", "AUROC", "dAUROC", "AUPR", "dAUPR", "AUPR_base")
         cols = TABLE_COLUMNS[:8]
@@ -163,26 +154,20 @@ def render_table(result: dict, fmt: str) -> str:
             "|" + "|".join("---" for _ in headers) + "|",
         ]
         for row in rows:
-            body.append(
-                "| " + " | ".join(_fmt_cell(c, row[c], human=True) for c in cols) + " |"
-            )
+            body.append("| " + " | ".join(_md_cell(c, row[c]) for c in cols) + " |")
         title = f"{result['kind']}: metric={result['metric']}"
         return f"### {title}\n\n" + "\n".join(body) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
 def sweep_csv(result: dict) -> str:
-    lines = ["k_ood,auroc,aupr,aupr_baseline"]
-    for row in result["rows"]:
-        lines.append(
-            f"{row['k_ood']},{row['auroc']!r},{row['aupr']!r},{row['aupr_baseline']!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(result["rows"], ("k_ood", "auroc", "aupr", "aupr_baseline"))
 
 
 _SVG_W, _SVG_H = 600, 380
 _ML, _MR, _MT, _MB = 60, 150, 40, 50
 _SERIES = (("auroc", "#1f77b4"), ("aupr", "#d62728"))
+_BASELINE_STROKE = ("#888888", 1, "5,4")  # colour, width and dash of the AUPR-baseline line
 
 
 def _x_pos(k: float, k_min: float, k_max: float) -> float:
@@ -192,6 +177,34 @@ def _x_pos(k: float, k_min: float, k_max: float) -> float:
 
 def _y_pos(v: float) -> float:
     return _MT + (1.0 - v) * (_SVG_H - _MT - _MB)
+
+
+def _coord(v) -> str:
+    """An SVG coordinate: a float to 2 decimals, an int as it is."""
+    return f"{v:.2f}" if isinstance(v, float) else str(v)
+
+
+def _line(x1, y1, x2, y2, stroke: str, width: int, dash: str = "") -> str:
+    dasharray = f' stroke-dasharray="{dash}"' if dash else ""
+    return (
+        f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" x2="{_coord(x2)}" y2="{_coord(y2)}" '
+        f'stroke="{stroke}" stroke-width="{width}"{dasharray}/>'
+    )
+
+
+def _text(x, y, size: int, content: str, anchor: str = "") -> str:
+    """A sans-serif ``<text>`` element; ``content`` is written as given, already escaped."""
+    text_anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{_coord(x)}" y="{_coord(y)}" font-family="sans-serif" font-size="{size}"{text_anchor}>'
+        f"{content}</text>"
+    )
+
+
+def _legend(slot: int, label: str, stroke: str, width: int, dash: str = "") -> list[str]:
+    """The legend entry in row ``slot`` of the right margin: a sample of the line, then its label."""
+    x, y = _SVG_W - _MR + 16, _MT + 10 + 20 * slot
+    return [_line(x, y, x + 22, y, stroke, width, dash), _text(x + 28, y + 4, 12, label)]
 
 
 def sweep_svg(result: dict) -> str:
@@ -210,70 +223,27 @@ def sweep_svg(result: dict) -> str:
         _escape(sweep_csv(result)).rstrip(),
         "</metadata>",
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<text x="{_ML}" y="24" font-family="sans-serif" font-size="14">{_escape(title)}</text>',
+        _text(_ML, 24, 14, _escape(title)),
     ]
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = _y_pos(tick)
-        parts.append(
-            f'<line x1="{_ML}" y1="{y:.2f}" x2="{_SVG_W - _MR}" y2="{y:.2f}" '
-            'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_ML - 8}" y="{y + 4:.2f}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="end">{tick:.2f}</text>'
-        )
+        parts.append(_line(_ML, y, _SVG_W - _MR, y, "#dddddd", 1))
+        parts.append(_text(_ML - 8, y + 4, 11, f"{tick:.2f}", "end"))
+    y_axis = _y_pos(0.0)
     for k in sorted(set(ks)):
         x = _x_pos(k, k_min, k_max)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{_y_pos(0.0):.2f}" x2="{x:.2f}" y2="{_y_pos(0.0) + 5:.2f}" '
-            'stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{_y_pos(0.0) + 20:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{k}</text>'
-        )
-    parts.append(
-        f'<text x="{(_ML + _SVG_W - _MR) / 2:.2f}" y="{_SVG_H - 12}" font-family="sans-serif" '
-        'font-size="12" text-anchor="middle">evaluated OOD class count K</text>'
-    )
-    base = rows[0]["aupr_baseline"]
-    y_base = _y_pos(base)
-    parts.append(
-        f'<line x1="{_ML}" y1="{y_base:.2f}" x2="{_SVG_W - _MR}" y2="{y_base:.2f}" '
-        'stroke="#888888" stroke-width="1" stroke-dasharray="5,4"/>'
-    )
-    legend_y = _MT + 10
-    for name, color in _SERIES:
-        points = " ".join(
-            f"{_x_pos(row['k_ood'], k_min, k_max):.2f},{_y_pos(row[name]):.2f}" for row in rows
-        )
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
-        )
-        for row in rows:
-            parts.append(
-                f'<circle cx="{_x_pos(row["k_ood"], k_min, k_max):.2f}" '
-                f'cy="{_y_pos(row[name]):.2f}" r="3.5" fill="{color}"/>'
-            )
-        lx = _SVG_W - _MR + 16
-        parts.append(
-            f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 22}" y2="{legend_y}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 28}" y="{legend_y + 4}" font-family="sans-serif" '
-            f'font-size="12">{name.upper()}</text>'
-        )
-        legend_y += 20
-    lx = _SVG_W - _MR + 16
-    parts.append(
-        f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 22}" y2="{legend_y}" '
-        'stroke="#888888" stroke-width="1" stroke-dasharray="5,4"/>'
-    )
-    parts.append(
-        f'<text x="{lx + 28}" y="{legend_y + 4}" font-family="sans-serif" '
-        'font-size="12">AUPR baseline</text>'
-    )
+        parts.append(_line(x, y_axis, x, y_axis + 5, "#333333", 1))
+        parts.append(_text(x, y_axis + 20, 11, str(k), "middle"))
+    parts.append(_text((_ML + _SVG_W - _MR) / 2, _SVG_H - 12, 12, "evaluated OOD class count K", "middle"))
+    y_base = _y_pos(rows[0]["aupr_baseline"])
+    parts.append(_line(_ML, y_base, _SVG_W - _MR, y_base, *_BASELINE_STROKE))
+    for slot, (name, color) in enumerate(_SERIES):
+        points = [(_x_pos(row["k_ood"], k_min, k_max), _y_pos(row[name])) for row in rows]
+        polyline = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        parts.append(f'<polyline points="{polyline}" fill="none" stroke="{color}" stroke-width="2"/>')
+        parts.extend(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" fill="{color}"/>' for x, y in points)
+        parts.extend(_legend(slot, name.upper(), color, 2))
+    parts.extend(_legend(len(_SERIES), "AUPR baseline", *_BASELINE_STROKE))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -275,6 +275,7 @@ JSON_DEFECTS = {
     "extra-data": (b'{"seed": 1}\n{"seed": 2}\n', "line 2 column 1: Extra data"),
     "bad-key": (b"{broken", "line 1 column 2: Expecting property name enclosed in double quotes"),
     "not-utf8": (b'{"seed": "\xff"}', "byte 10: not UTF-8 text"),
+    "too-deep": (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply"),
 }
 
 
@@ -586,12 +587,28 @@ def test_expansion_overflow_names_record_and_k(tmp_path, capsys, mode, evidence,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309", "abc"])
 def test_non_finite_evidence_is_usage_error(files, capsys, value):
     argv = ["expand", str(files["id"]), str(files["ood"]), "--mode", "ood-only", "--k-max", "6"]
     assert main([*argv, f"--evidence={value}"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error:") and "--evidence" in err and value in err
+    assert err == f"usage error: argument --evidence: expected a finite number or 'invariance', got {value!r}\n"
+
+
+@pytest.mark.parametrize(
+    "k, index, message",
+    [(3, "7", "class_index 7 out of range for K=3"), (2, "0", "cannot remove a class from a 2-class record")],
+    ids=["out-of-range", "two-classes"],
+)
+def test_unremovable_class_names_the_file(tmp_path, capsys, k, index, message):
+    """A class restrict cannot remove is exit 1 with an error naming the OOD file it was to be removed from."""
+    paths = []
+    for group in ("id", "ood"):
+        records = [make_record(f"{group}{i}", [float(i + j) for j in range(k)], group) for i in range(4)]
+        paths.append(tmp_path / f"{group}{k}.jsonl")
+        serialize_records(RecordBatch.from_records(records), paths[-1])
+    assert main(["restrict", *map(str, paths), "--remove-class", index]) == 1
+    assert capsys.readouterr().err == f"error: {paths[1]}: {message}\n"
 
 
 @pytest.fixture

@@ -404,6 +404,7 @@ DEFECTS = {
     "classes-type": ('{"id": "c%d", "group": "id", "classes": "AB", "evidence": [1, 2]}', "array of strings"),
     "unhashable-class": ('{"id": "u%d", "group": "id", "classes": [["A"], "B"], "evidence": [1, 2]}',
                          "array of strings"),
+    "number-class": ('{"id": "p%d", "group": "id", "classes": [1, "B"], "evidence": [1, 2]}', "array of strings"),
 }
 
 
