@@ -8,65 +8,56 @@ columnar prediction sets (``RecordBatch``) scored as (n, K) evidence
 matrices, from-scratch AUROC/AUPR, the experiments that expose the
 inflation artefact, a toy evidential classifier, and a CLI that refuses
 mismatched comparisons unless explicitly overridden.
+
+``import vacuitylab`` loads no submodule: each public name is looked up in
+its submodule the first time it is used (PEP 562), so a CLI command loads
+only the modules it runs.
 """
 
-from .dirichlet import EvidenceRecord, Group, append_classes, remove_class
-from .experiments import (
-    INVARIANCE_EVIDENCE,
-    MIXED,
-    AuditReport,
-    CardinalityMismatchError,
-    ExpansionMode,
-    ExpansionRun,
-    ExpansionSpec,
-    Metric,
-    Orientation,
-    RestrictionResult,
-    Verdict,
-    audit_cardinality,
-    mismatch_warning,
-    run_expansion_experiment,
-    run_restriction_experiment,
-    score_group,
-    score_record,
-)
-from .losses import softplus_evidence
-from .metrics import (
-    DetectionResult,
-    ScoredSample,
-    aupr,
-    aupr_baseline,
-    aupr_scores,
-    auroc,
-    auroc_scores,
-    evaluate_detection,
-    evaluate_scores,
-)
-from .records import RecordBatch, RecordParseError, parse_records, serialize_records
-from .special import digamma, gamma_family, log_gamma
-from .synthetic import (
-    PopulationParams,
-    generate_evidence_population,
-    generate_toy_classification,
-    overlap_population_params,
-    stream_rng,
-)
-from .toy import (
-    LossBreakdown,
-    RbfFeaturizer,
-    ToyBatch,
-    ToyModelGrads,
-    ToyModelParams,
-    ToyTrainConfig,
-    ToyTrainResult,
-    TrainingDiverged,
-    TrainingMode,
-    far_probe_points,
-    init_params,
-    loss_gradient,
-    predict_alpha,
-    total_loss,
-    train_toy,
-)
+import importlib
 
+# public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "dirichlet": ("EvidenceRecord", "Group", "append_classes", "remove_class"),
+        "experiments": (
+            "INVARIANCE_EVIDENCE", "MIXED", "AuditReport", "CardinalityMismatchError", "ExpansionMode",
+            "ExpansionRun", "ExpansionSpec", "Metric", "Orientation", "RestrictionResult", "Verdict",
+            "audit_cardinality", "mismatch_warning", "run_expansion_experiment", "run_restriction_experiment",
+            "score_group", "score_record",
+        ),
+        "losses": ("softplus_evidence",),
+        "metrics": (
+            "DetectionResult", "ScoredSample", "aupr", "aupr_baseline", "aupr_scores", "auroc",
+            "auroc_scores", "evaluate_detection", "evaluate_scores",
+        ),
+        "records": ("RecordBatch", "RecordParseError", "parse_records", "serialize_records"),
+        "special": ("digamma", "gamma_family", "log_gamma"),
+        "synthetic": (
+            "PopulationParams", "generate_evidence_population", "generate_toy_classification",
+            "overlap_population_params", "stream_rng",
+        ),
+        "toy": (
+            "LossBreakdown", "RbfFeaturizer", "ToyBatch", "ToyModelGrads", "ToyModelParams", "ToyTrainConfig",
+            "ToyTrainResult", "TrainingDiverged", "TrainingMode", "far_probe_points", "init_params",
+            "loss_gradient", "predict_alpha", "total_loss", "train_toy",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # not cached here, so the name always is its submodule's current attribute
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

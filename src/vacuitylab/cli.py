@@ -45,14 +45,9 @@ from .report import (
     warnings_jsonl,
     write_files,
 )
-from .synthetic import (
-    PopulationParams,
-    generate_evidence_population,
-    generate_toy_classification,
-    require_int,
-    require_number,
-)
-from .toy import ToyTrainConfig, TrainingDiverged, train_toy
+
+# simulate and train-toy import .synthetic and .toy when they run, so the
+# record commands load neither the generators nor the toy trainer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,6 +56,10 @@ EXIT_AUDIT_FAIL = 2
 
 class _UsageError(Exception):
     pass
+
+
+class _CommandError(Exception):
+    """Printed by ``main`` as ``error: <message>``; stands in for an error of a module ``main`` does not import."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -284,6 +283,8 @@ def _configured(args, build):
 
 
 def _population(config: dict):
+    from .synthetic import PopulationParams, generate_evidence_population
+
     params = PopulationParams(**config)
     return params, generate_evidence_population(params)
 
@@ -302,6 +303,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _trained_toy(config: dict):
+    from .synthetic import generate_toy_classification, require_int, require_number
+    from .toy import ToyTrainConfig, TrainingDiverged, train_toy
+
     # train_toy needs at least 50 points per class
     n_per_class = require_int("n_per_class", config.pop("n_per_class", 250), 50)
     separation = float(require_number("separation", config.pop("separation", 6.0), positive=True))
@@ -309,7 +313,10 @@ def _trained_toy(config: dict):
         raise ValueError(f"separation must be <= 1e+150, got {separation:g}")
     train_config = ToyTrainConfig(**config)
     points, labels = generate_toy_classification(n_per_class, separation, train_config.seed)
-    result = train_toy(train_config, points, labels)
+    try:
+        result = train_toy(train_config, points, labels)
+    except TrainingDiverged as exc:  # main prints it without importing .toy
+        raise _CommandError(exc) from None
     return dict(result.summary, n_per_class=n_per_class, separation=separation)
 
 
@@ -367,7 +374,7 @@ def main(argv=None) -> int:
         _print_audit(exc.report)
         print(exc)
         return EXIT_AUDIT_FAIL
-    except (ValueError, OSError, TypeError, TrainingDiverged) as exc:
+    except (ValueError, OSError, TypeError, _CommandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

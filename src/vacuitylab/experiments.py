@@ -114,9 +114,9 @@ class _NonFiniteStrength(ValueError):
 def _score_evidence(evidence: np.ndarray, metric: Metric, orientation: Orientation) -> np.ndarray:
     """Detection score of every row of an (n, K) evidence matrix.
 
-    alpha = e + 1 and S = the row sum of alpha, summed the way
-    one 1-D row, so each score equals the per-record vacuity, max
-    probability or normalized entropy of that row bit for bit.
+    alpha = e + 1 and S = its row sum, which equals the sum of that row
+    taken alone as a 1-D array, so each score equals the per-record
+    vacuity, max probability or normalized entropy of that row bit for bit.
     """
     alpha = evidence + 1.0
     strength = alpha.sum(axis=1)
@@ -362,7 +362,9 @@ def run_restriction_experiment(
     # a record whose gold label is the removed class has no valid answer left
     excluded = five_class_records.labelled & (five_class_records.labels == removed_class_index)
     if excluded.all():
-        raise ValueError("removing that class excluded every record")
+        raise ValueError(
+            f"{five_class_records.path or '<records>'}: removing class {removed_class_index} excluded every record"
+        )
     restricted = five_class_records.take(~excluded).drop_class(removed_class_index)
     as_is = evaluate_groups(id_records, five_class_records, metric, orientation)
     removed = evaluate_groups(id_records, restricted, metric, orientation)

@@ -8,7 +8,10 @@ makes that a failing test instead.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
+
+from vacuitylab import cli, toy
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -38,3 +41,25 @@ def test_every_traced_function_resolves():
     finally:
         tracer.uninstall()
     assert all(getattr(modules[short], name) is fn for (short, name), fn in originals.items())
+
+
+def test_traced_train_toy_counts_every_step(tmp_path, capsys):
+    """``train-toy`` imports the toy trainer when it runs; the traced run must still wrap what it calls."""
+    spans = load_spans()
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({"steps": 5, "n_per_class": 50}))
+    originals = (cli.main, toy.train_toy, toy.loss_gradient)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        tracer.begin_op()
+        assert cli.main(["train-toy", "--config", str(config)]) == 0
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    (op,) = tracer.per_op()
+    assert op["toy.steps"] == 5
+    assert op["toy.train.total_s"] > 0
+    assert (cli.main, toy.train_toy, toy.loss_gradient) == originals
+    assert tracer._patched == []

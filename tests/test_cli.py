@@ -432,6 +432,39 @@ RECORD_COMMANDS = [
 ]
 
 
+def _modules_after(argv):
+    """The modules a fresh process holds after ``main(argv)``, which must succeed."""
+    code = "import sys; from vacuitylab.cli import main; print(main(sys.argv[1:]), *sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    status, *loaded = result.stdout.splitlines()[-1].split()
+    assert status == "0", result.stdout
+    return set(loaded)
+
+
+@pytest.mark.parametrize(
+    "command", [*RECORD_COMMANDS, ["report"]], ids=["audit", "metrics", "expand", "restrict", "report"]
+)
+def test_record_commands_load_neither_toy_nor_generators(files, tmp_path, command):
+    """The toy trainer and the generators cost every process that loads them; the record commands need neither."""
+    if command == ["report"]:
+        results = tmp_path / "results"
+        assert main(["metrics", str(files["id"]), str(files["ood"]), "--out", str(results)]) == 0
+        argv = ["report", str(results), "--out", str(tmp_path / "out")]
+    else:
+        argv = [command[0], str(files["id"]), str(files["ood"]), *command[1:], "--out", str(tmp_path / "out")]
+    assert _modules_after(argv) & {"vacuitylab.toy", "vacuitylab.synthetic"} == set()
+
+
+def test_simulate_loads_no_toy(tmp_path):
+    config = tmp_path / "pop.json"
+    config.write_text(json.dumps({"n_id": 5, "n_ood": 5, "seed": 5}))
+    loaded = _modules_after(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")])
+    assert "vacuitylab.synthetic" in loaded and "vacuitylab.toy" not in loaded
+
+
 @pytest.mark.parametrize("command", RECORD_COMMANDS, ids=["audit", "metrics", "expand", "restrict"])
 @pytest.mark.parametrize("side", ["id", "ood"])
 @pytest.mark.parametrize("text", ["", "\n  \r\n\t\n"], ids=["empty", "blank-lines"])
@@ -609,6 +642,19 @@ def test_unremovable_class_names_the_file(tmp_path, capsys, k, index, message):
         serialize_records(RecordBatch.from_records(records), paths[-1])
     assert main(["restrict", *map(str, paths), "--remove-class", index]) == 1
     assert capsys.readouterr().err == f"error: {paths[1]}: {message}\n"
+
+
+def test_restrict_excluding_every_record_names_the_file(tmp_path, capsys):
+    """Removing the class every OOD record is labelled with is exit 1 with an error naming the OOD file."""
+    paths = []
+    for group in ("id", "ood"):
+        records = [make_record(f"{group}{i}", [float(i + j) for j in range(3)], group, gold=0) for i in range(4)]
+        paths.append(tmp_path / f"{group}.jsonl")
+        serialize_records(RecordBatch.from_records(records), paths[-1])
+    assert main(["restrict", *map(str, paths), "--remove-class", "0", "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {paths[1]}: removing class 0 excluded every record\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture
