@@ -27,12 +27,11 @@ _EXPORTS = {
             "audit_cardinality", "mismatch_warning", "run_expansion_experiment", "run_restriction_experiment",
             "score_group", "score_record",
         ),
-        "losses": ("softplus_evidence",),
         "metrics": (
             "DetectionResult", "ScoredSample", "aupr", "aupr_baseline", "aupr_scores", "auroc",
             "auroc_scores", "evaluate_detection", "evaluate_scores",
         ),
-        "records": ("RecordBatch", "RecordParseError", "parse_records", "serialize_records"),
+        "records": ("RecordBatch", "RecordParseError", "parse_records", "serialize_records", "softplus_evidence"),
         "special": ("digamma", "gamma_family", "log_gamma"),
         "synthetic": (
             "PopulationParams", "generate_evidence_population", "generate_toy_classification",

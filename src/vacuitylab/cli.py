@@ -303,21 +303,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _trained_toy(config: dict):
-    from .synthetic import generate_toy_classification, require_int, require_number
     from .toy import ToyTrainConfig, TrainingDiverged, train_toy
 
-    # train_toy needs at least 50 points per class
-    n_per_class = require_int("n_per_class", config.pop("n_per_class", 250), 50)
-    separation = float(require_number("separation", config.pop("separation", 6.0), positive=True))
-    if separation > 1e150:  # past about 1.4e153 the far probes' squared distances to the RBF centres overflow
-        raise ValueError(f"separation must be <= 1e+150, got {separation:g}")
     train_config = ToyTrainConfig(**config)
-    points, labels = generate_toy_classification(n_per_class, separation, train_config.seed)
     try:
-        result = train_toy(train_config, points, labels)
+        return train_toy(train_config).summary
     except TrainingDiverged as exc:  # main prints it without importing .toy
         raise _CommandError(exc) from None
-    return dict(result.summary, n_per_class=n_per_class, separation=separation)
 
 
 def _cmd_train_toy(args) -> int:

@@ -359,8 +359,9 @@ def run_restriction_experiment(
     """
     if not len(five_class_records) or not len(id_records):
         raise ValueError("both record groups must be non-empty")
-    # a record whose gold label is the removed class has no valid answer left
-    excluded = five_class_records.labelled & (five_class_records.labels == removed_class_index)
+    # a record whose gold label is the removed class has no valid answer left (-1: no label)
+    labels = five_class_records.labels
+    excluded = (labels >= 0) & (labels == removed_class_index)
     if excluded.all():
         raise ValueError(
             f"{five_class_records.path or '<records>'}: removing class {removed_class_index} excluded every record"

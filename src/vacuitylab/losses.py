@@ -34,14 +34,6 @@ import numpy as np
 from .special import gamma_family
 
 
-def softplus_evidence(logits) -> np.ndarray:
-    """Overflow-safe softplus: log(1 + exp(x)) as non-negative evidence."""
-    arr = np.asarray(logits, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError("logits must not contain NaN")
-    return np.logaddexp(0.0, arr)
-
-
 class LossArrays:
     """The work arrays of the loss terms of n rows and K classes.
 

@@ -6,7 +6,7 @@ One JSON object per line:
      "evidence": [12, 8, 9, 7], "label": 2}
 
 Each line carries exactly one of ``evidence`` (non-negative reals) or
-``logits`` (any reals; passed through ``losses.softplus_evidence`` on
+``logits`` (any reals; passed through ``softplus_evidence`` on
 ingestion, the library's one softplus). ``id`` is a string and
 ``label`` an optional gold index. Record ids must be unique within a
 file.
@@ -48,7 +48,14 @@ from typing import Iterable
 import numpy as np
 
 from .dirichlet import EvidenceRecord, Group
-from .losses import softplus_evidence
+
+
+def softplus_evidence(logits) -> np.ndarray:
+    """Overflow-safe softplus: log(1 + exp(x)) as non-negative evidence."""
+    arr = np.asarray(logits, dtype=float)
+    if np.isnan(arr).any():
+        raise ValueError("logits must not contain NaN")
+    return np.logaddexp(0.0, arr)
 
 
 class RecordParseError(ValueError):
@@ -66,8 +73,8 @@ class RecordBatch:
 
     ``values`` holds every row's evidence back to back (row i has ``k[i]``
     entries); when all rows share one class count, ``evidence`` is the same
-    buffer viewed as an ``(n, K)`` matrix. ``labels`` is -1 where
-    ``labelled`` is False. ``class_names`` lists each distinct class-name
+    buffer viewed as an ``(n, K)`` matrix. ``labels`` is -1 where a row
+    has no gold label. ``class_names`` lists each distinct class-name
     tuple once and ``class_index`` points every row at its own.
     """
 
@@ -78,12 +85,11 @@ class RecordBatch:
     k: np.ndarray
     values: np.ndarray
     labels: np.ndarray
-    labelled: np.ndarray
     lines: np.ndarray  # 1-based source line of each row
     path: str | None = None
 
     def __post_init__(self) -> None:
-        columns = (self.ood, self.class_index, self.k, self.values, self.labels, self.labelled, self.lines)
+        columns = (self.ood, self.class_index, self.k, self.values, self.labels, self.lines)
         for column in columns:
             column.setflags(write=False)
 
@@ -95,7 +101,6 @@ class RecordBatch:
         flat: list[float] = []
         for r in records:
             flat += r.evidence
-        labels = [r.gold_label for r in records]
         class_index = [names.setdefault(r.class_names, len(names)) for r in records]
         return cls(
             ids=[r.id for r in records],
@@ -104,8 +109,7 @@ class RecordBatch:
             class_index=np.array(class_index, dtype=np.intp),
             k=np.array([r.k for r in records], dtype=np.intp),
             values=np.array(flat, dtype=float),
-            labels=np.array([-1 if g is None else g for g in labels], dtype=np.int64),
-            labelled=np.array([g is not None for g in labels], dtype=bool),
+            labels=np.array([-1 if r.gold_label is None else r.gold_label for r in records], dtype=np.int64),
             lines=np.arange(1, len(records) + 1),
         )
 
@@ -126,7 +130,6 @@ class RecordBatch:
             k=np.full(n, evidence.shape[1], dtype=np.intp),
             values=evidence.ravel(),
             labels=np.full(n, -1, dtype=np.int64) if labels is None else labels,
-            labelled=np.full(n, labels is not None),
             lines=np.arange(1, n + 1),
         )
 
@@ -164,7 +167,6 @@ class RecordBatch:
             k=self.k[rows],
             values=self.values[_flat_index(self.k, rows)],
             labels=self.labels[rows],
-            labelled=self.labelled[rows],
             lines=self.lines[rows],
         )
 
@@ -180,7 +182,7 @@ class RecordBatch:
             raise ValueError(f"{self.path or '<records>'}: class_index {index} out of range for K={k}")
         if k <= 2:
             raise ValueError(f"{self.path or '<records>'}: cannot remove a class from a 2-class record")
-        if (self.labelled & (self.labels == index)).any():
+        if (self.labels == index).any():
             raise ValueError(f"rows labelled with class {index} must be excluded first")
         return replace(
             self,
@@ -306,7 +308,6 @@ def _parse(path) -> RecordBatch:
         k=k,
         values=_evidence(values, k, np.repeat(np.array(logits, dtype=bool), lengths), set(ks)),
         labels=label_column,
-        labelled=labelled,
         lines=lines,
         path=str(path),
     )
@@ -443,11 +444,10 @@ def serialize_records(batch: RecordBatch, path) -> None:
         batch.class_index.tolist(),
         evidence,
         batch.labels.tolist(),
-        batch.labelled.tolist(),
     )
     with open(path, "w", encoding="utf-8") as handle:
-        for rid, ood, names, values, label, labelled in rows:
-            tail = f', "label": {label}}}\n' if labelled else "}\n"
+        for rid, ood, names, values, label in rows:
+            tail = f', "label": {label}}}\n' if label >= 0 else "}\n"
             handle.write(
                 f'{{"id": {_quote(rid)}, "group": "{_OOD if ood else _ID}", '
                 f'"classes": {classes[names]}, "evidence": [{values}]{tail}'

@@ -69,12 +69,17 @@ def expansion_result_dict(name: str, run: ExpansionRun) -> dict:
     )
 
 
+def _restriction_row(condition: str, res: DetectionResult, baseline: DetectionResult | None) -> dict:
+    """A restriction row whose condition says so when its two K differ."""
+    return _row(f"{condition} (mismatched K)" if res.k_id != res.k_ood else condition, res, baseline)
+
+
 def restriction_result_dict(
     name: str, result: RestrictionResult, removed_class_index: int
 ) -> dict:
     rows = [
-        _row("as-is (mismatched K)", result.as_is, None),
-        _row(f"removed class {removed_class_index}", result.removed, result.as_is),
+        _restriction_row("as-is", result.as_is, None),
+        _restriction_row(f"removed class {removed_class_index}", result.removed, result.as_is),
     ]
     return _result(
         "restriction", name, result.as_is.metric_name, rows,

@@ -21,8 +21,9 @@ from enum import Enum
 import numpy as np
 
 from . import losses
+from .records import softplus_evidence
 from .special import log_gamma
-from .synthetic import require_int, require_number
+from .synthetic import generate_toy_classification, require_int, require_number
 
 
 class TrainingMode(str, Enum):
@@ -166,7 +167,9 @@ class ToyBatch:
     @classmethod
     def of(cls, params: ToyModelParams, features, labels) -> "ToyBatch":
         x = np.asarray(features, dtype=float)
-        y = _integer_labels(labels)
+        y = np.asarray(labels)
+        if not np.issubdtype(y.dtype, np.integer):  # a float or bool label is refused, not cast
+            raise ValueError(f"labels must be integers, got dtype {y.dtype}")
         if x.ndim != 2 or x.shape[1] != params.feature_dim:
             raise ValueError(f"features must be (n, {params.feature_dim})")
         if y.shape != (x.shape[0],):
@@ -178,14 +181,6 @@ class ToyBatch:
         y_onehot = np.asfortranarray(np.eye(params.n_classes)[y])
         return cls(x, y_onehot, 1.0 - y_onehot, log_gamma(float(params.n_classes)),
                    _WorkArrays(x.shape[0], params.n_classes))
-
-
-def _integer_labels(labels) -> np.ndarray:
-    """Labels as an array, refused unless their dtype is an integer one (a float or bool label is not cast)."""
-    y = np.asarray(labels)
-    if not np.issubdtype(y.dtype, np.integer):
-        raise ValueError(f"labels must be integers, got dtype {y.dtype}")
-    return y
 
 
 # The forward arrays are class-major like the loss terms' (see ``losses``),
@@ -205,12 +200,12 @@ def _forward(params: ToyModelParams, x: np.ndarray, rng_seed: int, training: boo
     sigma = eps = None
     if params.mode is TrainingMode.IB_EDL:
         sigma_raw = np.add(x @ params.sigma_weights.T, params.sigma_bias, out=work.sigma_raw)
-        sigma = losses.softplus_evidence(sigma_raw)
+        sigma = softplus_evidence(sigma_raw)
         eps = np.random.default_rng(rng_seed).standard_normal(mu.shape)
         z = np.multiply(sigma, 1.0 if training else params.sigma_mult, out=work.z)
         z *= eps
         z += mu
-    alpha = losses.softplus_evidence(z)
+    alpha = softplus_evidence(z)
     alpha += 1.0
     return alpha, z, sigma, eps
 
@@ -311,9 +306,9 @@ class RbfFeaturizer:
         return np.exp(-d2 / (2.0 * self.lengthscale**2))
 
     @classmethod
-    def for_data(cls, points: np.ndarray, grid: int = 5, margin: float = 1.0) -> "RbfFeaturizer":
-        lo = points.min(axis=0) - margin
-        hi = points.max(axis=0) + margin
+    def for_data(cls, points: np.ndarray, grid: int = 5) -> "RbfFeaturizer":
+        lo = points.min(axis=0) - 1.0  # the grid spans the data's bounding box widened by 1
+        hi = points.max(axis=0) + 1.0
         gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], grid), np.linspace(lo[1], hi[1], grid))
         centers = np.stack([gx.ravel(), gy.ravel()], axis=1)
         lengthscale = 0.5 * float(np.max(hi - lo)) / (grid - 1)
@@ -332,8 +327,15 @@ class ToyTrainConfig:
     seed: int = 0
     sigma_mult: float = 0.0
     rbf_grid: int = 5
+    n_per_class: int = 250
+    separation: float = 6.0
 
     def __post_init__(self) -> None:
+        require_int("n_per_class", self.n_per_class, 50)
+        separation = float(require_number("separation", self.separation, positive=True))
+        if separation > 1e150:  # past about 1.4e153 the far probes' squared distances to the RBF centres overflow
+            raise ValueError(f"separation must be <= 1e+150, got {separation:g}")
+        object.__setattr__(self, "separation", separation)
         object.__setattr__(self, "mode", TrainingMode(self.mode))
         for name, minimum in (("steps", 0), ("seed", 0), ("rbf_grid", 2)):
             require_int(name, getattr(self, name), minimum)
@@ -363,43 +365,33 @@ _PROBE_RADIUS_MULT = 12.0
 _N_PROBES = 64
 
 
-def far_probe_points(points: np.ndarray, n_probes: int = _N_PROBES) -> np.ndarray:
+def far_probe_points(points: np.ndarray) -> np.ndarray:
     radius = _PROBE_RADIUS_MULT * float(np.linalg.norm(points, axis=1).max())
-    angles = np.linspace(0.0, 2.0 * math.pi, n_probes, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * math.pi, _N_PROBES, endpoint=False)
     return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def predict_alpha(
-    params: ToyModelParams, featurizer: RbfFeaturizer, points, rng_seed: int = 0
-) -> np.ndarray:
-    """Inference-time concentrations (IB noise scaled by sigma_mult)."""
+def predict_alpha(params: ToyModelParams, featurizer: RbfFeaturizer, points) -> np.ndarray:
+    """Inference-time concentrations (IB noise scaled by sigma_mult, drawn with seed 0)."""
     feats = featurizer.transform(points)
-    return _forward(params, feats, rng_seed, False, _WorkArrays(feats.shape[0], params.n_classes))[0]
+    return _forward(params, feats, 0, False, _WorkArrays(feats.shape[0], params.n_classes))[0]
 
 
 def _mean_vacuity(alpha: np.ndarray) -> float:
     return float((alpha.shape[1] / alpha.sum(axis=1)).mean())
 
 
-def train_toy(config: ToyTrainConfig, points, labels) -> ToyTrainResult:
-    """Fit the toy evidential head on labeled 2-D points.
+def train_toy(config: ToyTrainConfig) -> ToyTrainResult:
+    """Fit the toy evidential head on the two Gaussian blobs the config describes.
 
-    Deterministic given ``config.seed``. Raises :class:`TrainingDiverged`
+    Deterministic given ``config``. Raises :class:`TrainingDiverged`
     if the loss stops being finite or the logits hold a NaN (an update left
     the parameters non-finite), reporting the offending step, and
     ``ValueError`` if only the inference noise scale ``sigma_mult`` makes
     the final loss non-finite.
     """
-    pts = np.asarray(points, dtype=float)
-    y = _integer_labels(labels)
-    if pts.ndim != 2 or pts.shape[1] != 2 or y.shape != (pts.shape[0],):
-        raise ValueError("expected (n, 2) points with matching labels")
-    classes, counts = np.unique(y, return_counts=True)
-    if len(classes) < 2:
-        raise ValueError("dataset must contain at least 2 classes")
-    if counts.min() < 50:
-        raise ValueError("dataset must contain at least 50 points per class")
-    n_classes = int(classes.max()) + 1
+    pts, y = generate_toy_classification(config.n_per_class, config.separation, config.seed)
+    n_classes = int(y.max()) + 1
 
     featurizer = RbfFeaturizer.for_data(pts, grid=config.rbf_grid)
     feats = featurizer.transform(pts)
@@ -446,5 +438,7 @@ def train_toy(config: ToyTrainConfig, points, labels) -> ToyTrainResult:
         "mean_id_vacuity": _mean_vacuity(alpha_id),
         "mean_far_ood_vacuity": _mean_vacuity(alpha_far),
         "final_loss": final_loss,
+        "n_per_class": config.n_per_class,
+        "separation": config.separation,
     }
     return ToyTrainResult(params=params, featurizer=featurizer, summary=summary)

@@ -38,9 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from vacuitylab.dirichlet import EvidenceRecord, Group
-from vacuitylab.losses import softplus_evidence
 from vacuitylab.metrics import ScoredSample
-from vacuitylab.records import RecordBatch
+from vacuitylab.records import RecordBatch, softplus_evidence
 from vacuitylab.special import gamma_family, log_gamma
 from vacuitylab.toy import LossBreakdown, ToyModelGrads, TrainingMode
 
@@ -148,7 +147,7 @@ def records_of(batch: RecordBatch) -> list[EvidenceRecord]:
             group=Group.OOD if batch.ood[row] else Group.ID,
             class_names=batch.class_names[batch.class_index[row]],
             evidence=batch.values[start : start + batch.k[row]].tolist(),
-            gold_label=int(batch.labels[row]) if batch.labelled[row] else None,
+            gold_label=int(batch.labels[row]) if batch.labels[row] >= 0 else None,
         )
         for row, start in enumerate(starts)
     ]
@@ -179,7 +178,6 @@ def parse_records_per_line(path) -> RecordBatch:
         k=np.array(k, dtype=np.intp),
         values=np.concatenate([np.zeros(0), *values]),
         labels=np.array([-1 if g is None else g for g in labels], dtype=np.int64),
-        labelled=np.array([g is not None for g in labels], dtype=bool),
         lines=np.array(lines, dtype=np.intp),
         path=str(path),
     )

@@ -27,7 +27,6 @@ from vacuitylab import (
     auroc,
     digamma,
     generate_evidence_population,
-    generate_toy_classification,
     log_gamma,
     RecordBatch,
     overlap_population_params,
@@ -204,9 +203,8 @@ def test_gradient_check():
 @pytest.mark.criterion(8, "toy training: accuracy > 0.95 in 500 steps, far-OOD vacuity gap (<30s)")
 def test_toy_training_run():
     start = time.perf_counter()
-    points, labels = generate_toy_classification(250, 6.0, seed=11)
-    config = ToyTrainConfig(mode=TrainingMode.EDL, steps=500, seed=11)
-    result = train_toy(config, points, labels)
+    config = ToyTrainConfig(mode=TrainingMode.EDL, steps=500, seed=11, n_per_class=250, separation=6.0)
+    result = train_toy(config)
     assert result.summary["train_accuracy"] > 0.95
     assert result.summary["mean_far_ood_vacuity"] > result.summary["mean_id_vacuity"]
     assert time.perf_counter() - start < 30.0

@@ -1,11 +1,14 @@
 """CLI contract: subcommands, exit codes (0 ok / 1 usage / 2 audit fail), files."""
 
 import hashlib
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +17,12 @@ from vacuitylab import EvidenceRecord, RecordBatch, generate_evidence_population
 from vacuitylab import cli, report
 from vacuitylab.synthetic import stream_rng
 from vacuitylab.cli import main
-from vacuitylab.records import serialize_records
+from vacuitylab.records import parse_records, serialize_records
 
 from oracles import records_of
+from test_toy import TRAINING_GOLDEN
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def make_record(rid, evidence, group="id", gold=None):
@@ -202,6 +208,25 @@ class TestRestrict:
         assert (as_is["k_id"], as_is["k_ood"]) == (4, 5)
         assert (removed["k_id"], removed["k_ood"]) == (4, 4)
         assert removed["aupr_baseline"] != as_is["aupr_baseline"]
+
+    @pytest.mark.parametrize(
+        "id_k, conditions",
+        [(4, ["as-is (mismatched K)", "removed class 4"]), (5, ["as-is", "removed class 4 (mismatched K)"])],
+    )
+    def test_only_rows_of_two_k_say_mismatched(self, files, tmp_path, capsys, id_k, conditions):
+        """On K=5 files the as-is row is matched and the removed row (5 vs 4) is not."""
+        id_path = files["id"]
+        if id_k == 5:
+            id_path = tmp_path / "id_k5.jsonl"
+            five = [make_record(r.id, list(r.evidence) + [0.0], "id", r.gold_label)
+                    for r in records_of(parse_records(files["id"]))]
+            serialize_records(RecordBatch.from_records(five), id_path)
+        argv = ["restrict", str(id_path), str(files["ood_k5"]), "--remove-class", "4", "--out", str(files["out"])]
+        assert main(argv) == 0
+        capsys.readouterr()
+        rows = json.loads((files["out"] / "restriction.result.json").read_text())["rows"]
+        assert [row["condition"] for row in rows] == conditions
+        assert [(row["k_id"], row["k_ood"]) for row in rows] == [(id_k, 5), (id_k, 4)]
 
 
 class TestSimulateAndTrainToy:
@@ -448,14 +473,15 @@ def _modules_after(argv):
     "command", [*RECORD_COMMANDS, ["report"]], ids=["audit", "metrics", "expand", "restrict", "report"]
 )
 def test_record_commands_load_neither_toy_nor_generators(files, tmp_path, command):
-    """The toy trainer and the generators cost every process that loads them; the record commands need neither."""
+    """The toy trainer, its losses and the generators cost every process that loads them; record commands need none."""
     if command == ["report"]:
         results = tmp_path / "results"
         assert main(["metrics", str(files["id"]), str(files["ood"]), "--out", str(results)]) == 0
         argv = ["report", str(results), "--out", str(tmp_path / "out")]
     else:
         argv = [command[0], str(files["id"]), str(files["ood"]), *command[1:], "--out", str(tmp_path / "out")]
-    assert _modules_after(argv) & {"vacuitylab.toy", "vacuitylab.synthetic"} == set()
+    training = {"vacuitylab.toy", "vacuitylab.losses", "vacuitylab.special", "vacuitylab.synthetic"}
+    assert _modules_after(argv) & training == set()
 
 
 def test_simulate_loads_no_toy(tmp_path):
@@ -552,20 +578,40 @@ DEMO_SHA256 = {
 }
 
 
-def test_readme_demo_bytes_are_pinned(tmp_path):
-    """The README demo: simulate the overlap population, then expand OOD-only and matched."""
-    config = tmp_path / "overlap.json"
-    config.write_text(json.dumps({
-        "n_id": 500, "n_ood": 500, "k": 4, "id_correct_shape": 6.0, "id_wrong_shape": 0.8,
-        "ood_shape": 2.0, "scale": 1.0, "seed": 0,
-    }))
-    demo = tmp_path / "demo"
-    assert main(["simulate", "--config", str(config), "--out", str(demo)]) == 0
-    files = [str(demo / "id_records.jsonl"), str(demo / "ood_records.jsonl")]
-    for mode in ("ood-only", "matched"):
-        assert main(["expand", *files, "--mode", mode, "--k-max", "8", "--out", str(demo)]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in demo.iterdir()}
+def readme_demo_blocks() -> list[list[str]]:
+    """The lines of each ``bash`` block in the Demo section of ``README.md``."""
+    demo = README.read_text(encoding="utf-8").split("\n## Demo\n", 1)[1].split("\n## ", 1)[0]
+    return [block.split("```", 1)[0].splitlines() for block in demo.split("```bash\n")[1:]]
+
+
+def run_readme_block(lines: list[str], capsys) -> str:
+    """Write a block's heredocs and run its ``vacuitylab`` commands through ``main``; their stdout."""
+    stdout = []
+    lines = iter(lines)
+    for line in lines:
+        argv = shlex.split(line)
+        if argv[:2] == ["cat", ">"]:
+            body = itertools.takewhile(lambda text: text != "EOF", lines)
+            Path(argv[2]).write_text("".join(text + "\n" for text in body), encoding="utf-8")
+        else:
+            assert argv[0] == "vacuitylab" and main(argv[1:]) == 0, line
+            stdout.append(capsys.readouterr().out)
+    return "".join(stdout)
+
+
+def test_readme_demo_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    """The README demo, run from the README: the expansion demo's files and the toy demo's stdout are pinned.
+
+    The toy demo is the run ``TRAINING_GOLDEN[("edl", 11)]`` pins: EDL, 500
+    steps, seed 11, 250 points per class, separation 6.0.
+    """
+    monkeypatch.chdir(tmp_path)
+    expansion, toy_demo = readme_demo_blocks()
+    run_readme_block(expansion, capsys)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "demo").iterdir()}
     assert digests == DEMO_SHA256
+    stdout = run_readme_block(toy_demo, capsys)
+    assert hashlib.sha256(stdout.encode()).hexdigest() == TRAINING_GOLDEN[("edl", 11)][1]
 
 
 @pytest.mark.parametrize(
@@ -630,8 +676,12 @@ def test_non_finite_evidence_is_usage_error(files, capsys, value):
 
 @pytest.mark.parametrize(
     "k, index, message",
-    [(3, "7", "class_index 7 out of range for K=3"), (2, "0", "cannot remove a class from a 2-class record")],
-    ids=["out-of-range", "two-classes"],
+    [
+        (3, "7", "class_index 7 out of range for K=3"),
+        (3, "-1", "class_index -1 out of range for K=3"),
+        (2, "0", "cannot remove a class from a 2-class record"),
+    ],
+    ids=["out-of-range", "negative", "two-classes"],
 )
 def test_unremovable_class_names_the_file(tmp_path, capsys, k, index, message):
     """A class restrict cannot remove is exit 1 with an error naming the OOD file it was to be removed from."""

@@ -231,7 +231,7 @@ class TestColumnarWriter:
         parsed = parse_records(path)
         assert parsed.ids == batch.ids
         assert parsed.class_names == batch.class_names
-        for column in ("ood", "class_index", "k", "values", "labels", "labelled", "lines"):
+        for column in ("ood", "class_index", "k", "values", "labels", "lines"):
             got, want = getattr(parsed, column), getattr(batch, column)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), column
 
@@ -357,7 +357,7 @@ class TestBatchColumns:
         ]
         assert batch.k.tolist() == [len(ev) for _, _, ev in rows]
         assert batch.values.tobytes() == np.concatenate([ev for _, _, ev in rows]).tobytes()
-        assert batch.labelled.tolist() == ["label" in obj for _, obj, _ in rows]
+        assert (batch.labels >= 0).tolist() == ["label" in obj for _, obj, _ in rows]
         assert batch.labels.tolist() == [obj.get("label", -1) for _, obj, _ in rows]
         if len(set(batch.k.tolist())) == 1:
             assert batch.evidence.tobytes() == np.stack([ev for _, _, ev in rows]).tobytes()
@@ -587,7 +587,7 @@ class TestRuns:
         path.write_bytes(joined(data.draw, lines)[0])
         got, want = parse_records(path), parse_records_per_line(path)
         assert (got.ids, got.class_names, got.path) == (want.ids, want.class_names, want.path)
-        for column in ("ood", "class_index", "k", "values", "labels", "labelled", "lines"):
+        for column in ("ood", "class_index", "k", "values", "labels", "lines"):
             a, b = getattr(got, column), getattr(want, column)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
 
@@ -665,7 +665,7 @@ class TestBatchTransforms:
     @pytest.mark.parametrize("index", [0, 1, 3])
     def test_drop_class_matches_remove_class(self, tmp_path, index):
         batch = self.make_batch(tmp_path)
-        keep = ~(batch.labelled & (batch.labels == index))
+        keep = batch.labels != index
         reduced = batch.take(keep).drop_class(index)
         expected = [remove_class(r, index) for r in records_of(batch)]
         assert records_of(reduced) == [r for r in expected if r is not None]

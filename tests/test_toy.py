@@ -9,6 +9,7 @@ and far-away probes.
 
 import copy
 import hashlib
+import inspect
 import json
 import math
 import warnings
@@ -324,29 +325,27 @@ class TestRbfFeaturizer:
 
 class TestTrainToy:
     def test_blobs_reach_accuracy_and_far_vacuity(self):
-        points, labels = generate_toy_classification(250, 6.0, seed=11)
-        result = train_toy(ToyTrainConfig(mode=TrainingMode.EDL, steps=500, seed=11), points, labels)
+        result = train_toy(ToyTrainConfig(mode=TrainingMode.EDL, steps=500, seed=11, n_per_class=250, separation=6.0))
         assert result.summary["train_accuracy"] > 0.95
         assert result.summary["mean_far_ood_vacuity"] > result.summary["mean_id_vacuity"]
 
     def test_ib_mode_trains_too(self):
-        points, labels = generate_toy_classification(100, 8.0, seed=3)
-        config = ToyTrainConfig(mode=TrainingMode.IB_EDL, steps=300, beta_weight=1e-3, seed=3)
-        result = train_toy(config, points, labels)
+        config = ToyTrainConfig(
+            mode=TrainingMode.IB_EDL, steps=300, beta_weight=1e-3, seed=3, n_per_class=100, separation=8.0
+        )
+        result = train_toy(config)
         assert result.summary["train_accuracy"] > 0.9
         assert result.summary["mean_far_ood_vacuity"] > result.summary["mean_id_vacuity"]
 
     def test_zero_steps_keeps_initialization(self):
-        points, labels = generate_toy_classification(60, 4.0, seed=0)
-        result = train_toy(ToyTrainConfig(steps=0), points, labels)
+        result = train_toy(ToyTrainConfig(steps=0, n_per_class=60, separation=4.0))
         assert not result.params.weights.any()
         assert not result.params.bias.any()
 
     def test_deterministic_given_seed(self):
-        points, labels = generate_toy_classification(60, 4.0, seed=5)
-        config = ToyTrainConfig(steps=50, seed=5)
-        a = train_toy(config, points, labels)
-        b = train_toy(config, points, labels)
+        config = ToyTrainConfig(steps=50, seed=5, n_per_class=60, separation=4.0)
+        a = train_toy(config)
+        b = train_toy(config)
         np.testing.assert_array_equal(a.params.weights, b.params.weights)
         assert a.summary == b.summary
 
@@ -360,30 +359,29 @@ class TestTrainToy:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(toy, "loss_gradient", counting)
-        points, labels = generate_toy_classification(60, 4.0, seed=1)
         for mode in TrainingMode:
             calls.clear()
-            train_toy(ToyTrainConfig(mode=mode, steps=7, seed=1), points, labels)
+            train_toy(ToyTrainConfig(mode=mode, steps=7, seed=1, n_per_class=60, separation=4.0))
             assert len(calls) == 7
 
     def test_divergence_reports_step(self):
         # lr * beta >> 2 makes the quadratic info term oscillate and blow up
-        points, labels = generate_toy_classification(60, 4.0, seed=2)
         config = ToyTrainConfig(
-            mode=TrainingMode.IB_EDL, steps=500, learning_rate=1e9, beta_weight=1.0, seed=2
+            mode=TrainingMode.IB_EDL, steps=500, learning_rate=1e9, beta_weight=1.0, seed=2,
+            n_per_class=60, separation=4.0,
         )
         with pytest.raises(TrainingDiverged) as excinfo:
-            train_toy(config, points, labels)
+            train_toy(config)
         assert excinfo.value.step >= 0
 
     def test_divergence_reports_last_finite_loss(self):
-        points, labels = generate_toy_classification(60, 4.0, seed=2)
         config = ToyTrainConfig(
-            mode=TrainingMode.IB_EDL, steps=500, learning_rate=1e9, beta_weight=1.0, seed=2
+            mode=TrainingMode.IB_EDL, steps=500, learning_rate=1e9, beta_weight=1.0, seed=2,
+            n_per_class=60, separation=4.0,
         )
         with warnings.catch_warnings(record=True) as caught, pytest.raises(TrainingDiverged) as excinfo:
             warnings.simplefilter("always")
-            train_toy(config, points, labels)
+            train_toy(config)
         assert excinfo.value.step == 2
         last = excinfo.value.last_finite_loss
         assert math.isfinite(last) and repr(last) in str(excinfo.value)
@@ -404,30 +402,20 @@ class TestTrainToy:
 
     def test_non_finite_final_loss_is_refused(self):
         """A last step that diverges, or an inference noise scale too large, leaves no NaN summary."""
-        points, labels = generate_toy_classification(60, 4.0, seed=2)
+        blobs = dict(n_per_class=60, separation=4.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for mode in TrainingMode:
                 with pytest.raises(TrainingDiverged) as excinfo:
-                    train_toy(ToyTrainConfig(mode=mode, steps=1, learning_rate=1e300, seed=2), points, labels)
+                    train_toy(ToyTrainConfig(mode=mode, steps=1, learning_rate=1e300, seed=2, **blobs))
                 assert excinfo.value.step == 1 and math.isfinite(excinfo.value.last_finite_loss)
-            config = ToyTrainConfig(mode=TrainingMode.IB_EDL, steps=3, sigma_mult=1e160, seed=2)
+            config = ToyTrainConfig(mode=TrainingMode.IB_EDL, steps=3, sigma_mult=1e160, seed=2, **blobs)
             with pytest.raises(ValueError, match="sigma_mult 1e[+]160 is too large: the inference loss is nan"):
-                train_toy(config, points, labels)
+                train_toy(config)
 
-    def test_dataset_preconditions(self):
-        points, labels = generate_toy_classification(10, 4.0, seed=0)
-        with pytest.raises(ValueError, match="50 points"):
-            train_toy(ToyTrainConfig(), points, labels)
-        with pytest.raises(ValueError, match="2 classes"):
-            train_toy(ToyTrainConfig(), np.zeros((60, 2)), np.zeros(60, dtype=int))
-
-    def test_non_integer_labels_rejected(self):
-        """Labels 0/1 shifted by 0.6 would truncate back to 0/1 and train; float and bool labels are refused."""
-        points, labels = generate_toy_classification(60, 4.0, seed=1)
-        for bad in (labels + 0.6, labels.astype(bool)):
-            with pytest.raises(ValueError, match="labels must be integers"):
-                train_toy(ToyTrainConfig(steps=1), points, bad)
+    def test_config_is_the_only_parameter(self):
+        """The config holds the whole run, blobs included: there are no points or labels to pass."""
+        assert list(inspect.signature(train_toy).parameters) == ["config"]
 
     def test_probes_are_far(self):
         points, _ = generate_toy_classification(60, 4.0, seed=1)
@@ -488,8 +476,9 @@ TRAINING_GOLDEN = {
 @pytest.mark.parametrize("mode, seed", TRAINING_GOLDEN.keys())
 def test_training_bits_are_pinned(tmp_path, capsys, mode, seed):
     params_digest, stdout_digest = TRAINING_GOLDEN[(mode, seed)]
-    points, labels = generate_toy_classification(250, 6.0, seed=seed)
-    result = train_toy(ToyTrainConfig(mode=TrainingMode(mode), steps=500, seed=seed), points, labels)
+    result = train_toy(
+        ToyTrainConfig(mode=TrainingMode(mode), steps=500, seed=seed, n_per_class=250, separation=6.0)
+    )
     p = result.params
     h = hashlib.sha256()
     for array in (p.weights, p.bias, p.sigma_weights, p.sigma_bias):
