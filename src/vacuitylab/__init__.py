@@ -20,7 +20,7 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in {
-        "dirichlet": ("EvidenceRecord", "Group", "append_classes", "remove_class"),
+        "dirichlet": ("EvidenceRecord", "append_classes", "remove_class"),
         "experiments": (
             "INVARIANCE_EVIDENCE", "MIXED", "AuditReport", "CardinalityMismatchError", "ExpansionMode",
             "ExpansionRun", "ExpansionSpec", "Metric", "Orientation", "RestrictionResult", "Verdict",
@@ -31,7 +31,9 @@ _EXPORTS = {
             "DetectionResult", "ScoredSample", "aupr", "aupr_baseline", "aupr_scores", "auroc",
             "auroc_scores", "evaluate_detection", "evaluate_scores",
         ),
-        "records": ("RecordBatch", "RecordParseError", "parse_records", "serialize_records", "softplus_evidence"),
+        "records": (
+            "Group", "RecordBatch", "RecordParseError", "parse_records", "serialize_records", "softplus_evidence",
+        ),
         "special": ("digamma", "gamma_family", "log_gamma"),
         "synthetic": (
             "PopulationParams", "generate_evidence_population", "generate_toy_classification",

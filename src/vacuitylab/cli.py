@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dirichlet import Group
 from .experiments import (
     INVARIANCE_EVIDENCE,
     MIXED,
@@ -34,7 +33,7 @@ from .experiments import (
     run_expansion_experiment,
     run_restriction_experiment,
 )
-from .records import RecordParseError, parse_records, serialize_records
+from .records import Group, RecordParseError, parse_records, serialize_records
 from .report import (
     detection_result_dict,
     emit_report,

@@ -13,14 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
-
-class Group(str, Enum):
-    """Which evaluation population a record belongs to."""
-
-    ID = "id"
-    OOD = "ood"
+from .records import Group
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .dirichlet import EvidenceRecord
 from .metrics import DetectionResult, ScoredSample, evaluate_scores
 from .records import RecordBatch
+
+if TYPE_CHECKING:
+    from .dirichlet import EvidenceRecord
 
 MIXED = "MIXED"
 

@@ -35,16 +35,19 @@ from .special import gamma_family
 
 
 class LossArrays:
-    """The work arrays of the loss terms of n rows and K classes.
+    """The work arrays of a batch's forward pass, loss terms and logit gradient.
 
-    ``p``, ``error``, ``am1``, ``t`` and ``u`` are class-major (n, K);
+    ``mu``, ``sigma_raw``, ``z``, ``p``, ``error``, ``am1``, ``t`` and ``u``
+    are class-major (n, K), ``grad`` is a head's row-major (n, K) gradient,
     ``stacked`` is the class-major (n, K+1) ``[alpha_tilde | S]`` that
-    ``gamma_family`` reads, with ``alpha_tilde`` and ``total`` its views;
-    ``s`` to ``c2`` are (n, 1) columns. ``t``, ``u``, ``rows``, ``c1`` and
-    ``c2`` are scratch; the others carry a term's values to its gradient.
+    ``gamma_family`` reads (views ``alpha_tilde``, ``total``), and ``s`` to
+    ``c2`` are (n, 1) columns. ``t``, ``u``, ``rows``, ``c1`` and ``c2`` are
+    scratch, free whenever a function returns; the rest carry values forward.
     """
 
     def __init__(self, n: int, k: int):
+        self.mu, self.sigma_raw, self.z = (np.empty((n, k), order="F") for _ in range(3))
+        self.grad = np.empty((n, k))
         self.p, self.error, self.am1, self.t, self.u = (np.empty((n, k), order="F") for _ in range(5))
         self.stacked = np.empty((n, k + 1), order="F")
         self.alpha_tilde, self.total = self.stacked[:, :k], self.stacked[:, k:]

@@ -41,13 +41,15 @@ import json.scanner
 import math
 import re
 from dataclasses import dataclass, replace
+from enum import Enum
 from itertools import compress, islice, repeat
 from operator import is_not
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .dirichlet import EvidenceRecord, Group
+if TYPE_CHECKING:
+    from .dirichlet import EvidenceRecord
 
 
 def softplus_evidence(logits) -> np.ndarray:
@@ -65,6 +67,13 @@ class RecordParseError(ValueError):
         super().__init__(f"{path}:{lineno}: {message}")
         self.path = str(path)
         self.lineno = lineno
+
+
+class Group(str, Enum):
+    """Which evaluation population a record belongs to."""
+
+    ID = "id"
+    OOD = "ood"
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import Group
-from .records import RecordBatch, finite_strength
+from .records import Group, RecordBatch, finite_strength
 
 STREAM_ID_EVIDENCE = 0
 STREAM_OOD_EVIDENCE = 1

@@ -134,20 +134,6 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-class _WorkArrays:
-    """The arrays a loss evaluation writes, allocated once per batch.
-
-    ``mu``, ``sigma_raw``, ``z`` and the scratch ``t`` and ``u`` are
-    class-major (n, K), ``grad`` is one head's row-major (n, K) logit
-    gradient, and ``loss`` holds the loss terms' arrays.
-    """
-
-    def __init__(self, n: int, k: int):
-        self.mu, self.sigma_raw, self.z, self.t, self.u = (np.empty((n, k), order="F") for _ in range(5))
-        self.grad = np.empty((n, k))
-        self.loss = losses.LossArrays(n, k)
-
-
 @dataclass(frozen=True, eq=False)
 class ToyBatch:
     """A validated batch with its per-run invariants and the work arrays of its steps.
@@ -162,7 +148,7 @@ class ToyBatch:
     y_onehot: np.ndarray
     not_y: np.ndarray
     log_gamma_k: float
-    work: _WorkArrays
+    work: losses.LossArrays
 
     @classmethod
     def of(cls, params: ToyModelParams, features, labels) -> "ToyBatch":
@@ -180,7 +166,7 @@ class ToyBatch:
             raise ValueError("labels out of range")
         y_onehot = np.asfortranarray(np.eye(params.n_classes)[y])
         return cls(x, y_onehot, 1.0 - y_onehot, log_gamma(float(params.n_classes)),
-                   _WorkArrays(x.shape[0], params.n_classes))
+                   losses.LossArrays(x.shape[0], params.n_classes))
 
 
 # The forward arrays are class-major like the loss terms' (see ``losses``),
@@ -188,7 +174,7 @@ class ToyBatch:
 # order does depend on the layout.
 
 
-def _forward(params: ToyModelParams, x: np.ndarray, rng_seed: int, training: bool, work: _WorkArrays):
+def _forward(params: ToyModelParams, x: np.ndarray, rng_seed: int, training: bool, work: losses.LossArrays):
     """alpha = softplus(z) + 1, with z, and in IB mode sigma and eps (else None).
 
     z = mu in EDL mode and mu + scale * sigma * eps in IB mode, where eps is
@@ -224,22 +210,22 @@ def _evaluate(params, batch: ToyBatch, lam, beta, rng_seed, training, gradient):
     """One forward pass: the loss terms, then the gradients if asked for and the loss is finite."""
     w, y, not_y = batch.work, batch.y_onehot, batch.not_y
     alpha, z, sigma, eps = _forward(params, batch.x, rng_seed, training, w)
-    mse = losses.expected_brier(alpha, y, w.loss)
+    mse = losses.expected_brier(alpha, y, w)
     if params.mode is TrainingMode.EDL:
-        kl = losses.kl_to_uniform(alpha, y, not_y, batch.log_gamma_k, w.loss)
+        kl = losses.kl_to_uniform(alpha, y, not_y, batch.log_gamma_k, w)
         loss = LossBreakdown(mse_term=mse, kl_term=kl, ib_info_term=0.0,
                              lambda_weight=lam, beta_weight=0.0, total=mse + lam * kl)
     else:
-        info = losses.ib_info(w.mu, sigma, w.loss)
+        info = losses.ib_info(w.mu, sigma, w)
         loss = LossBreakdown(mse_term=mse, kl_term=0.0, ib_info_term=info,
                              lambda_weight=0.0, beta_weight=beta, total=mse + beta * info)
     if not gradient or not math.isfinite(loss.total):
         return ToyModelGrads(loss=loss, weights=None, bias=None)
 
-    d_alpha = losses.expected_brier_grad(alpha, w.loss)
+    d_alpha = losses.expected_brier_grad(alpha, w)
     t, u = w.t, w.u
     if params.mode is TrainingMode.EDL:
-        losses.add_kl_to_uniform_grad(d_alpha, not_y, lam, w.loss)
+        losses.add_kl_to_uniform_grad(d_alpha, not_y, lam, w)
         weights, bias = _batch_means(np.multiply(d_alpha, _sigmoid(z, t), out=w.grad), batch.x)
         return ToyModelGrads(loss=loss, weights=weights, bias=bias)
 
@@ -374,7 +360,7 @@ def far_probe_points(points: np.ndarray) -> np.ndarray:
 def predict_alpha(params: ToyModelParams, featurizer: RbfFeaturizer, points) -> np.ndarray:
     """Inference-time concentrations (IB noise scaled by sigma_mult, drawn with seed 0)."""
     feats = featurizer.transform(points)
-    return _forward(params, feats, 0, False, _WorkArrays(feats.shape[0], params.n_classes))[0]
+    return _forward(params, feats, 0, False, losses.LossArrays(feats.shape[0], params.n_classes))[0]
 
 
 def _mean_vacuity(alpha: np.ndarray) -> float:

@@ -37,9 +37,9 @@ from typing import Sequence
 
 import numpy as np
 
-from vacuitylab.dirichlet import EvidenceRecord, Group
+from vacuitylab.dirichlet import EvidenceRecord
 from vacuitylab.metrics import ScoredSample
-from vacuitylab.records import RecordBatch, softplus_evidence
+from vacuitylab.records import Group, RecordBatch, softplus_evidence
 from vacuitylab.special import gamma_family, log_gamma
 from vacuitylab.toy import LossBreakdown, ToyModelGrads, TrainingMode
 

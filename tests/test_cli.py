@@ -473,15 +473,16 @@ def _modules_after(argv):
     "command", [*RECORD_COMMANDS, ["report"]], ids=["audit", "metrics", "expand", "restrict", "report"]
 )
 def test_record_commands_load_neither_toy_nor_generators(files, tmp_path, command):
-    """The toy trainer, its losses and the generators cost every process that loads them; record commands need none."""
+    """Every module loaded costs start-up time; record commands load no toy, losses, generators or row form."""
     if command == ["report"]:
         results = tmp_path / "results"
         assert main(["metrics", str(files["id"]), str(files["ood"]), "--out", str(results)]) == 0
         argv = ["report", str(results), "--out", str(tmp_path / "out")]
     else:
         argv = [command[0], str(files["id"]), str(files["ood"]), *command[1:], "--out", str(tmp_path / "out")]
-    training = {"vacuitylab.toy", "vacuitylab.losses", "vacuitylab.special", "vacuitylab.synthetic"}
-    assert _modules_after(argv) & training == set()
+    unused = {"vacuitylab.toy", "vacuitylab.losses", "vacuitylab.special", "vacuitylab.synthetic",
+              "vacuitylab.dirichlet"}
+    assert _modules_after(argv) & unused == set()
 
 
 def test_simulate_loads_no_toy(tmp_path):
