@@ -20,7 +20,6 @@ import numpy as np
 
 from .experiments import (
     INVARIANCE_EVIDENCE,
-    MIXED,
     CardinalityMismatchError,
     ExpansionMode,
     ExpansionSpec,
@@ -30,6 +29,7 @@ from .experiments import (
     audit_cardinality,
     evaluate_groups,
     mismatch_warning,
+    require_scorable,
     run_expansion_experiment,
     run_restriction_experiment,
 )
@@ -205,27 +205,14 @@ def _cmd_audit(args) -> int:
     return EXIT_OK if report.verdict is Verdict.PASS else EXIT_AUDIT_FAIL
 
 
-def _scorable(id_records, ood_records, allow_mismatch: bool):
-    """The audit of two groups that may be scored; a mixed K, or any mismatch not allowed, is refused."""
-    report = audit_cardinality(id_records, ood_records)
-    if report.verdict is not Verdict.PASS:
-        if not allow_mismatch:
-            raise CardinalityMismatchError(
-                "refusing to score mismatched cardinalities (pass --allow-mismatch to override)", report
-            )
-        if MIXED in (report.k_id, report.k_ood):
-            raise CardinalityMismatchError("mixed cardinality inside a group cannot be scored", report)
-    return report
-
-
 def _cmd_metrics(args) -> int:
     id_records, ood_records = _load_groups(args)
-    report = _scorable(id_records, ood_records, args.allow_mismatch)
-    if report.verdict is not Verdict.PASS:
-        _write_warnings(args.out, [mismatch_warning("metrics", report.k_id, report.k_ood)])
+    require_scorable(id_records, ood_records, args.allow_mismatch)
     metric = Metric(args.metric)
     orientation = Orientation(args.orientation)
     res = evaluate_groups(id_records, ood_records, metric, orientation)
+    if res.k_id != res.k_ood:
+        _write_warnings(args.out, [mismatch_warning("metrics", res.k_id, res.k_ood)])
     result = detection_result_dict(
         f"metrics_{metric.value}", f"{metric.value} ({orientation.value})", res, orientation.value
     )
@@ -243,7 +230,6 @@ def _cmd_expand(args) -> int:
 
 def _cmd_restrict(args) -> int:
     id_records, ood_records = _load_groups(args)
-    _scorable(id_records, ood_records, allow_mismatch=True)  # the as-is run is mismatched on purpose
     result = run_restriction_experiment(
         ood_records, args.remove_class, id_records, Metric(args.metric), Orientation(args.orientation)
     )

@@ -105,6 +105,18 @@ def audit_cardinality(id_records: RecordBatch, ood_records: RecordBatch) -> Audi
     )
 
 
+def require_scorable(id_records: RecordBatch, ood_records: RecordBatch, allow_mismatch: bool) -> None:
+    """Refuse two groups that may not be scored: a mixed K, or any mismatch not allowed."""
+    report = audit_cardinality(id_records, ood_records)
+    if report.verdict is not Verdict.PASS:
+        if not allow_mismatch:
+            raise CardinalityMismatchError(
+                "refusing to score mismatched cardinalities (pass --allow-mismatch to override)", report
+            )
+        if MIXED in (report.k_id, report.k_ood):
+            raise CardinalityMismatchError("mixed cardinality inside a group cannot be scored", report)
+
+
 class _NonFiniteStrength(ValueError):
     """``row`` is the first row of the scored matrix whose S is not finite."""
 
@@ -343,7 +355,7 @@ class RestrictionResult:
 
 
 def run_restriction_experiment(
-    five_class_records: RecordBatch,
+    ood_records: RecordBatch,
     removed_class_index: int,
     id_records: RecordBatch,
     metric: Metric,
@@ -355,26 +367,25 @@ def run_restriction_experiment(
     "removed" run (they would have no valid answer), and the AUPR baseline
     is recomputed from the new counts. The as-is run deliberately compares
     mismatched cardinalities; each run whose two matrices differ in K
-    carries a warning record. The removal is a column drop on the evidence
-    matrix plus a gold-label row mask; the batch rejects a mixed K and a
-    class index out of range, before either run is scored.
+    carries a warning record. The removal is a column drop plus a gold-label
+    row mask. A mixed-K group raises ``CardinalityMismatchError`` before any
+    class is dropped; a class index out of range, before either run is scored.
     """
-    if not len(five_class_records) or not len(id_records):
-        raise ValueError("both record groups must be non-empty")
+    require_scorable(id_records, ood_records, allow_mismatch=True)  # the as-is run is mismatched on purpose
     # a record whose gold label is the removed class has no valid answer left (-1: no label)
-    labels = five_class_records.labels
+    labels = ood_records.labels
     excluded = (labels >= 0) & (labels == removed_class_index)
     if excluded.all():
         raise ValueError(
-            f"{five_class_records.path or '<records>'}: removing class {removed_class_index} excluded every record"
+            f"{ood_records.path or '<records>'}: removing class {removed_class_index} excluded every record"
         )
-    restricted = five_class_records.take(~excluded).drop_class(removed_class_index)
-    as_is = evaluate_groups(id_records, five_class_records, metric, orientation)
+    restricted = ood_records.take(~excluded).drop_class(removed_class_index)
+    as_is = evaluate_groups(id_records, ood_records, metric, orientation)
     removed = evaluate_groups(id_records, restricted, metric, orientation)
     runs = (("restriction_as_is", as_is), ("restriction_removed", removed))
     return RestrictionResult(
         as_is=as_is,
         removed=removed,
-        excluded_ids=tuple(five_class_records.ids[i] for i in np.flatnonzero(excluded)),
+        excluded_ids=tuple(ood_records.ids[i] for i in np.flatnonzero(excluded)),
         warnings=tuple(mismatch_warning(c, r.k_id, r.k_ood) for c, r in runs if r.k_id != r.k_ood),
     )

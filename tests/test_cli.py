@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes (0 ok / 1 usage / 2 audit fail), files."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -613,6 +614,14 @@ def test_readme_demo_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     assert digests == DEMO_SHA256
     stdout = run_readme_block(toy_demo, capsys)
     assert hashlib.sha256(stdout.encode()).hexdigest() == TRAINING_GOLDEN[("edl", 11)][1]
+
+
+def test_readme_population_is_the_overlap_population():
+    """The Demo's ``overlap.json`` holds ``overlap_population_params(seed=0)``, as the README says."""
+    lines = readme_demo_blocks()[0]
+    heredoc = lines[lines.index("cat > overlap.json <<'EOF'") + 1 :]
+    body = "\n".join(itertools.takewhile(lambda text: text != "EOF", heredoc))
+    assert json.loads(body) == dataclasses.asdict(overlap_population_params(seed=0))
 
 
 @pytest.mark.parametrize(

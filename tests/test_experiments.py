@@ -285,6 +285,27 @@ class TestRestriction:
             run_restriction_experiment(five, 5, id_records, Metric.VACUITY)
         assert scored == []  # rejected before either run is scored
 
+    @pytest.mark.parametrize("side", ["ood", "id"])
+    @pytest.mark.parametrize("index", [4, 9])
+    def test_mixed_k_group_is_refused_with_its_audit(self, side, index):
+        """The library gates itself: a mixed-K group raises the audit, also with an index no K holds."""
+        id_rows = [rec(f"id{i}", [5 + i, 1, 1, 1]) for i in range(6)]
+        ood_rows = [rec("q0", [2, 3, 4, 5, 6], "ood", gold=1), rec("q1", [1, 1, 1, 1, 9], "ood")]
+        (ood_rows if side == "ood" else id_rows).append(rec("x", [1, 2, 3], side))
+        id_records, ood_records = RecordBatch.from_records(id_rows), RecordBatch.from_records(ood_rows)
+        with pytest.raises(CardinalityMismatchError) as info:
+            run_restriction_experiment(ood_records, index, id_records, Metric.VACUITY)
+        assert str(info.value) == "mixed cardinality inside a group cannot be scored"
+        assert info.value.report == audit_cardinality(id_records, ood_records)
+
+    @pytest.mark.parametrize("side", ["ood", "id"])
+    def test_empty_group_is_refused(self, side):
+        id_records, five = self.make_groups()
+        empty = RecordBatch.from_records([])
+        groups = (id_records, empty) if side == "ood" else (empty, five)
+        with pytest.raises(ValueError, match="both record groups must be non-empty"):
+            run_restriction_experiment(groups[1], 4, groups[0], Metric.VACUITY)
+
     def test_restriction_shrinks_mismatch_inflation(self):
         """ID and OOD evidence are drawn identically over 4 real classes; the
         OOD records merely carry a near-empty 5th dimension. As-is scoring
