@@ -57,10 +57,6 @@ class _UsageError(Exception):
     pass
 
 
-class _CommandError(Exception):
-    """Printed by ``main`` as ``error: <message>``; stands in for an error of a module ``main`` does not import."""
-
-
 class _Parser(argparse.ArgumentParser):
     """Exits 1 on bad usage."""
 
@@ -288,13 +284,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _trained_toy(config: dict):
-    from .toy import ToyTrainConfig, TrainingDiverged, train_toy
+    from .toy import ToyTrainConfig, train_toy
 
-    train_config = ToyTrainConfig(**config)
-    try:
-        return train_toy(train_config).summary
-    except TrainingDiverged as exc:  # main prints it without importing .toy
-        raise _CommandError(exc) from None
+    return train_toy(ToyTrainConfig(**config)).summary
 
 
 def _cmd_train_toy(args) -> int:
@@ -351,7 +343,7 @@ def main(argv=None) -> int:
         _print_audit(exc.report)
         print(exc)
         return EXIT_AUDIT_FAIL
-    except (ValueError, OSError, TypeError, _CommandError) as exc:
+    except (ValueError, OSError, TypeError, RuntimeError) as exc:  # RuntimeError: toy.TrainingDiverged
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -117,15 +117,10 @@ def require_scorable(id_records: RecordBatch, ood_records: RecordBatch, allow_mi
             raise CardinalityMismatchError("mixed cardinality inside a group cannot be scored", report)
 
 
-class _NonFiniteStrength(ValueError):
-    """``row`` is the first row of the scored matrix whose S is not finite."""
-
-    def __init__(self, row: int):
-        super().__init__("evidence and its sum S must be finite")
-        self.row = row
-
-
-def _score_evidence(evidence: np.ndarray, metric: Metric, orientation: Orientation) -> np.ndarray:
+@np.errstate(over="ignore")  # given the rows' ``batch``, a non-finite S names its record, not a warning
+def _score_evidence(
+    evidence: np.ndarray, metric: Metric, orientation: Orientation, batch: RecordBatch | None = None
+) -> np.ndarray:
     """Detection score of every row of an (n, K) evidence matrix.
 
     alpha = e + 1 and S = its row sum, which equals the sum of that row
@@ -135,8 +130,12 @@ def _score_evidence(evidence: np.ndarray, metric: Metric, orientation: Orientati
     alpha = evidence + 1.0
     strength = alpha.sum(axis=1)
     finite = np.isfinite(strength)
-    if not finite.all():
-        raise _NonFiniteStrength(int(np.argmin(finite)))
+    if batch is not None and not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(
+            f"{batch.path or '<records>'}:{batch.lines[row]}: record {batch.ids[row]!r}: "
+            f"evidence sum S is not finite at K={alpha.shape[1]}"
+        )
     id_positive = orientation is Orientation.ID_POSITIVE
     if metric is Metric.VACUITY:
         u = alpha.shape[1] / strength
@@ -149,23 +148,6 @@ def _score_evidence(evidence: np.ndarray, metric: Metric, orientation: Orientati
     return 1.0 - h if id_positive else h
 
 
-@np.errstate(over="ignore")  # an S that overflows is reported with its record, not as a warning
-def _batch_scores(
-    batch: RecordBatch, metric: Metric, orientation: Orientation, evidence: np.ndarray | None = None
-) -> np.ndarray:
-    """Scores of a batch's rows, or of ``evidence``, its rows widened; an S that overflows names its record."""
-    if evidence is None:
-        evidence = batch.evidence
-    try:
-        return _score_evidence(evidence, metric, orientation)
-    except _NonFiniteStrength as exc:
-        row = exc.row
-        raise ValueError(
-            f"{batch.path or '<records>'}:{batch.lines[row]}: record {batch.ids[row]!r}: "
-            f"evidence sum S is not finite at K={evidence.shape[1]}"
-        ) from None
-
-
 def _labels(batch: RecordBatch, orientation: Orientation) -> np.ndarray:
     """1 for the rows of the positive group, as each row's ``group`` says."""
     positive = ~batch.ood if orientation is Orientation.ID_POSITIVE else batch.ood
@@ -173,7 +155,8 @@ def _labels(batch: RecordBatch, orientation: Orientation) -> np.ndarray:
 
 
 def score_record(record: EvidenceRecord, metric: Metric, orientation: Orientation) -> float:
-    return float(_batch_scores(RecordBatch.from_records([record]), metric, orientation)[0])
+    batch = RecordBatch.from_records([record])
+    return float(_score_evidence(batch.evidence, metric, orientation, batch)[0])
 
 
 def score_group(
@@ -192,9 +175,25 @@ def score_group(
     scores = np.empty(len(batch))
     for k in np.unique(batch.k).tolist():
         rows = np.flatnonzero(batch.k == k)
-        scores[rows] = _batch_scores(batch.take(rows), metric, orientation)
+        group = batch.take(rows)
+        scores[rows] = _score_evidence(group.evidence, metric, orientation, group)
     labels = _labels(batch, orientation)
     return [ScoredSample(score=float(s), label=int(label)) for s, label in zip(scores, labels)]
+
+
+def _detection(
+    id_records: RecordBatch,
+    ood_records: RecordBatch,
+    metric: Metric,
+    orientation: Orientation,
+    id_evidence: np.ndarray,
+    ood_evidence: np.ndarray,
+) -> DetectionResult:
+    """Detection metrics of two groups scored as these matrices; each K is its matrix's width."""
+    sides = ((id_records, id_evidence), (ood_records, ood_evidence))
+    scores = np.concatenate([_score_evidence(e, metric, orientation, b) for b, e in sides])
+    labels = np.concatenate([_labels(b, orientation) for b, _ in sides])
+    return evaluate_scores(scores, labels, metric.value, id_evidence.shape[1], ood_evidence.shape[1])
 
 
 def evaluate_groups(
@@ -208,11 +207,7 @@ def evaluate_groups(
     Each group's K is the width of the matrix it was scored as. Labels
     follow each record's ``group`` field, as in ``score_group``.
     """
-    batches = (id_records, ood_records)
-    scores = np.concatenate([_batch_scores(b, metric, orientation) for b in batches])
-    labels = np.concatenate([_labels(b, orientation) for b in batches])
-    k_id, k_ood = (b.evidence.shape[1] for b in batches)
-    return evaluate_scores(scores, labels, metric.value, k_id, k_ood)
+    return _detection(id_records, ood_records, metric, orientation, id_records.evidence, ood_records.evidence)
 
 
 @dataclass(frozen=True)
@@ -291,9 +286,9 @@ def run_expansion_experiment(
 
     OOD_ONLY appends classes to the OOD group only; MATCHED appends to
     both groups. The baseline K must be uniform across both groups, and
-    the sweep runs from it to ``spec.k_max``. Each expanded group is
-    widened once, to ``spec.k_max`` columns, and row K scores its first K
-    columns: the same values, in the same order, as a matrix widened to K.
+    the sweep runs from it to ``spec.k_max``. Each expanded group is widened
+    once, to ``spec.k_max`` columns; row K scores its first K columns (the
+    same values as a matrix widened to K) and reads each K from its matrix.
     """
     report = audit_cardinality(id_records, ood_records)
     if report.verdict is not Verdict.PASS:
@@ -309,27 +304,21 @@ def run_expansion_experiment(
     def widened(batch: RecordBatch) -> np.ndarray:
         return _append_columns(batch.evidence, spec.k_max - base_k, spec.appended_evidence)
 
-    def evaluate(id_scores: np.ndarray, ood_scores: np.ndarray, k_id: int, k_ood: int):
-        scores = np.concatenate([id_scores, ood_scores])
-        return evaluate_scores(scores, labels, metric.value, k_id, k_ood)
-
     matched = spec.mode is ExpansionMode.MATCHED
-    id_wide = widened(id_records) if matched else None
+    id_wide = widened(id_records) if matched else id_records.evidence
     ood_wide = widened(ood_records)
-    labels = np.concatenate([_labels(id_records, orientation), _labels(ood_records, orientation)])
-    id_scores = None if matched else _batch_scores(id_records, metric, orientation)
-    rows = []
-    for k_target in range(base_k, spec.k_max + 1):
-        ood_scores = _batch_scores(ood_records, metric, orientation, ood_wide[:, :k_target])
-        if matched:
-            id_scores = _batch_scores(id_records, metric, orientation, id_wide[:, :k_target])
-        rows.append(evaluate(id_scores, ood_scores, k_target if matched else base_k, k_target))
+    rows = tuple(
+        _detection(
+            id_records, ood_records, metric, orientation, id_wide[:, : k if matched else base_k], ood_wide[:, :k]
+        )
+        for k in range(base_k, spec.k_max + 1)
+    )
     return ExpansionRun(
         mode=spec.mode,
         metric=metric,
         orientation=orientation,
         appended_evidence=spec.appended_evidence,
-        rows=tuple(rows),
+        rows=rows,
     )
 
 

@@ -379,6 +379,17 @@ def test_diverging_training_prints_only_the_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_runtime_error_of_a_command_prints_only_the_error(files, monkeypatch, capsys):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_expansion_experiment", boom)
+    argv = ["expand", str(files["id"]), str(files["ood"]), "--mode", "ood-only", "--k-max", "6"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: boom\n")
+
+
 def test_integral_values_of_float_fields_are_accepted(tmp_path, capsys):
     path = tmp_path / "toy.json"
     path.write_text(json.dumps({"steps": 0, "learning_rate": 1, "separation": 6, "n_per_class": 50}))

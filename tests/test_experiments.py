@@ -129,6 +129,7 @@ class TestExpansion:
             assert row.auroc == base.auroc
             assert row.aupr == base.aupr
             assert row.aupr_baseline == base.aupr_baseline
+        assert [(row.k_id, row.k_ood) for row in run.rows] == [(k, k) for k in range(4, 9)]
 
     def test_ood_only_zero_evidence_inflates(self, population):
         id_records, ood_records = population
@@ -376,6 +377,16 @@ class TestOverflowNamesRecord:
                 2,
             ),
             (
+                lambda i, o: run_expansion_experiment(
+                    RecordBatch.from_records(i),
+                    RecordBatch.from_records(o),
+                    ExpansionSpec(ExpansionMode.OOD_ONLY, 3),
+                    Metric.VACUITY,
+                ),
+                2,
+                2,
+            ),
+            (
                 lambda i, o: run_restriction_experiment(
                     RecordBatch.from_records(
                         [rec("w", [1.0, 1.0, 1.0], "ood"), rec("c", [1e308, 1e308, 0.0], "ood")]
@@ -388,7 +399,9 @@ class TestOverflowNamesRecord:
                 3,
             ),
         ],
-        ids=["evaluate_groups", "score_record", "score_group", "expansion", "restriction"],
+        ids=[
+            "evaluate_groups", "score_record", "score_group", "expansion", "expansion-ood-only", "restriction"
+        ],
     )
     def test_overflow_is_named(self, call, line, k):
         with warnings.catch_warnings(record=True) as caught:
