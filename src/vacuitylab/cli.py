@@ -343,7 +343,7 @@ def main(argv=None) -> int:
         _print_audit(exc.report)
         print(exc)
         return EXIT_AUDIT_FAIL
-    except (ValueError, OSError, TypeError, RuntimeError) as exc:  # RuntimeError: toy.TrainingDiverged
+    except (ValueError, OSError, TypeError, RuntimeError) as exc:  # any RuntimeError, e.g. toy.TrainingDiverged
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -117,11 +117,11 @@ def require_scorable(id_records: RecordBatch, ood_records: RecordBatch, allow_mi
             raise CardinalityMismatchError("mixed cardinality inside a group cannot be scored", report)
 
 
-@np.errstate(over="ignore")  # given the rows' ``batch``, a non-finite S names its record, not a warning
+@np.errstate(over="ignore")  # an S that overflows is reported with its record, not as a warning
 def _score_evidence(
-    evidence: np.ndarray, metric: Metric, orientation: Orientation, batch: RecordBatch | None = None
+    evidence: np.ndarray, metric: Metric, orientation: Orientation, batch: RecordBatch
 ) -> np.ndarray:
-    """Detection score of every row of an (n, K) evidence matrix.
+    """Detection score of every row of an (n, K) evidence matrix, the rows of ``batch`` widened or not.
 
     alpha = e + 1 and S = its row sum, which equals the sum of that row
     taken alone as a 1-D array, so each score equals the per-record
@@ -130,7 +130,7 @@ def _score_evidence(
     alpha = evidence + 1.0
     strength = alpha.sum(axis=1)
     finite = np.isfinite(strength)
-    if batch is not None and not finite.all():
+    if not finite.all():
         row = int(np.argmin(finite))
         raise ValueError(
             f"{batch.path or '<records>'}:{batch.lines[row]}: record {batch.ids[row]!r}: "

@@ -65,21 +65,22 @@ def test_invariance_property_suite():
     rng = np.random.default_rng(20260801)
     start = time.perf_counter()
     for evidence in random_states(rng, 1000):
-        state = evidence_to_alpha(
-            EvidenceRecord(
-                id="x",
-                group="id",
-                class_names=[str(i) for i in range(len(evidence))],
-                evidence=evidence,
-            )
+        record = EvidenceRecord(
+            id="x",
+            group="id",
+            class_names=[str(i) for i in range(len(evidence))],
+            evidence=evidence,
         )
+        state = evidence_to_alpha(record)
         u = vacuity(state)
         alpha_new, evidence_new = invariance_concentration(state)
         assert alpha_new == pytest.approx(evidence_new + 1.0, rel=1e-15)
         u_kept = (state.k + 1) / (state.strength + alpha_new)
         assert abs(u_kept - u) <= 1e-12 * u
         expanded = _append_columns(evidence[None, :], 1, INVARIANCE_EVIDENCE)
-        assert abs(_score_evidence(expanded, Metric.VACUITY, Orientation.OOD_POSITIVE)[0] - u) <= 1e-12 * u
+        batch = RecordBatch.from_records([record])
+        score = _score_evidence(expanded, Metric.VACUITY, Orientation.OOD_POSITIVE, batch)
+        assert abs(score[0] - u) <= 1e-12 * u
         delta = float(rng.uniform(1e-3, 0.5))
         sign = 1.0 if (rng.random() < 0.5 or alpha_new - delta < 1.0) else -1.0
         u_moved = (state.k + 1) / (state.strength + alpha_new + sign * delta)
@@ -104,7 +105,9 @@ def test_zero_evidence_inflation_lemma():
         u_before = vacuity(state)
         u_after = vacuity(evidence_to_alpha(append_classes(record, 1, 0.0)))
         expanded = _append_columns(evidence[None, :], 1, 0.0)
-        assert _score_evidence(expanded, Metric.VACUITY, Orientation.OOD_POSITIVE)[0] == u_after
+        batch = RecordBatch.from_records([record])
+        score = _score_evidence(expanded, Metric.VACUITY, Orientation.OOD_POSITIVE, batch)
+        assert score[0] == u_after
         assert u_after > u_before
         assert abs((u_after - u_before) - (s - k) / (s * (s + 1.0))) <= 1e-12
     assert time.perf_counter() - start < 1.0

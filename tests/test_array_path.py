@@ -93,10 +93,11 @@ EVIDENCE = st.sampled_from([0.0, 2.5, INVARIANCE_EVIDENCE])
 @given(populations(), st.integers(1, 4), EVIDENCE)
 def test_expanded_scores_match_append_classes_bit_for_bit(groups, count, appended_evidence):
     records = groups[0] + groups[1]
-    expanded = _append_columns(RecordBatch.from_records(records).evidence, count, appended_evidence)
+    batch = RecordBatch.from_records(records)
+    expanded = _append_columns(batch.evidence, count, appended_evidence)
     for metric in Metric:
         for orientation in Orientation:
-            scores = _score_evidence(expanded, metric, orientation)
+            scores = _score_evidence(expanded, metric, orientation, batch)
             expected = [
                 per_record_score(expand_record(r, count, appended_evidence), metric, orientation)
                 for r in records

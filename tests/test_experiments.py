@@ -411,3 +411,14 @@ class TestOverflowNamesRecord:
         assert str(info.value) == f"<records>:{line}: record 'c': evidence sum S is not finite at K={k}"
         assert caught == []
 
+    def test_matched_sweep_names_the_id_record_when_both_sides_overflow(self):
+        # 1e308 appended twice overflows S at K=4 on both sides; a row scores its ID side first
+        with pytest.raises(ValueError) as info:
+            run_expansion_experiment(
+                RecordBatch.from_records([rec("a", [1.0, 1.0])]),
+                RecordBatch.from_records([rec("b", [1.0, 1.0], "ood")]),
+                ExpansionSpec(ExpansionMode.MATCHED, 5, 1e308),
+                Metric.VACUITY,
+            )
+        assert str(info.value) == "<records>:1: record 'a': evidence sum S is not finite at K=4"
+
