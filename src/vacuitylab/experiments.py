@@ -8,8 +8,9 @@ in model predictions. Appending to *both* groups is a rank-preserving
 reparameterization and leaves both metrics bit-identical.
 
 Every experiment takes each group as a ``RecordBatch`` (what
-``parse_records`` returns) and reads its columns. Inputs are never
-modified.
+``parse_records`` returns) and never rebuilds one: it changes only the
+evidence matrix it scores (expansion appends columns, restriction deletes
+one), and each K it reports is the width of the matrix it scored.
 """
 
 from __future__ import annotations
@@ -356,21 +357,26 @@ def run_restriction_experiment(
     "removed" run (they would have no valid answer), and the AUPR baseline
     is recomputed from the new counts. The as-is run deliberately compares
     mismatched cardinalities; each run whose two matrices differ in K
-    carries a warning record. The removal is a column drop plus a gold-label
-    row mask. A mixed-K group raises ``CardinalityMismatchError`` before any
-    class is dropped; a class index out of range, before either run is scored.
+    carries a warning record. The removed run deletes the class's column from
+    the kept rows' evidence matrix. Before either run is scored it refuses,
+    in order: a mixed K (``CardinalityMismatchError``), a class index out of
+    range, a removal that excludes every record, and a 2-class OOD set.
     """
     require_scorable(id_records, ood_records, allow_mismatch=True)  # the as-is run is mismatched on purpose
-    # a record whose gold label is the removed class has no valid answer left (-1: no label)
-    labels = ood_records.labels
-    excluded = (labels >= 0) & (labels == removed_class_index)
+    path = ood_records.path or "<records>"
+    k = ood_records.evidence.shape[1]
+    if not 0 <= removed_class_index < k:
+        raise ValueError(f"{path}: class_index {removed_class_index} out of range for K={k}")
+    # a record whose gold label is the removed class has no valid answer left
+    excluded = ood_records.labels == removed_class_index
     if excluded.all():
-        raise ValueError(
-            f"{ood_records.path or '<records>'}: removing class {removed_class_index} excluded every record"
-        )
-    restricted = ood_records.take(~excluded).drop_class(removed_class_index)
+        raise ValueError(f"{path}: removing class {removed_class_index} excluded every record")
+    if k <= 2:
+        raise ValueError(f"{path}: cannot remove a class from a 2-class record")
+    kept = ood_records.take(~excluded)
     as_is = evaluate_groups(id_records, ood_records, metric, orientation)
-    removed = evaluate_groups(id_records, restricted, metric, orientation)
+    dropped = np.delete(kept.evidence, removed_class_index, axis=1)
+    removed = _detection(id_records, kept, metric, orientation, id_records.evidence, dropped)
     runs = (("restriction_as_is", as_is), ("restriction_removed", removed))
     return RestrictionResult(
         as_is=as_is,

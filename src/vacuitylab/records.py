@@ -179,28 +179,6 @@ class RecordBatch:
             lines=self.lines[rows],
         )
 
-    def drop_class(self, index: int) -> RecordBatch:
-        """The batch with class ``index`` dropped from every row (one shared K > 2).
-
-        Gold labels after the dropped position move down by one. No row may
-        still carry the dropped class as its gold label: exclude those first.
-        """
-        evidence = self.evidence
-        k = evidence.shape[1]
-        if not 0 <= index < k:
-            raise ValueError(f"{self.path or '<records>'}: class_index {index} out of range for K={k}")
-        if k <= 2:
-            raise ValueError(f"{self.path or '<records>'}: cannot remove a class from a 2-class record")
-        if (self.labels == index).any():
-            raise ValueError(f"rows labelled with class {index} must be excluded first")
-        return replace(
-            self,
-            class_names=tuple(names[:index] + names[index + 1 :] for names in self.class_names),
-            k=self.k - 1,
-            values=np.delete(evidence, index, axis=1).ravel(),
-            labels=self.labels - (self.labels > index),
-        )
-
 
 def finite_strength(evidence: np.ndarray) -> np.ndarray:
     """Per row of an (n, K) evidence matrix: is S = sum(evidence + 1) finite, summed as the scorer sums it."""

@@ -715,11 +715,15 @@ def test_unremovable_class_names_the_file(tmp_path, capsys, k, index, message):
     assert capsys.readouterr().err == f"error: {paths[1]}: {message}\n"
 
 
-def test_restrict_excluding_every_record_names_the_file(tmp_path, capsys):
-    """Removing the class every OOD record is labelled with is exit 1 with an error naming the OOD file."""
+@pytest.mark.parametrize("k", [3, 2])
+def test_restrict_excluding_every_record_names_the_file(tmp_path, capsys, k):
+    """Removing the class every OOD record is labelled with is exit 1 with an error naming the OOD file.
+
+    At K=2 this refusal still comes before the 2-class one.
+    """
     paths = []
     for group in ("id", "ood"):
-        records = [make_record(f"{group}{i}", [float(i + j) for j in range(3)], group, gold=0) for i in range(4)]
+        records = [make_record(f"{group}{i}", [float(i + j) for j in range(k)], group, gold=0) for i in range(4)]
         paths.append(tmp_path / f"{group}.jsonl")
         serialize_records(RecordBatch.from_records(records), paths[-1])
     assert main(["restrict", *map(str, paths), "--remove-class", "0", "--out", str(tmp_path / "out")]) == 1

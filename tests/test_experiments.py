@@ -23,6 +23,7 @@ from vacuitylab import (
     Orientation,
     Verdict,
     append_classes,
+    remove_class,
     RecordBatch,
     audit_cardinality,
     auroc,
@@ -276,15 +277,47 @@ class TestRestriction:
             ("restriction_removed", 3, 4),
         ]
 
-    def test_bad_index_rejected(self, monkeypatch):
-        id_records, five = self.make_groups()
+    @pytest.mark.parametrize(
+        "ood_rows, index, message",
+        [
+            (None, 5, "<records>: class_index 5 out of range for K=5"),
+            ([rec("q0", [1, 2, 3], "ood", gold=2), rec("q1", [3, 2, 1], "ood", gold=2)], 2,
+             "<records>: removing class 2 excluded every record"),
+            ([rec("q0", [1, 2], "ood", gold=1), rec("q1", [2, 1], "ood")], 0,
+             "<records>: cannot remove a class from a 2-class record"),
+        ],
+        ids=["out-of-range", "every-record-excluded", "two-class"],
+    )
+    def test_bad_index_rejected(self, monkeypatch, ood_rows, index, message):
+        id_records, ood_records = self.make_groups()
+        if ood_rows is not None:
+            ood_records = RecordBatch.from_records(ood_rows)
         scored = []
-        monkeypatch.setattr(
-            experiments, "evaluate_groups", lambda *args: scored.append(args) or evaluate_groups(*args)
-        )
-        with pytest.raises(ValueError, match="out of range"):
-            run_restriction_experiment(five, 5, id_records, Metric.VACUITY)
+        detection = experiments._detection
+        monkeypatch.setattr(experiments, "_detection", lambda *args: scored.append(args) or detection(*args))
+        with pytest.raises(ValueError) as info:
+            run_restriction_experiment(ood_records, index, id_records, Metric.VACUITY)
+        assert str(info.value) == message
         assert scored == []  # rejected before either run is scored
+
+    @pytest.mark.parametrize("k, index", [(4, 0), (4, 1), (4, 3), (10, 7)])
+    def test_removed_run_matches_remove_class(self, k, index):
+        """The removed run equals evaluate_groups over the per-record oracle's reduced records, exactly."""
+        rng = np.random.default_rng(k + index)
+        ood_rows = [
+            rec(f"q{i}", [i, 2 * i, 0.5, 3] if k == 4 else rng.gamma(0.5, 2.0, k).tolist(), "ood",
+                gold=i % k if i % 3 else None)
+            for i in range(12)
+        ]
+        id_records = RecordBatch.from_records([rec(f"id{i}", [5 + i, 1, 1]) for i in range(6)])
+        result = run_restriction_experiment(RecordBatch.from_records(ood_rows), index, id_records, Metric.VACUITY)
+        reduced = [remove_class(r, index) for r in ood_rows]
+        expected = evaluate_groups(
+            id_records, RecordBatch.from_records([r for r in reduced if r is not None]), Metric.VACUITY,
+            Orientation.ID_POSITIVE,
+        )
+        assert result.removed == expected
+        assert result.excluded_ids == tuple(r.id for r in ood_rows if r.gold_label == index)
 
     @pytest.mark.parametrize("side", ["ood", "id"])
     @pytest.mark.parametrize("index", [4, 9])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vacuitylab import RecordBatch, RecordParseError, parse_records, remove_class, serialize_records
+from vacuitylab import RecordBatch, RecordParseError, parse_records, serialize_records
 from vacuitylab.cli import main
 from vacuitylab.dirichlet import EvidenceRecord
 from vacuitylab.records import _earliest_defect
@@ -661,20 +661,6 @@ class TestBatchTransforms:
             for i in range(12)
         ]
         return parse_records(write_lines(tmp_path / "r.jsonl", lines))
-
-    @pytest.mark.parametrize("index", [0, 1, 3])
-    def test_drop_class_matches_remove_class(self, tmp_path, index):
-        batch = self.make_batch(tmp_path)
-        keep = batch.labels != index
-        reduced = batch.take(keep).drop_class(index)
-        expected = [remove_class(r, index) for r in records_of(batch)]
-        assert records_of(reduced) == [r for r in expected if r is not None]
-        assert reduced.evidence.shape == (int(keep.sum()), 3)
-        assert reduced.lines.tolist() == batch.lines[keep].tolist()
-
-    def test_drop_class_refuses_rows_labelled_with_it(self, tmp_path):
-        with pytest.raises(ValueError, match="excluded first"):
-            self.make_batch(tmp_path).drop_class(1)
 
     def test_take_keeps_order_and_views(self, tmp_path):
         batch = self.make_batch(tmp_path)
