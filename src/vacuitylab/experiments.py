@@ -96,8 +96,9 @@ def audit_cardinality(id_records: RecordBatch, ood_records: RecordBatch) -> Audi
         ks = np.concatenate([id_records.k, ood_records.k])
         values, counts = np.unique(ks, return_counts=True)
         reference = values[np.argmax(counts)]
+        bad = np.flatnonzero(ks != reference)
         ids = id_records.ids + ood_records.ids
-        detail = tuple((ids[i], int(ks[i])) for i in np.flatnonzero(ks != reference))
+        detail = tuple(zip([ids[i] for i in bad.tolist()], ks[bad].tolist()))
     return AuditReport(
         k_id=k_id,
         k_ood=k_ood,

@@ -6,15 +6,14 @@ O(n log n). AUPR is step-wise average precision with tie groups collapsed
 to a single threshold (Davis & Goadrich 2006); no trapezoidal
 interpolation, which can be optimistic.
 
-The implementation works on arrays: ``auroc_scores``, ``aupr_scores`` and
-``evaluate_scores`` take a float score vector and a 0/1 label vector, find
-tie runs from the scores in one ascending sort (AUPR reads it in reverse,
-so ``evaluate_scores`` sorts once for both), and never loop in Python.
-The sort need not be stable: AUROC credits every positive in a tie run
-with the run's one midrank, and AUPR reads the positive count only at
-run ends, so both depend on how many positives each run holds, never on
-their order inside it. ``auroc``, ``aupr`` and ``evaluate_detection``
-are adapters that take a list of ``ScoredSample`` and call them.
+Both read one table of a scored run. ``_runs`` refuses scores and labels
+that are not 1-D arrays of one length, non-finite scores and labels other
+than 0/1, with the same messages for ``auroc_scores``, ``aupr_scores`` and
+``evaluate_scores``; it then sorts once and returns each ascending tie
+run's end and the count of positives below that end. A metric reads a run
+only through that count, so the order inside a run, which the unstable
+sort leaves free, never changes a bit. ``auroc``, ``aupr`` and
+``evaluate_detection`` are adapters that take a list of ``ScoredSample``.
 """
 
 from __future__ import annotations
@@ -60,51 +59,51 @@ def _scores_labels(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndar
     return scores, labels
 
 
-def _tie_run_ends(sorted_scores: np.ndarray) -> np.ndarray:
-    """Exclusive end index of each run of equal values in a sorted vector."""
-    return np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1, len(sorted_scores))
-
-
-def _ranked(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Labels in ascending score order, and the exclusive end of each tie run in that order.
-
-    The order inside a tie run is whatever the sort leaves: each metric
-    reads a run only through its count of positives, so the bits do not
-    depend on it.
-    """
+def _runs(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Check a scored run and sort it once into ``(ends, cum_pos, n)``: the exclusive end of
+    each ascending tie run, and the count of positives below that end."""
+    scores, labels = np.asarray(scores), np.asarray(labels)
+    if scores.ndim != 1 or scores.shape != labels.shape:
+        raise ValueError(f"scores and labels must be 1-D arrays of one length, got {scores.shape} and {labels.shape}")
+    if not np.isfinite(scores).all():
+        raise ValueError(f"scores must be finite, got {scores[~np.isfinite(scores)][0]}")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be 0 or 1")
     order = np.argsort(scores)
-    return labels[order], _tie_run_ends(scores[order])
+    ranked = scores[order]
+    ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, len(ranked))
+    cum_pos = np.append(0, np.cumsum(labels[order]))[ends]
+    return ends, cum_pos, len(ranked)
 
 
-def _auroc_ranked(labels: np.ndarray, ends: np.ndarray) -> float:
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
+def _auroc_runs(ends: np.ndarray, cum_pos: np.ndarray, n: int) -> float:
+    n_pos = int(cum_pos[-1])
+    n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auroc needs at least one positive and one negative sample")
     starts = np.append(0, ends[:-1])
-    # a run over sorted positions i..j (0-based) shares the 1-based rank (i + j)/2 + 1
-    ranks = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
-    rank_sum = float(ranks[labels == 1].sum())
+    # a run over sorted positions i..j (0-based) shares the 1-based rank (i + j)/2 + 1;
+    # the products are half-integers, so their sum is exact in any order
+    rank_sum = float((np.diff(cum_pos, prepend=0) * (0.5 * (starts + ends - 1) + 1.0)).sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _aupr_ranked(labels: np.ndarray, ends: np.ndarray) -> float:
-    n_pos = int(labels.sum())
+def _aupr_runs(ends: np.ndarray, cum_pos: np.ndarray, n: int) -> float:
+    n_pos = int(cum_pos[-1])
     if n_pos == 0:
         raise ValueError("aupr needs at least one positive sample")
-    # Thresholds run from the highest score down: the ascending order read in
-    # reverse. Order inside a tie run does not change a run's true positives.
-    ends = len(labels) - np.append(0, ends[:-1])[::-1]
-    tp = np.cumsum(labels[::-1])[ends - 1]
+    # Thresholds run from the highest score down: the runs read in reverse,
+    # each counting every sample from its start to the top.
+    tp = n_pos - np.append(0, cum_pos[:-1])[::-1]
     recall = tp / n_pos
-    precision = tp / ends
+    precision = tp / (n - np.append(0, ends[:-1])[::-1])
     steps = (recall - np.append(0.0, recall[:-1])) * precision
     return float(np.cumsum(steps)[-1])
 
 
 def auroc_scores(scores: np.ndarray, labels: np.ndarray) -> float:
     """AUROC of a score vector against 0/1 labels: the rank-sum form with midranks."""
-    return _auroc_ranked(*_ranked(scores, labels))
+    return _auroc_runs(*_runs(scores, labels))
 
 
 def aupr_scores(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -114,7 +113,7 @@ def aupr_scores(scores: np.ndarray, labels: np.ndarray) -> float:
     sequential cumsum, left to right like a running total; ``np.sum``
     would add them pairwise and can differ in the last ulp.
     """
-    return _aupr_ranked(*_ranked(scores, labels))
+    return _aupr_runs(*_runs(scores, labels))
 
 
 def auroc(samples: Sequence[ScoredSample]) -> float:
@@ -142,16 +141,12 @@ def evaluate_scores(
     k_ood: int,
 ) -> DetectionResult:
     """Compute AUROC, AUPR and the prevalence baseline for a score vector and 0/1 labels."""
-    if not np.isfinite(scores).all():
-        raise ValueError(f"scores must be finite, got {scores[~np.isfinite(scores)][0]}")
-    if not ((labels == 0) | (labels == 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
-    ranked = _ranked(scores, labels)  # one sort serves both rank metrics
+    runs = _runs(scores, labels)  # one check and one sort serve both rank metrics
+    n_pos = int(runs[1][-1])
+    n_neg = runs[2] - n_pos
     return DetectionResult(
-        auroc=_auroc_ranked(*ranked),
-        aupr=_aupr_ranked(*ranked),
+        auroc=_auroc_runs(*runs),
+        aupr=_aupr_runs(*runs),
         aupr_baseline=aupr_baseline(n_pos, n_neg),
         n_positive=n_pos,
         n_negative=n_neg,

@@ -143,6 +143,14 @@ class TestOracles:
         assert auroc_bruteforce(inst) == 0.5
 
 
+# every public entry that takes (scores, labels) arrays, each run through the one input check
+ARRAY_ENTRIES = {
+    "evaluate_scores": lambda scores, labels: evaluate_scores(scores, labels, "vacuity", 4, 4),
+    "auroc_scores": auroc_scores,
+    "aupr_scores": aupr_scores,
+}
+
+
 class TestEvaluateDetection:
     def test_bundles_counts_and_baseline(self):
         inst = samples_from([0.9, 0.8, 0.2, 0.1, 0.3], [1, 1, 0, 0, 0])
@@ -155,13 +163,25 @@ class TestEvaluateDetection:
 
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_array_evaluator_rejects_nonfinite_scores(self, bad):
+    @pytest.mark.parametrize("entry", ARRAY_ENTRIES.values(), ids=ARRAY_ENTRIES)
+    def test_array_evaluator_rejects_nonfinite_scores(self, entry, bad):
         with pytest.raises(ValueError, match="finite"):
-            evaluate_scores(np.array([0.9, bad, 0.1]), np.array([1, 0, 0]), "vacuity", 4, 4)
+            entry(np.array([0.9, bad, 0.1]), np.array([1, 0, 0]))
 
-    def test_array_evaluator_rejects_bad_labels(self):
+    @pytest.mark.parametrize("entry", ARRAY_ENTRIES.values(), ids=ARRAY_ENTRIES)
+    def test_array_evaluator_rejects_bad_labels(self, entry):
         with pytest.raises(ValueError, match="0 or 1"):
-            evaluate_scores(np.array([0.9, 0.5, 0.1]), np.array([1, 2, 0]), "vacuity", 4, 4)
+            entry(np.array([0.9, 0.5, 0.1]), np.array([1, 2, 0]))
+
+    @pytest.mark.parametrize(
+        "scores, labels",
+        [([0.9, 0.5, 0.1], [1, 0]), ([[0.9, 0.5, 0.1]], [1, 0, 0])],
+        ids=["length-mismatch", "2d-scores"],
+    )
+    @pytest.mark.parametrize("entry", ARRAY_ENTRIES.values(), ids=ARRAY_ENTRIES)
+    def test_array_evaluator_rejects_misshapen_inputs(self, entry, scores, labels):
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            entry(np.array(scores), np.array(labels))
 
 
 class TestScoredSampleValidation:
