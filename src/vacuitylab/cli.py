@@ -306,9 +306,9 @@ def _cmd_report(args) -> int:
         return EXIT_USAGE
     results, name_paths = [], {}
     for path in paths:
+        if path.name == "audit.result.json":
+            continue  # what `audit --out` writes is not an experiment result
         result = _read_json(path)
-        if type(result) is dict and "kind" not in result:
-            continue  # audit.result.json and other non-experiment results carry no "kind"
         problem = result_problem(result)
         if problem is not None:
             raise ValueError(f"{path}: {problem}")

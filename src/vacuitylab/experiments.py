@@ -10,7 +10,8 @@ reparameterization and leaves both metrics bit-identical.
 Every experiment takes each group as a ``RecordBatch`` (what
 ``parse_records`` returns) and never rebuilds one: it changes only the
 evidence matrix it scores (expansion appends columns, restriction deletes
-one), and each K it reports is the width of the matrix it scored.
+one), and each K it reports is the width of the matrix it scored. Each
+is gated by ``require_scorable`` alone, which refuses a mixed K first.
 """
 
 from __future__ import annotations
@@ -108,15 +109,14 @@ def audit_cardinality(id_records: RecordBatch, ood_records: RecordBatch) -> Audi
 
 
 def require_scorable(id_records: RecordBatch, ood_records: RecordBatch, allow_mismatch: bool) -> None:
-    """Refuse two groups that may not be scored: a mixed K, or any mismatch not allowed."""
+    """The one K gate of every scorer: a mixed K is refused first, then any mismatch not allowed."""
     report = audit_cardinality(id_records, ood_records)
-    if report.verdict is not Verdict.PASS:
-        if not allow_mismatch:
-            raise CardinalityMismatchError(
-                "refusing to score mismatched cardinalities (pass --allow-mismatch to override)", report
-            )
-        if MIXED in (report.k_id, report.k_ood):
-            raise CardinalityMismatchError("mixed cardinality inside a group cannot be scored", report)
+    if MIXED in (report.k_id, report.k_ood):
+        raise CardinalityMismatchError("mixed cardinality inside a group cannot be scored", report)
+    if report.verdict is not Verdict.PASS and not allow_mismatch:
+        raise CardinalityMismatchError(
+            "refusing to score mismatched cardinalities (metrics --allow-mismatch overrides)", report
+        )
 
 
 @np.errstate(over="ignore")  # an S that overflows is reported with its record, not as a warning
@@ -170,15 +170,11 @@ def score_group(
 
     ID_POSITIVE labels ID records 1 and scores with 1/u, MP, or
     1 - H/log2(K); OOD_POSITIVE flips the labels and uses u, 1 - MP, or
-    H/log2(K). Either orientation yields the same AUROC. Records may mix
-    class counts.
+    H/log2(K). Either orientation yields the same AUROC. The records
+    must share one class count.
     """
     batch = RecordBatch.from_records(records)
-    scores = np.empty(len(batch))
-    for k in np.unique(batch.k).tolist():
-        rows = np.flatnonzero(batch.k == k)
-        group = batch.take(rows)
-        scores[rows] = _score_evidence(group.evidence, metric, orientation, group)
+    scores = _score_evidence(batch.evidence, metric, orientation, batch)
     labels = _labels(batch, orientation)
     return [ScoredSample(score=float(s), label=int(label)) for s, label in zip(scores, labels)]
 
@@ -287,19 +283,13 @@ def run_expansion_experiment(
     """Recompute detection metrics under class expansion with predictions held fixed.
 
     OOD_ONLY appends classes to the OOD group only; MATCHED appends to
-    both groups. The baseline K must be uniform across both groups, and
-    the sweep runs from it to ``spec.k_max``. Each expanded group is widened
+    both groups. Both groups must share one baseline K (``require_scorable``),
+    and the sweep runs from it to ``spec.k_max``. Each expanded group is widened
     once, to ``spec.k_max`` columns; row K scores its first K columns (the
     same values as a matrix widened to K) and reads each K from its matrix.
     """
-    report = audit_cardinality(id_records, ood_records)
-    if report.verdict is not Verdict.PASS:
-        raise CardinalityMismatchError(
-            f"baseline cardinality mismatch (K_ID={report.k_id}, K_OOD={report.k_ood}); "
-            "run audit_cardinality for the offending records",
-            report,
-        )
-    base_k = report.k_id
+    require_scorable(id_records, ood_records, allow_mismatch=False)
+    base_k = id_records.evidence.shape[1]
     if spec.k_max <= base_k:
         raise ValueError(f"k_max {spec.k_max} must exceed the baseline K={base_k}")
 

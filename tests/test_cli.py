@@ -746,20 +746,28 @@ def mixed_ood(files, tmp_path):
         (
             ["metrics"],
             "ood_k5",
-            "refusing to score mismatched cardinalities (pass --allow-mismatch to override)",
+            "refusing to score mismatched cardinalities (metrics --allow-mismatch overrides)",
         ),
         (["metrics", "--allow-mismatch"], "mixed", "mixed cardinality inside a group cannot be scored"),
         (
             ["expand", "--mode", "ood-only", "--k-max", "8"],
             "ood_k5",
-            "baseline cardinality mismatch (K_ID=4, K_OOD=5); "
-            "run audit_cardinality for the offending records",
+            "refusing to score mismatched cardinalities (metrics --allow-mismatch overrides)",
+        ),
+        (["metrics"], "mixed", "mixed cardinality inside a group cannot be scored"),
+        (
+            ["expand", "--mode", "ood-only", "--k-max", "8"],
+            "mixed",
+            "mixed cardinality inside a group cannot be scored",
         ),
     ],
-    ids=["metrics", "metrics-allow-mismatch-mixed", "expand"],
+    ids=["metrics", "metrics-allow-mismatch-mixed", "expand", "metrics-mixed", "expand-mixed"],
 )
 def test_refusal_prints_the_audit_block(files, mixed_ood, capsys, command, ood, message):
-    """Every mismatch refusal prints what `audit` prints, then its reason, exits 2 and writes nothing."""
+    """Every mismatch refusal prints what `audit` prints, then its reason, exits 2 and writes nothing.
+
+    A mixed K is refused before any mismatch, with or without --allow-mismatch.
+    """
     pair = [str(files["id"]), str(mixed_ood if ood == "mixed" else files[ood])]
     assert main(["audit", *pair]) == 2
     audit_block = capsys.readouterr().out
@@ -803,6 +811,10 @@ BAD_RESULTS = {
     "bogus-kind": (
         {"kind": "bogus"},
         "kind must be one of 'expansion', 'restriction', 'detection', got 'bogus'",
+    ),
+    "no-kind": (
+        {k: v for k, v in _detection_result().items() if k != "kind"},
+        "kind must be one of 'expansion', 'restriction', 'detection', got None",
     ),
     "number": (5, "expected a JSON object"),
     "escaping-name": (

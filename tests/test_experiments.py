@@ -115,6 +115,10 @@ class TestScoreGroup:
         assert [s.label for s in samples] == [0, 1]
         assert samples[1].score == pytest.approx(vacuity(evidence_to_alpha(rec("b", [1, 2]))))
 
+    def test_mixed_class_counts_rejected(self):
+        with pytest.raises(ValueError, match="rows have different class counts"):
+            score_group([rec("a", [1, 2]), rec("b", [1, 2, 3])], Metric.VACUITY)
+
     def test_score_record_entropy(self):
         value = score_record(rec("a", [0, 0, 0, 0]), Metric.NORM_ENTROPY, Orientation.ID_POSITIVE)
         assert value == pytest.approx(0.0, abs=1e-12)  # uniform: H/log2 K = 1
@@ -172,7 +176,7 @@ class TestExpansion:
         assert [r.evidence for r in records_of(ood_records)] == before_ood
 
     def test_mismatched_baseline_rejected(self):
-        with pytest.raises(CardinalityMismatchError, match="audit_cardinality"):
+        with pytest.raises(CardinalityMismatchError, match="refusing to score mismatched cardinalities"):
             run_expansion_experiment(
                 RecordBatch.from_records([rec("a", [1, 2, 3, 4])]),
                 RecordBatch.from_records([rec("b", [1, 2, 3, 4, 5], "ood")]),
