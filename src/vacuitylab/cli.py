@@ -1,10 +1,10 @@
 """Command-line driver.
 
 Exit codes are a stable contract: 0 success, 1 usage or internal error,
-2 cardinality-audit failure. Scoring mismatched class cardinalities is
-opt-in via `metrics --allow-mismatch` and always leaves a machine-readable
-warning record, because the tool exists to demonstrate that artefact, not to
-commit it silently.
+2 cardinality-audit failure. The tool demonstrates the mismatched-K
+artefact and never commits it silently: `metrics --allow-mismatch` and each
+`restrict` run whose two K differ leave a machine-readable warning record,
+and every `expand` row states its own K_ID and K_OOD.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def _cmd_audit(args) -> int:
     report = audit_cardinality(*_load_groups(args))
     _print_audit(report)
     if args.out is not None:
-        write_files(args.out, {"audit.result.json": json.dumps(report.to_dict(), indent=2) + "\n"})
+        write_files(args.out, {"audit.json": json.dumps(report.to_dict(), indent=2) + "\n"})
     return EXIT_OK if report.verdict is Verdict.PASS else EXIT_AUDIT_FAIL
 
 
@@ -306,8 +306,6 @@ def _cmd_report(args) -> int:
         return EXIT_USAGE
     results, name_paths = [], {}
     for path in paths:
-        if path.name == "audit.result.json":
-            continue  # what `audit --out` writes is not an experiment result
         result = _read_json(path)
         problem = result_problem(result)
         if problem is not None:
@@ -317,9 +315,6 @@ def _cmd_report(args) -> int:
         if first != path:
             raise ValueError(f"{path}: name {result['name']!r} is also used by {first}")
         results.append(result)
-    if not results:
-        print(f"no renderable *.result.json files in {results_dir}", file=sys.stderr)
-        return EXIT_USAGE
     out = args.out if args.out is not None else results_dir
     written = emit_report(results, out, args.format)
     print(f"wrote {len(written)} files to {out}")

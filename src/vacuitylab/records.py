@@ -154,14 +154,11 @@ class RecordBatch:
 
     @property
     def evidence(self) -> np.ndarray:
-        """The read-only (n, K) evidence matrix of a batch whose rows share one K."""
-        if len(self) == 0:
-            return self.values.reshape(0, 0)
+        """The read-only (n, K) evidence matrix of a non-empty batch whose rows share one K."""
         k = self.class_count()
         if k is None:
-            raise ValueError(
-                f"{self.path or '<records>'}: rows have different class counts; no single evidence matrix"
-            )
+            problem = "rows have different class counts; no single evidence matrix" if len(self) else "no records"
+            raise ValueError(f"{self.path or '<records>'}: {problem}")
         return self.values.reshape(len(self), k)
 
     def take(self, rows) -> RecordBatch:

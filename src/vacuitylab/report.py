@@ -269,20 +269,25 @@ def write_files(out_dir, files: dict[str, str]) -> list[Path]:
 def emit_report(results: list[dict], out_dir, fmt: str = "md", tables: list[str] | None = None) -> list[Path]:
     """Write one table per result plus a plot + CSV per expansion sweep.
 
-    Always writes the machine mirror ``<name>.result.json``; byte output
-    is deterministic for identical inputs. ``tables``, when given, holds
-    each result's table as ``render_table`` already rendered it in ``fmt``.
+    Always writes the machine mirror ``<name>.result.json``, the table itself
+    when ``fmt`` is json. ``tables``, when given, holds each result's table as
+    ``render_table`` already rendered it in ``fmt``. Refuses two results that
+    would write one file before writing any; byte output is deterministic.
     """
-    if not results:
-        raise ValueError("no results to report")
     if tables is None:
         tables = [render_table(result, fmt) for result in results]
-    files = {}
+    files, writers = {}, {}
     for result, table in zip(results, tables):
         name = result["name"]
-        files[f"{name}.result.json"] = json.dumps(result, indent=2) + "\n"
-        files[f"{name}.{fmt}"] = table
+        own = {f"{name}.result.json": table if fmt == "json" else json.dumps(result, indent=2) + "\n"}
+        if fmt != "json":
+            own[f"{name}.{fmt}"] = table
         if result["kind"] == "expansion":
-            files[f"{name}_sweep.svg"] = sweep_svg(result)
-            files[f"{name}_sweep.csv"] = sweep_csv(result)
+            own[f"{name}_sweep.svg"] = sweep_svg(result)
+            own[f"{name}_sweep.csv"] = sweep_csv(result)
+        for file in own:
+            first = writers.setdefault(file, name)
+            if first != name:
+                raise ValueError(f"{Path(out_dir) / file}: written by both result {first!r} and result {name!r}")
+        files.update(own)
     return write_files(out_dir, files)

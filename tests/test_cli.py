@@ -64,8 +64,10 @@ class TestAudit:
         assert "K_ID=4 K_OOD=5" in out
 
     def test_writes_result_file(self, files):
+        """The audit writes audit.json, outside the *.result.json glob that `report` reads."""
         main(["audit", str(files["id"]), str(files["ood"]), "--out", str(files["out"])])
-        stored = json.loads((files["out"] / "audit.result.json").read_text())
+        assert [p.name for p in files["out"].iterdir()] == ["audit.json"]
+        stored = json.loads((files["out"] / "audit.json").read_text())
         assert stored["verdict"] == "PASS"
 
 
@@ -148,8 +150,11 @@ class TestExpand:
         stored = json.loads((files["out"] / "expansion_ood_only.result.json").read_text())
         aurocs = [row["auroc"] for row in stored["rows"]]
         assert all(b >= a for a, b in zip(aurocs, aurocs[1:]))
-        assert (files["out"] / "expansion_ood_only_sweep.svg").exists()
-        assert (files["out"] / "expansion_ood_only_sweep.csv").exists()
+        # every row states its own K_ID and K_OOD; the mismatched OOD-only rows write no warnings.jsonl
+        assert [(row["k_id"], row["k_ood"]) for row in stored["rows"]] == [(4, k) for k in range(4, 9)]
+        assert sorted(p.name for p in files["out"].iterdir()) == [
+            "expansion_ood_only.result.json", "expansion_ood_only_sweep.csv", "expansion_ood_only_sweep.svg"
+        ]
 
     def test_mismatched_baseline_exits_two(self, files):
         code = main(
@@ -286,15 +291,22 @@ class TestReport:
         assert main(["report", str(empty)]) == 1
 
     def test_audit_result_is_skipped(self, files, capsys):
+        """`report` does not read the audit's audit.json; an audit.result.json is a malformed result."""
         out = str(files["out"])
         assert main(["audit", str(files["id"]), str(files["ood"]), "--out", out]) == 0
         assert main(["report", out]) == 1
-        assert "no renderable" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"no *.result.json files in {out}\n"
         args = [str(files["id"]), str(files["ood"]), "--mode", "matched", "--k-max", "6", "--out", out]
         assert main(["expand", *args]) == 0
         capsys.readouterr()
         assert main(["report", out, "--format", "csv"]) == 0
         assert capsys.readouterr().out.startswith("wrote 4 files")
+        old = files["out"] / "audit.result.json"
+        old.write_text((files["out"] / "audit.json").read_text())
+        assert main(["report", out, "--format", "csv"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {old}: kind must be one of 'expansion', 'restriction', 'detection', got None\n"
+        )
 
 
 JSON_DEFECTS = {
@@ -832,6 +844,10 @@ BAD_RESULTS = {
              "n_positive", "n_negative"]
         ),
     ),
+    "number-condition": (
+        _detection_result(rows=[dict(_detection_result()["rows"][0], condition=1)]),
+        "rows[0].condition must be a string",
+    ),
     "text-auroc": (
         _detection_result(rows=[dict(_detection_result()["rows"][0], auroc="0.7")]),
         "rows[0].auroc must be a finite number, got '0.7'",
@@ -865,8 +881,19 @@ def test_report_refuses_two_results_of_one_name(tmp_path, capsys):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_report_refuses_two_results_that_write_one_file(tmp_path, capsys):
+    """An expansion result x writes x_sweep.csv, so a result named x_sweep cannot write its csv table too."""
+    (tmp_path / "x.result.json").write_text(json.dumps(_detection_result(kind="expansion")))
+    (tmp_path / "x_sweep.result.json").write_text(json.dumps(_detection_result(name="x_sweep")))
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "o"
+    assert main(["report", str(tmp_path), "--format", "csv", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {out / 'x_sweep.csv'}: written by both result 'x' and result 'x_sweep'\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_report_renders_a_valid_detection_result(tmp_path, capsys):
-    (tmp_path / "audit.result.json").write_text(json.dumps({"k_id": 4, "k_ood": 4, "verdict": "PASS"}))
+    (tmp_path / "audit.json").write_text(json.dumps({"k_id": 4, "k_ood": 4, "verdict": "PASS"}))
     (tmp_path / "x.result.json").write_text(json.dumps(_detection_result()))
     assert main(["report", str(tmp_path), "--out", str(tmp_path / "out")]) == 0
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["x.md", "x.result.json"]
@@ -959,5 +986,7 @@ def test_each_table_is_rendered_once(files, monkeypatch, capsys, fmt):
     argv = ["expand", str(files["id"]), str(files["ood"]), "--mode", "ood-only", "--k-max", "6"]
     assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
     assert calls == ["expansion_ood_only"]
-    table = (out / f"expansion_ood_only.{fmt}").read_text(encoding="utf-8")
-    assert capsys.readouterr().out == table + f"wrote 4 files to {out}\n"
+    # the json table is the result mirror itself, written once
+    name = "expansion_ood_only.result.json" if fmt == "json" else f"expansion_ood_only.{fmt}"
+    table = (out / name).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == table + f"wrote {3 if fmt == 'json' else 4} files to {out}\n"

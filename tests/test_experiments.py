@@ -8,6 +8,7 @@ only help the detector.
 
 import dataclasses
 import inspect
+import re
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from vacuitylab import (
     auroc,
     generate_evidence_population,
     overlap_population_params,
+    parse_records,
     run_expansion_experiment,
     run_restriction_experiment,
     score_group,
@@ -118,6 +120,17 @@ class TestScoreGroup:
     def test_mixed_class_counts_rejected(self):
         with pytest.raises(ValueError, match="rows have different class counts"):
             score_group([rec("a", [1, 2]), rec("b", [1, 2, 3])], Metric.VACUITY)
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_empty_group_rejected(self, tmp_path, metric):
+        """An empty batch has no evidence matrix: every metric refuses it with one error naming its file."""
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        ood = RecordBatch.from_records([rec("b", [1, 2], "ood")])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no records$"):
+            evaluate_groups(parse_records(path), ood, metric, Orientation.ID_POSITIVE)
+        with pytest.raises(ValueError, match="^<records>: no records$"):
+            score_group([], metric)
 
     def test_score_record_entropy(self):
         value = score_record(rec("a", [0, 0, 0, 0]), Metric.NORM_ENTROPY, Orientation.ID_POSITIVE)

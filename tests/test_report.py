@@ -117,10 +117,6 @@ class TestEmit:
         for name in ("expansion_matched.csv", "expansion_matched_sweep.svg"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_empty_results_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report([], tmp_path, "md")
-
 
 class TestWarnings:
     def test_jsonl_shape(self):

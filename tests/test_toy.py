@@ -437,6 +437,39 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="sigma head"):
             ToyModelParams(weights=np.zeros((2, 3)), bias=np.zeros(2), mode=TrainingMode.IB_EDL)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"bias": np.zeros(3)}, r"weights must be \(K, d\) with a matching \(K,\) bias"),
+            ({"weights": np.zeros(2)}, r"weights must be \(K, d\) with a matching \(K,\) bias"),
+            (
+                {"mode": TrainingMode.IB_EDL, "sigma_weights": np.zeros((2, 2)), "sigma_bias": np.zeros(2)},
+                "sigma head must match the mean head's shapes",
+            ),
+            ({"sigma_mult": -0.5}, "sigma_mult must be >= 0"),
+        ],
+        ids=["bias-length", "flat-weights", "sigma-shape", "negative-sigma-mult"],
+    )
+    def test_malformed_params_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ToyModelParams(**{"weights": np.zeros((2, 3)), "bias": np.zeros(2), "mode": TrainingMode.EDL, **fields})
+
+    @pytest.mark.parametrize(
+        "features, labels, message",
+        [
+            (np.zeros((2, 4)), [0, 1], r"features must be \(n, 3\)"),
+            (np.zeros(3), [0], r"features must be \(n, 3\)"),
+            (np.zeros((2, 3)), [0, 1, 1], "labels must be a vector matching the batch size"),
+            (np.zeros((2, 3)), [0, 2], "labels out of range"),
+            (np.zeros((2, 3)), [-1, 0], "labels out of range"),
+        ],
+        ids=["feature-width", "flat-features", "label-length", "label-too-large", "negative-label"],
+    )
+    def test_malformed_batch_rejected(self, features, labels, message):
+        params = init_params(TrainingMode.EDL, 2, 3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ToyBatch.of(params, features, labels)
+
     def test_lambda_ramp(self):
         config = ToyTrainConfig(lambda_weight=1.0, lambda_ramp_steps=100)
         assert config.lambda_at(0) == 0.0
