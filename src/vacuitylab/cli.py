@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -68,14 +67,11 @@ def _evidence_value(text: str):
     if text == INVARIANCE_EVIDENCE:
         return INVARIANCE_EVIDENCE
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(
             f"expected a finite number or {INVARIANCE_EVIDENCE!r}, got {text!r}"
-        )
-    return value
+        ) from None
 
 
 def _arg(*names, **kwargs) -> tuple:
@@ -144,10 +140,7 @@ def build_parser(argv: Sequence[str] = ()) -> _Parser:
 
 
 def _load_groups(args):
-    """Both record files as batches; a record's group must match its file's role, and each file holds a record.
-
-    A defect in either file is reported before a file without records.
-    """
+    """Both record files as batches; a record's group must match its file's role."""
     batches = []
     for path, role, group in ((args.id_file, "id_file", Group.ID), (args.ood_file, "ood_file", Group.OOD)):
         batch = parse_records(path)
@@ -162,9 +155,6 @@ def _load_groups(args):
                 f"but the {role} holds {group.value!r} records",
             )
         batches.append(batch)
-    for path, batch in zip((args.id_file, args.ood_file), batches):
-        if not len(batch):
-            raise ValueError(f"{path}: no records")
     return batches
 
 
@@ -304,16 +294,15 @@ def _cmd_report(args) -> int:
     if not paths:
         print(f"no *.result.json files in {results_dir}", file=sys.stderr)
         return EXIT_USAGE
-    results, name_paths = [], {}
+    results = []
     for path in paths:
         result = _read_json(path)
         problem = result_problem(result)
         if problem is not None:
             raise ValueError(f"{path}: {problem}")
-        # each result is written under its name, so a second one would overwrite the first
-        first = name_paths.setdefault(result["name"], path)
-        if first != path:
-            raise ValueError(f"{path}: name {result['name']!r} is also used by {first}")
+        # each result is written under its name, so a name that is not the stem would write a second file
+        if result["name"] != path.name.removesuffix(".result.json"):
+            raise ValueError(f"{path}: name {result['name']!r} is not the file's stem")
         results.append(result)
     out = args.out if args.out is not None else results_dir
     written = emit_report(results, out, args.format)

@@ -84,9 +84,10 @@ class CardinalityMismatchError(ValueError):
 
 
 def audit_cardinality(id_records: RecordBatch, ood_records: RecordBatch) -> AuditReport:
-    """PASS iff every record in both groups shares one class count."""
-    if not len(id_records) or not len(ood_records):
-        raise ValueError("both record groups must be non-empty")
+    """PASS iff every record in both groups shares one class count; an empty group is an error naming it."""
+    for batch in (id_records, ood_records):
+        if not len(batch):
+            raise ValueError(f"{batch.path or '<records>'}: no records")
     k_id = id_records.class_count() or MIXED
     k_ood = ood_records.class_count() or MIXED
     ok = k_id != MIXED and k_id == k_ood
@@ -218,7 +219,9 @@ class ExpansionSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", ExpansionMode(self.mode))
-        if isinstance(self.appended_evidence, str):
+        if isinstance(self.k_max, bool) or not isinstance(self.k_max, (int, np.integer)):
+            raise ValueError(f"k_max must be an integer, got {self.k_max!r}")
+        if isinstance(self.appended_evidence, (str, bool)):  # a bool is not a number of pseudo-counts
             if self.appended_evidence != INVARIANCE_EVIDENCE:
                 raise ValueError(
                     f"appended_evidence must be a non-negative number or "

@@ -245,13 +245,33 @@ class TestSimulateAndTrainToy:
         ood_lines = (out / "ood_records.jsonl").read_text().strip().splitlines()
         assert len(id_lines) == 30 and len(ood_lines) == 20
 
-    def test_simulate_seed_override(self, tmp_path):
-        config = tmp_path / "pop.json"
-        config.write_text(json.dumps({"n_id": 5, "n_ood": 5, "seed": 5}))
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["simulate", "--config", str(config), "--out", str(out_a), "--seed", "9"])
-        main(["simulate", "--config", str(config), "--out", str(out_b), "--seed", "9"])
-        assert (out_a / "id_records.jsonl").read_text() == (out_b / "id_records.jsonl").read_text()
+    @staticmethod
+    def _outputs_by_seed(tmp_path, capsys, command, config, read):
+        """``read(out)`` after a run of the config with seed 5, one with seed 9, and the seed-5 config with --seed 9."""
+        runs = [(5, []), (9, []), (5, ["--seed", "9"])]
+        outputs = []
+        for i, (seed, flags) in enumerate(runs):
+            path, out = tmp_path / f"config{i}.json", tmp_path / f"out{i}"
+            path.write_text(json.dumps({**config, "seed": seed}))
+            assert main([command, "--config", str(path), "--out", str(out), *flags]) == 0
+            capsys.readouterr()
+            outputs.append(read(out))
+        return outputs
+
+    def test_simulate_seed_override(self, tmp_path, capsys):
+        """--seed replaces the config's seed: the run equals that of a config holding seed 9, not seed 5."""
+        own, nine, overridden = self._outputs_by_seed(
+            tmp_path, capsys, "simulate", {"n_id": 5, "n_ood": 5},
+            lambda out: [(out / name).read_bytes() for name in ("id_records.jsonl", "ood_records.jsonl")],
+        )
+        assert overridden == nine != own
+
+    def test_train_toy_seed_override(self, tmp_path, capsys):
+        own, nine, overridden = self._outputs_by_seed(
+            tmp_path, capsys, "train-toy", {"mode": "edl", "steps": 5, "n_per_class": 50},
+            lambda out: (out / "toy_summary.json").read_bytes(),
+        )
+        assert overridden == nine != own
 
     def test_train_toy_summary(self, tmp_path, capsys):
         config = tmp_path / "toy.json"
@@ -563,6 +583,16 @@ class TestUsageErrors:
         assert main(["audit", str(bad), str(files["ood"])]) == 1
 
 
+@pytest.mark.parametrize("ood, code", [("ood", 0), ("ood_k5", 2)], ids=["pass", "fail"])
+def test_console_script_entry_exits_with_the_command_code(files, monkeypatch, capsys, ood, code):
+    """The installed ``vacuitylab`` script calls ``entry``, which exits with the code ``main`` returns."""
+    monkeypatch.setattr(sys, "argv", ["vacuitylab", "audit", str(files["id"]), str(files[ood])])
+    with pytest.raises(SystemExit) as info:
+        cli.entry()
+    assert info.value.code == code
+    assert capsys.readouterr().out.startswith(f"AUDIT {'PASS' if code == 0 else 'FAIL'}")
+
+
 # a valid invocation of each command, so that the flag under test is the only usage error
 BASE_ARGV = {
     "audit": ["audit", "id.jsonl", "ood.jsonl"],
@@ -701,10 +731,14 @@ def test_expansion_overflow_names_record_and_k(tmp_path, capsys, mode, evidence,
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309", "abc"])
 def test_non_finite_evidence_is_usage_error(files, capsys, value):
+    """Text that is no number is refused by the parser; a non-finite number by ExpansionSpec. Both exit 1."""
     argv = ["expand", str(files["id"]), str(files["ood"]), "--mode", "ood-only", "--k-max", "6"]
     assert main([*argv, f"--evidence={value}"]) == 1
     err = capsys.readouterr().err
-    assert err == f"usage error: argument --evidence: expected a finite number or 'invariance', got {value!r}\n"
+    if value == "abc":
+        assert err == f"usage error: argument --evidence: expected a finite number or 'invariance', got {value!r}\n"
+    else:
+        assert err == f"error: appended_evidence must be a finite number >= 0, got {float(value)}\n"
 
 
 @pytest.mark.parametrize(
@@ -871,14 +905,39 @@ def test_report_rejects_malformed_result_files(tmp_path, capsys, name):
 
 
 def test_report_refuses_two_results_of_one_name(tmp_path, capsys):
-    """Each result is written under its name: a second result of that name is exit 1, before any write."""
+    """Each result is written under its name, which must be its file's stem, so two files cannot share one."""
     first, second = tmp_path / "a.result.json", tmp_path / "b.result.json"
     first.write_text(json.dumps(_detection_result()))
     second.write_text(json.dumps(_detection_result(metric="max_prob")))
     before = sorted(tmp_path.rglob("*"))
     assert main(["report", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == f"error: {second}: name 'x' is also used by {first}\n"
+    assert capsys.readouterr().err == f"error: {first}: name 'x' is not the file's stem\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_report_refuses_a_name_that_is_not_the_stem_on_every_run(tmp_path, capsys):
+    """A result named b in a.result.json would write b.result.json beside it; every run refuses it instead."""
+    path = tmp_path / "a.result.json"
+    path.write_text(json.dumps(_detection_result(name="b")))
+    before = sorted(tmp_path.rglob("*"))
+    for _ in range(2):
+        assert main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: name 'b' is not the file's stem\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_report_is_idempotent_on_what_it_wrote(files, tmp_path, capsys, fmt):
+    """report on a directory the tool wrote leaves the same files on a second run."""
+    out = tmp_path / "d"
+    argv = ["expand", str(files["id"]), str(files["ood"]), "--mode", "ood-only", "--k-max", "6", "--out", str(out)]
+    assert main(argv) == 0
+    snapshots = []
+    for _ in range(2):
+        assert main(["report", str(out), "--format", fmt]) == 0
+        snapshots.append({p.name: p.read_bytes() for p in out.iterdir()})
+    capsys.readouterr()
+    assert snapshots[0] == snapshots[1]
 
 
 def test_report_refuses_two_results_that_write_one_file(tmp_path, capsys):

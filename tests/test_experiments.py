@@ -87,9 +87,17 @@ class TestAudit:
         )
         assert audit_cardinality(*groups).verdict is audit_cardinality(*groups[::-1]).verdict
 
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError):
+    def test_empty_group_rejected(self, tmp_path):
+        """An empty group is an error naming its file, the ID group first."""
+        empty, other = tmp_path / "empty.jsonl", tmp_path / "other.jsonl"
+        empty.write_text("")
+        other.write_text("")
+        with pytest.raises(ValueError, match="^<records>: no records$"):
             audit_cardinality(RecordBatch.from_records([]), RecordBatch.from_records([rec("b", [1, 2])]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(empty))}: no records$"):
+            audit_cardinality(RecordBatch.from_records([rec("a", [1, 2])]), parse_records(empty))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(empty))}: no records$"):
+            audit_cardinality(parse_records(empty), parse_records(other))
 
 
 class TestScoreGroup:
@@ -222,10 +230,20 @@ class TestExpansion:
             )
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            ExpansionSpec(mode=ExpansionMode.MATCHED, k_max=5, appended_evidence=-1.0)
-        with pytest.raises(ValueError):
-            ExpansionSpec(mode=ExpansionMode.MATCHED, k_max=5, appended_evidence="bogus")
+        """A spec the sweep cannot run is refused when it is built, with an error naming the field."""
+        cases = [
+            (5, -1.0, "appended_evidence must be a finite number >= 0, got -1.0"),
+            (5, "bogus", "appended_evidence must be a non-negative number or 'invariance', got 'bogus'"),
+            (5, True, "appended_evidence must be a non-negative number or 'invariance', got True"),
+            (8.5, 0.0, "k_max must be an integer, got 8.5"),
+            (6.0, 0.0, "k_max must be an integer, got 6.0"),
+            (True, 0.0, "k_max must be an integer, got True"),
+            ("6", 0.0, "k_max must be an integer, got '6'"),
+        ]
+        for k_max, evidence, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ExpansionSpec(mode=ExpansionMode.MATCHED, k_max=k_max, appended_evidence=evidence)
+        assert ExpansionSpec(mode=ExpansionMode.MATCHED, k_max=np.int64(6), appended_evidence=1).k_max == 6
 
     def test_mp_and_entropy_rows_are_reported(self, population):
         """MP and entropy sweeps run, but carry no invariance claim."""
@@ -354,7 +372,7 @@ class TestRestriction:
         id_records, five = self.make_groups()
         empty = RecordBatch.from_records([])
         groups = (id_records, empty) if side == "ood" else (empty, five)
-        with pytest.raises(ValueError, match="both record groups must be non-empty"):
+        with pytest.raises(ValueError, match="^<records>: no records$"):
             run_restriction_experiment(groups[1], 4, groups[0], Metric.VACUITY)
 
     def test_restriction_shrinks_mismatch_inflation(self):
