@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .records import Group
+from .records import Group, require_int, require_number
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,8 @@ def append_classes(
     never recomputed. Synthetic class names are X1, X2, ... skipping any
     already present.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if math.isnan(appended_evidence) or appended_evidence < 0:
-        raise ValueError(f"appended_evidence must be >= 0, got {appended_evidence}")
+    require_int("count", count, 0)
+    require_number("appended_evidence", appended_evidence)
     if count == 0:
         return record
     existing = set(record.class_names)

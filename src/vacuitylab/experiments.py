@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .metrics import DetectionResult, ScoredSample, evaluate_scores
-from .records import RecordBatch
+from .records import RecordBatch, require_int, require_number
 
 if TYPE_CHECKING:
     from .dirichlet import EvidenceRecord
@@ -219,18 +219,15 @@ class ExpansionSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", ExpansionMode(self.mode))
-        if isinstance(self.k_max, bool) or not isinstance(self.k_max, (int, np.integer)):
-            raise ValueError(f"k_max must be an integer, got {self.k_max!r}")
+        require_int("k_max", self.k_max, 3)  # every baseline has K >= 2
         if isinstance(self.appended_evidence, (str, bool)):  # a bool is not a number of pseudo-counts
             if self.appended_evidence != INVARIANCE_EVIDENCE:
                 raise ValueError(
                     f"appended_evidence must be a non-negative number or "
                     f"{INVARIANCE_EVIDENCE!r}, got {self.appended_evidence!r}"
                 )
-        elif not 0 <= self.appended_evidence < math.inf:
-            raise ValueError(
-                f"appended_evidence must be a finite number >= 0, got {self.appended_evidence}"
-            )
+        else:
+            require_number("appended_evidence", self.appended_evidence)
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,7 @@ def aupr(samples: Sequence[ScoredSample]) -> float:
 
 def aupr_baseline(n_positive: int, n_negative: int) -> float:
     """Random-ranking AUPR baseline: the positive-class prevalence."""
-    if n_positive <= 0 or n_negative <= 0:
+    if not (n_positive > 0 and n_negative > 0):  # False for a NaN count too
         raise ValueError("both counts must be positive")
     return n_positive / (n_positive + n_negative)
 

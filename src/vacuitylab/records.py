@@ -31,6 +31,10 @@ the float or int64 range, or bytes that are not UTF-8) it gives up, and
 the refused file is re-read line by line to find its earliest defective
 line. Each line runs every check in one fixed order, and the error names
 the file, that line and the first check it fails.
+
+``require_int`` and ``require_number`` are the package's only checks of
+a numeric argument; they live here because every other module imports
+this one.
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ import json
 import json.encoder
 import json.scanner
 import math
+import numbers
 import re
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import compress, islice, repeat
@@ -50,6 +56,24 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .dirichlet import EvidenceRecord
+
+
+def require_int(name: str, value, minimum: int):
+    """``value`` if it is an integer (a bool is not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def require_number(name: str, value, positive: bool = False):
+    """``value`` if it is a finite real (a bool is not), > 0 when ``positive``, else >= 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if value < 0 or (positive and value == 0):
+        raise ValueError(f"{name} must be {'> 0' if positive else '>= 0'}, got {value}")
+    return value
 
 
 def softplus_evidence(logits) -> np.ndarray:

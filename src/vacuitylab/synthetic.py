@@ -16,14 +16,12 @@ parameters are configuration, not doctrine.
 
 from __future__ import annotations
 
-import numbers
 import string
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .records import Group, RecordBatch, finite_strength
+from .records import Group, RecordBatch, finite_strength, require_int, require_number
 
 STREAM_ID_EVIDENCE = 0
 STREAM_OOD_EVIDENCE = 1
@@ -33,24 +31,6 @@ STREAM_TOY_POINTS = 2
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """The package-wide stream-splitting rule; see the module docstring."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
-
-
-def require_int(name: str, value, minimum: int):
-    """``value`` if it is an integer (a bool is not) of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def require_number(name: str, value, positive: bool = False):
-    """``value`` if it is a finite real (a bool is not), > 0 when ``positive``, else >= 0."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    if value < 0 or (positive and value == 0):
-        raise ValueError(f"{name} must be {'> 0' if positive else '>= 0'}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -146,10 +126,8 @@ def generate_toy_classification(
     Returns (points, labels) with class-0 points first; deterministic
     given the seed.
     """
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
-    if separation <= 0:
-        raise ValueError("separation must be positive")
+    require_int("n_per_class", n_per_class, 1)
+    require_number("separation", separation, positive=True)
     rng = stream_rng(seed, STREAM_TOY_POINTS)
     offsets = np.array([[-separation / 2.0, 0.0], [separation / 2.0, 0.0]])
     points = np.concatenate(

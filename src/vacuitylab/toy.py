@@ -21,9 +21,9 @@ from enum import Enum
 import numpy as np
 
 from . import losses
-from .records import softplus_evidence
+from .records import require_int, require_number, softplus_evidence
 from .special import log_gamma
-from .synthetic import generate_toy_classification, require_int, require_number
+from .synthetic import generate_toy_classification
 
 
 class TrainingMode(str, Enum):
@@ -87,8 +87,7 @@ class ToyModelParams:
                 raise ValueError("sigma head must match the mean head's shapes")
         elif self.sigma_weights is not None or self.sigma_bias is not None:
             raise ValueError("EDL mode must not carry a sigma head")
-        if self.sigma_mult < 0:
-            raise ValueError("sigma_mult must be >= 0")
+        require_number("sigma_mult", self.sigma_mult)
 
     @property
     def n_classes(self) -> int:
@@ -293,6 +292,7 @@ class RbfFeaturizer:
 
     @classmethod
     def for_data(cls, points: np.ndarray, grid: int = 5) -> "RbfFeaturizer":
+        require_int("grid", grid, 2)
         lo = points.min(axis=0) - 1.0  # the grid spans the data's bounding box widened by 1
         hi = points.max(axis=0) + 1.0
         gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], grid), np.linspace(lo[1], hi[1], grid))

@@ -232,7 +232,7 @@ class TestExpansion:
     def test_spec_validation(self):
         """A spec the sweep cannot run is refused when it is built, with an error naming the field."""
         cases = [
-            (5, -1.0, "appended_evidence must be a finite number >= 0, got -1.0"),
+            (5, -1.0, "appended_evidence must be >= 0, got -1.0"),
             (5, "bogus", "appended_evidence must be a non-negative number or 'invariance', got 'bogus'"),
             (5, True, "appended_evidence must be a non-negative number or 'invariance', got True"),
             (8.5, 0.0, "k_max must be an integer, got 8.5"),

@@ -446,7 +446,7 @@ class TestParamsValidation:
                 {"mode": TrainingMode.IB_EDL, "sigma_weights": np.zeros((2, 2)), "sigma_bias": np.zeros(2)},
                 "sigma head must match the mean head's shapes",
             ),
-            ({"sigma_mult": -0.5}, "sigma_mult must be >= 0"),
+            ({"sigma_mult": -0.5}, "sigma_mult must be >= 0, got -0.5"),
         ],
         ids=["bias-length", "flat-weights", "sigma-shape", "negative-sigma-mult"],
     )
