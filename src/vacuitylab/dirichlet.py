@@ -44,10 +44,8 @@ class EvidenceRecord:
             if math.isnan(e) or e < 0:
                 raise ValueError(f"record {self.id!r}: negative evidence at index {i}")
         if self.gold_label is not None:
-            if not 0 <= self.gold_label < len(self.class_names):
-                raise ValueError(
-                    f"record {self.id!r}: gold_label {self.gold_label} out of range"
-                )
+            if require_int(f"record {self.id!r}: gold_label", self.gold_label, 0) >= self.k:
+                raise ValueError(f"record {self.id!r}: gold_label {self.gold_label} out of range")
 
     @property
     def k(self) -> int:
@@ -92,7 +90,7 @@ def remove_class(record: EvidenceRecord, class_index: int) -> EvidenceRecord | N
     records are always kept. The gold label is re-indexed when it sat
     after the removed position.
     """
-    if not 0 <= class_index < record.k:
+    if require_int("class_index", class_index, 0) >= record.k:
         raise ValueError(f"class_index {class_index} out of range for K={record.k}")
     if record.k <= 2:
         raise ValueError("cannot remove a class from a 2-class record")

@@ -10,8 +10,9 @@ reparameterization and leaves both metrics bit-identical.
 Every experiment takes each group as a ``RecordBatch`` (what
 ``parse_records`` returns) and never rebuilds one: it changes only the
 evidence matrix it scores (expansion appends columns, restriction deletes
-one), and each K it reports is the width of the matrix it scored. Each
-is gated by ``require_scorable`` alone, which refuses a mixed K first.
+one), and each K it reports is the width of the matrix it scored. A run
+is a pair of scored groups; a group whose matrix does not change is scored
+once. Each is gated by ``require_scorable`` alone, which refuses a mixed K first.
 """
 
 from __future__ import annotations
@@ -157,6 +158,20 @@ def _labels(batch: RecordBatch, orientation: Orientation) -> np.ndarray:
     return positive.astype(int)
 
 
+def _scored(
+    batch: RecordBatch, evidence: np.ndarray, metric: Metric, orientation: Orientation
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One group scored as ``evidence``, the rows of ``batch``: its scores, its 0/1 labels and its K."""
+    return _score_evidence(evidence, metric, orientation, batch), _labels(batch, orientation), evidence.shape[1]
+
+
+def _detection(metric: Metric, id_side: tuple, ood_side: tuple) -> DetectionResult:
+    """Detection metrics of two groups as ``_scored`` returns them; each K is the width it was scored at."""
+    (id_scores, id_labels, k_id), (ood_scores, ood_labels, k_ood) = id_side, ood_side
+    scores, labels = np.concatenate([id_scores, ood_scores]), np.concatenate([id_labels, ood_labels])
+    return evaluate_scores(scores, labels, metric.value, k_id, k_ood)
+
+
 def score_record(record: EvidenceRecord, metric: Metric, orientation: Orientation) -> float:
     batch = RecordBatch.from_records([record])
     return float(_score_evidence(batch.evidence, metric, orientation, batch)[0])
@@ -175,24 +190,8 @@ def score_group(
     must share one class count.
     """
     batch = RecordBatch.from_records(records)
-    scores = _score_evidence(batch.evidence, metric, orientation, batch)
-    labels = _labels(batch, orientation)
+    scores, labels, _ = _scored(batch, batch.evidence, metric, orientation)
     return [ScoredSample(score=float(s), label=int(label)) for s, label in zip(scores, labels)]
-
-
-def _detection(
-    id_records: RecordBatch,
-    ood_records: RecordBatch,
-    metric: Metric,
-    orientation: Orientation,
-    id_evidence: np.ndarray,
-    ood_evidence: np.ndarray,
-) -> DetectionResult:
-    """Detection metrics of two groups scored as these matrices; each K is its matrix's width."""
-    sides = ((id_records, id_evidence), (ood_records, ood_evidence))
-    scores = np.concatenate([_score_evidence(e, metric, orientation, b) for b, e in sides])
-    labels = np.concatenate([_labels(b, orientation) for b, _ in sides])
-    return evaluate_scores(scores, labels, metric.value, id_evidence.shape[1], ood_evidence.shape[1])
 
 
 def evaluate_groups(
@@ -206,7 +205,8 @@ def evaluate_groups(
     Each group's K is the width of the matrix it was scored as. Labels
     follow each record's ``group`` field, as in ``score_group``.
     """
-    return _detection(id_records, ood_records, metric, orientation, id_records.evidence, ood_records.evidence)
+    sides = (_scored(b, b.evidence, metric, orientation) for b in (id_records, ood_records))
+    return _detection(metric, *sides)
 
 
 @dataclass(frozen=True)
@@ -287,6 +287,7 @@ def run_expansion_experiment(
     and the sweep runs from it to ``spec.k_max``. Each expanded group is widened
     once, to ``spec.k_max`` columns; row K scores its first K columns (the
     same values as a matrix widened to K) and reads each K from its matrix.
+    An OOD-only sweep scores the unchanged ID matrix once, for every row.
     """
     require_scorable(id_records, ood_records, allow_mismatch=False)
     base_k = id_records.evidence.shape[1]
@@ -296,12 +297,16 @@ def run_expansion_experiment(
     def widened(batch: RecordBatch) -> np.ndarray:
         return _append_columns(batch.evidence, spec.k_max - base_k, spec.appended_evidence)
 
+    def scored(batch: RecordBatch, evidence: np.ndarray) -> tuple:
+        return _scored(batch, evidence, metric, orientation)
+
     matched = spec.mode is ExpansionMode.MATCHED
-    id_wide = widened(id_records) if matched else id_records.evidence
+    id_wide = widened(id_records) if matched else None
+    id_side = None if matched else scored(id_records, id_records.evidence)  # one scoring for every row
     ood_wide = widened(ood_records)
     rows = tuple(
         _detection(
-            id_records, ood_records, metric, orientation, id_wide[:, : k if matched else base_k], ood_wide[:, :k]
+            metric, scored(id_records, id_wide[:, :k]) if matched else id_side, scored(ood_records, ood_wide[:, :k])
         )
         for k in range(base_k, spec.k_max + 1)
     )
@@ -348,10 +353,12 @@ def run_restriction_experiment(
     "removed" run (they would have no valid answer), and the AUPR baseline
     is recomputed from the new counts. The as-is run deliberately compares
     mismatched cardinalities; each run whose two matrices differ in K
-    carries a warning record. The removed run deletes the class's column from
-    the kept rows' evidence matrix. Before either run is scored it refuses,
-    in order: a mixed K (``CardinalityMismatchError``), a class index out of
-    range, a removal that excludes every record, and a 2-class OOD set.
+    carries a warning record. The ID matrix is scored once for both runs.
+    The removed run scores every OOD row with the class's column deleted, so
+    a non-finite S names its record, and keeps the rows not excluded. Before
+    either run is scored it refuses, in order: a mixed K
+    (``CardinalityMismatchError``), a class index out of range, a removal
+    that excludes every record, and a 2-class OOD set.
     """
     require_scorable(id_records, ood_records, allow_mismatch=True)  # the as-is run is mismatched on purpose
     path = ood_records.path or "<records>"
@@ -364,10 +371,11 @@ def run_restriction_experiment(
         raise ValueError(f"{path}: removing class {removed_class_index} excluded every record")
     if k <= 2:
         raise ValueError(f"{path}: cannot remove a class from a 2-class record")
-    kept = ood_records.take(~excluded)
-    as_is = evaluate_groups(id_records, ood_records, metric, orientation)
-    dropped = np.delete(kept.evidence, removed_class_index, axis=1)
-    removed = _detection(id_records, kept, metric, orientation, id_records.evidence, dropped)
+    id_side = _scored(id_records, id_records.evidence, metric, orientation)  # one scoring for both runs
+    as_is = _detection(metric, id_side, _scored(ood_records, ood_records.evidence, metric, orientation))
+    dropped = np.delete(ood_records.evidence, removed_class_index, axis=1)
+    scores, labels, k_removed = _scored(ood_records, dropped, metric, orientation)
+    removed = _detection(metric, id_side, (scores[~excluded], labels[~excluded], k_removed))
     runs = (("restriction_as_is", as_is), ("restriction_removed", removed))
     return RestrictionResult(
         as_is=as_is,

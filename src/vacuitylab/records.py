@@ -46,7 +46,7 @@ import math
 import numbers
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice, repeat
 from operator import is_not
@@ -185,34 +185,11 @@ class RecordBatch:
             raise ValueError(f"{self.path or '<records>'}: {problem}")
         return self.values.reshape(len(self), k)
 
-    def take(self, rows) -> RecordBatch:
-        """The sub-batch of the given row indices (or boolean row mask), in that order."""
-        rows = np.asarray(rows)
-        rows = np.flatnonzero(rows) if rows.dtype == bool else rows.astype(np.intp, copy=False)
-        return replace(
-            self,
-            ids=[self.ids[i] for i in rows.tolist()],
-            ood=self.ood[rows],
-            class_index=self.class_index[rows],
-            k=self.k[rows],
-            values=self.values[_flat_index(self.k, rows)],
-            labels=self.labels[rows],
-            lines=self.lines[rows],
-        )
-
 
 def finite_strength(evidence: np.ndarray) -> np.ndarray:
     """Per row of an (n, K) evidence matrix: is S = sum(evidence + 1) finite, summed as the scorer sums it."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.isfinite((evidence + 1.0).sum(axis=1))
-
-
-def _flat_index(k: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Positions in the flat value buffer of the given rows' entries, row after row."""
-    starts = np.cumsum(k) - k
-    widths = k[rows]
-    out_starts = np.cumsum(widths) - widths
-    return np.repeat(starts[rows] - out_starts, widths) + np.arange(int(widths.sum()))
 
 
 _NUMBER_TYPES = frozenset({int, float})  # bool is an int subclass, but JSON true/false is not a number
@@ -336,8 +313,7 @@ def _evidence(values: np.ndarray, k: np.ndarray, logits: np.ndarray, widths: set
     if (values < 0).any():
         raise _Refused
     for width in widths:
-        rows = np.flatnonzero(k == width)
-        if not finite_strength(values[_flat_index(k, rows)].reshape(len(rows), width)).all():
+        if not finite_strength(values[np.repeat(k == width, k)].reshape(-1, width)).all():
             raise _Refused
     return values
 

@@ -219,8 +219,8 @@ def test_cli_audit_contract(default_fixture, tmp_path):
     id_path = tmp_path / "id.jsonl"
     ood_path = tmp_path / "ood.jsonl"
     ood5_path = tmp_path / "ood_k5.jsonl"
-    serialize_records(id_records.take(range(100)), id_path)
-    serialize_records(ood_records.take(range(100)), ood_path)
+    serialize_records(RecordBatch.from_records(records_of(id_records)[:100]), id_path)
+    serialize_records(RecordBatch.from_records(records_of(ood_records)[:100]), ood_path)
     five = RecordBatch.from_records([append_classes(r, 1, 0.0) for r in records_of(ood_records)[:100]])
     serialize_records(five, ood5_path)
 

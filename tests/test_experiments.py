@@ -328,8 +328,10 @@ class TestRestriction:
         if ood_rows is not None:
             ood_records = RecordBatch.from_records(ood_rows)
         scored = []
-        detection = experiments._detection
-        monkeypatch.setattr(experiments, "_detection", lambda *args: scored.append(args) or detection(*args))
+        score_evidence = experiments._score_evidence
+        monkeypatch.setattr(
+            experiments, "_score_evidence", lambda *args: scored.append(args) or score_evidence(*args)
+        )
         with pytest.raises(ValueError) as info:
             run_restriction_experiment(ood_records, index, id_records, Metric.VACUITY)
         assert str(info.value) == message
@@ -405,6 +407,30 @@ def test_evaluate_groups_reads_k_from_the_scored_matrices():
         Orientation.ID_POSITIVE,
     )
     assert (res.k_id, res.k_ood) == (4, 5)
+
+
+# each call on a K=4 pair -> (the call, how many matrices it scores): a matrix that does not change is scored once
+SCORINGS = {
+    "ood-only-sweep": (lambda i, o: run_expansion_experiment(i, o, ExpansionSpec("ood-only", 8), Metric.MP), 1 + 5),
+    "matched-sweep": (lambda i, o: run_expansion_experiment(i, o, ExpansionSpec("matched", 8), Metric.MP), 2 * 5),
+    "restriction": (lambda i, o: run_restriction_experiment(o, 1, i, Metric.MP), 3),
+    "evaluate-groups": (lambda i, o: evaluate_groups(i, o, Metric.MP, Orientation.ID_POSITIVE), 2),
+}
+
+
+@pytest.mark.parametrize("call", SCORINGS)
+def test_each_matrix_is_scored_once(monkeypatch, call):
+    """The scorer runs once per distinct matrix, and every run is built from scored groups, not batches."""
+    run, expected = SCORINGS[call]
+    id_records = RecordBatch.from_records([rec(f"id{i}", [5 + i, 1, 1, 1]) for i in range(6)])
+    ood_records = RecordBatch.from_records([rec(f"q{i}", [1, 2, 3, i], "ood", gold=i % 4) for i in range(6)])
+    scored, detections = [], []
+    score_evidence, detection = experiments._score_evidence, experiments._detection
+    monkeypatch.setattr(experiments, "_score_evidence", lambda *a: scored.append(a) or score_evidence(*a))
+    monkeypatch.setattr(experiments, "_detection", lambda *a: detections.append(a) or detection(*a))
+    run(id_records, ood_records)
+    assert len(scored) == expected
+    assert detections and not any(isinstance(a, RecordBatch) for args in detections for a in args)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -662,11 +662,6 @@ class TestBatchTransforms:
         ]
         return parse_records(write_lines(tmp_path / "r.jsonl", lines))
 
-    def test_take_keeps_order_and_views(self, tmp_path):
-        batch = self.make_batch(tmp_path)
-        assert records_of(batch.take([5, 2])) == [records_of(batch)[5], records_of(batch)[2]]
-        assert len(batch.take([])) == 0
-
     def test_from_records_round_trips(self, tmp_path):
         batch = self.make_batch(tmp_path)
         assert records_of(RecordBatch.from_records(records_of(batch))) == records_of(batch)

@@ -23,9 +23,11 @@ from vacuitylab import (
     append_classes,
     generate_toy_classification,
     init_params,
+    remove_class,
 )
 
 RECORD = EvidenceRecord("r", "id", ("A", "B"), (1.0, 2.0))
+RECORD3 = EvidenceRecord("r", "id", ("A", "B", "C"), (1.0, 2.0, 3.0), gold_label=2)
 POINTS = np.array([[0.0, 0.0], [1.0, 2.0]])
 
 # field -> (call with the value under test, a valid value, values below the minimum)
@@ -38,6 +40,7 @@ ENTRIES = {
     "RbfFeaturizer.for_data.grid": (lambda v: RbfFeaturizer.for_data(POINTS, grid=v), 2, (0, 1)),
     "append_classes.count": (lambda v: append_classes(RECORD, v, 0.0), 1, (-1,)),
     "append_classes.appended_evidence": (lambda v: append_classes(RECORD, 1, v), 0.5, (-1.0,)),
+    "remove_class.class_index": (lambda v: remove_class(RECORD3, v), 1, (-1,)),
     "PopulationParams.n_id": (lambda v: PopulationParams(n_id=v), 5, (0,)),
     "PopulationParams.scale": (lambda v: PopulationParams(scale=v), 1.0, (0.0,)),
     "ToyTrainConfig.steps": (lambda v: ToyTrainConfig(steps=v), 5, (-1,)),
@@ -66,3 +69,11 @@ def test_bad_value_is_refused_naming_the_field(entry, value):
     field = entry.rsplit(".", 1)[1]
     with pytest.raises(ValueError, match=f"^{re.escape(field)} "):
         call(value)
+
+
+@pytest.mark.parametrize("label", [1.5, True, "1", math.nan], ids=["float", "bool", "text", "nan"])
+def test_non_integer_gold_label_is_refused(label):
+    """A gold label is an integer index or None; nothing is rounded or read as 0/1."""
+    with pytest.raises(ValueError, match=r"^record 'r': gold_label must be an integer, got "):
+        EvidenceRecord("r", "id", ("A", "B", "C"), (1.0, 2.0, 3.0), gold_label=label)
+    assert EvidenceRecord("r", "id", ("A", "B", "C"), (1.0, 2.0, 3.0), gold_label=None).gold_label is None
