@@ -3,8 +3,8 @@
 Exit codes are a stable contract: 0 success, 1 usage or internal error,
 2 cardinality-audit failure. The tool demonstrates the mismatched-K
 artefact and never commits it silently: `metrics --allow-mismatch` and each
-`restrict` run whose two K differ leave a machine-readable warning record,
-and every `expand` row states its own K_ID and K_OOD.
+`restrict` run whose two K differ print a warning record, which --out writes
+to warnings.jsonl beside the results and counts; each `expand` row states its K_ID and K_OOD.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .report import (
     render_table,
     restriction_result_dict,
     result_problem,
-    warnings_jsonl,
     write_files,
 )
 
@@ -168,18 +167,13 @@ def _print_audit(report) -> None:
             print(f"    ... {len(report.detail) - 20} more")
 
 
-def _write_warnings(out_dir: str | None, warnings: list[dict]) -> None:
+def _deliver(result: dict, args, warnings: tuple[dict, ...] = ()) -> None:
     for w in warnings:
         print(f"warning: {json.dumps(w)}", file=sys.stderr)
-    if out_dir is not None:
-        write_files(out_dir, {"warnings.jsonl": warnings_jsonl(warnings)})
-
-
-def _deliver(result: dict, args) -> None:
     table = render_table(result, args.format)
     print(table, end="")
     if args.out is not None:
-        paths = emit_report([result], args.out, args.format, tables=[table])
+        paths = emit_report([result], args.out, args.format, tables=[table], warnings=warnings)
         print(f"wrote {len(paths)} files to {args.out}")
 
 
@@ -197,12 +191,11 @@ def _cmd_metrics(args) -> int:
     metric = Metric(args.metric)
     orientation = Orientation(args.orientation)
     res = evaluate_groups(id_records, ood_records, metric, orientation)
-    if res.k_id != res.k_ood:
-        _write_warnings(args.out, [mismatch_warning("metrics", res.k_id, res.k_ood)])
+    warnings = (mismatch_warning("metrics", res.k_id, res.k_ood),) if res.k_id != res.k_ood else ()
     result = detection_result_dict(
         f"metrics_{metric.value}", f"{metric.value} ({orientation.value})", res, orientation.value
     )
-    _deliver(result, args)
+    _deliver(result, args, warnings)
     return EXIT_OK
 
 
@@ -219,10 +212,9 @@ def _cmd_restrict(args) -> int:
     result = run_restriction_experiment(
         ood_records, args.remove_class, id_records, Metric(args.metric), Orientation(args.orientation)
     )
-    _write_warnings(args.out, list(result.warnings))
     out = restriction_result_dict("restriction", result, args.remove_class)
     print(f"excluded {out['excluded_count']} records whose gold label was the removed class")
-    _deliver(out, args)
+    _deliver(out, args, result.warnings)
     return EXIT_OK
 
 

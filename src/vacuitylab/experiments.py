@@ -357,13 +357,13 @@ def run_restriction_experiment(
     The removed run scores every OOD row with the class's column deleted, so
     a non-finite S names its record, and keeps the rows not excluded. Before
     either run is scored it refuses, in order: a mixed K
-    (``CardinalityMismatchError``), a class index out of range, a removal
-    that excludes every record, and a 2-class OOD set.
+    (``CardinalityMismatchError``), a class index that is not an integer in
+    range, a removal that excludes every record, and a 2-class OOD set.
     """
     require_scorable(id_records, ood_records, allow_mismatch=True)  # the as-is run is mismatched on purpose
     path = ood_records.path or "<records>"
     k = ood_records.evidence.shape[1]
-    if not 0 <= removed_class_index < k:
+    if require_int(f"{path}: class_index", removed_class_index, 0) >= k:
         raise ValueError(f"{path}: class_index {removed_class_index} out of range for K={k}")
     # a record whose gold label is the removed class has no valid answer left
     excluded = ood_records.labels == removed_class_index

@@ -266,13 +266,16 @@ def write_files(out_dir, files: dict[str, str]) -> list[Path]:
     return [out / name for name in files]
 
 
-def emit_report(results: list[dict], out_dir, fmt: str = "md", tables: list[str] | None = None) -> list[Path]:
-    """Write one table per result plus a plot + CSV per expansion sweep.
+def emit_report(
+    results: list[dict], out_dir, fmt: str = "md", tables: list[str] | None = None, warnings: tuple[dict, ...] = ()
+) -> list[Path]:
+    """Write one table per result, a plot + CSV per expansion sweep, and ``warnings.jsonl`` if warned.
 
     Always writes the machine mirror ``<name>.result.json``, the table itself
     when ``fmt`` is json. ``tables``, when given, holds each result's table as
-    ``render_table`` already rendered it in ``fmt``. Refuses two results that
-    would write one file before writing any; byte output is deterministic.
+    ``render_table`` already rendered it in ``fmt``; ``warnings`` holds their
+    warning records, one JSON line each. Refuses two results that would write one
+    file before writing any; returns every path written. Byte output is deterministic.
     """
     if tables is None:
         tables = [render_table(result, fmt) for result in results]
@@ -290,4 +293,6 @@ def emit_report(results: list[dict], out_dir, fmt: str = "md", tables: list[str]
             if first != name:
                 raise ValueError(f"{Path(out_dir) / file}: written by both result {first!r} and result {name!r}")
         files.update(own)
+    if warnings:
+        files["warnings.jsonl"] = warnings_jsonl(warnings)
     return write_files(out_dir, files)

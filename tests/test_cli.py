@@ -745,7 +745,7 @@ def test_non_finite_evidence_is_usage_error(files, capsys, value):
     "k, index, message",
     [
         (3, "7", "class_index 7 out of range for K=3"),
-        (3, "-1", "class_index -1 out of range for K=3"),
+        (3, "-1", "class_index must be >= 0, got -1"),
         (2, "0", "cannot remove a class from a 2-class record"),
     ],
     ids=["out-of-range", "negative", "two-classes"],
@@ -1049,3 +1049,24 @@ def test_each_table_is_rendered_once(files, monkeypatch, capsys, fmt):
     name = "expansion_ood_only.result.json" if fmt == "json" else f"expansion_ood_only.{fmt}"
     table = (out / name).read_text(encoding="utf-8")
     assert capsys.readouterr().out == table + f"wrote {3 if fmt == 'json' else 4} files to {out}\n"
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv, ood, warned",
+    [
+        (["metrics"], "ood", False),
+        (["metrics", "--allow-mismatch"], "ood_k5", True),
+        (["expand", "--mode", "ood-only", "--k-max", "6"], "ood", False),
+        (["restrict", "--remove-class", "0"], "ood_k5", True),
+    ],
+    ids=["metrics", "metrics-mismatch", "expand", "restrict"],
+)
+def test_wrote_n_files_counts_every_file_written(files, capsys, argv, ood, warned, fmt):
+    """A scored command's count line names every file in --out, warnings.jsonl included."""
+    out = files["out"]
+    command, *flags = argv
+    assert main([command, str(files["id"]), str(files[ood]), *flags, "--format", fmt, "--out", str(out)]) == 0
+    written = sorted(p.name for p in out.iterdir())
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {len(written)} files to {out}"
+    assert ("warnings.jsonl" in written) == warned

@@ -337,6 +337,26 @@ class TestRestriction:
         assert str(info.value) == message
         assert scored == []  # rejected before either run is scored
 
+    @pytest.mark.parametrize("index", [True, 1.5, "1", None], ids=["bool", "float", "str", "none"])
+    def test_non_integer_index_rejected(self, monkeypatch, index):
+        """An index that is not an integer is refused by name, naming the records, before either run is scored."""
+        id_records, five = self.make_groups()
+        scored = []
+        score_evidence = experiments._score_evidence
+        monkeypatch.setattr(
+            experiments, "_score_evidence", lambda *args: scored.append(args) or score_evidence(*args)
+        )
+        with pytest.raises(ValueError) as info:
+            run_restriction_experiment(five, index, id_records, Metric.VACUITY)
+        assert str(info.value) == f"<records>: class_index must be an integer, got {index!r}"
+        assert scored == []
+
+    def test_numpy_integer_index_accepted(self):
+        id_records, five = self.make_groups()
+        result = run_restriction_experiment(five, np.int64(1), id_records, Metric.VACUITY)
+        assert result == run_restriction_experiment(five, 1, id_records, Metric.VACUITY)
+        assert result.excluded_ids == ("q0",)
+
     @pytest.mark.parametrize("k, index", [(4, 0), (4, 1), (4, 3), (10, 7)])
     def test_removed_run_matches_remove_class(self, k, index):
         """The removed run equals evaluate_groups over the per-record oracle's reduced records, exactly."""
