@@ -2,9 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 1 usage or internal error,
 2 cardinality-audit failure. The tool demonstrates the mismatched-K
-artefact and never commits it silently: `metrics --allow-mismatch` and each
-`restrict` run whose two K differ print a warning record, which --out writes
-to warnings.jsonl beside the results and counts; each `expand` row states its K_ID and K_OOD.
+artefact and never commits it silently: a `metrics --allow-mismatch` or `restrict`
+result scored over two K carries its warning records, printed, written to warnings.jsonl
+by --out and re-emitted by `report`; each `expand` row states its K_ID and K_OOD.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .experiments import (
     Verdict,
     audit_cardinality,
     evaluate_groups,
-    mismatch_warning,
     require_scorable,
     run_expansion_experiment,
     run_restriction_experiment,
@@ -40,6 +39,7 @@ from .report import (
     render_table,
     restriction_result_dict,
     result_problem,
+    result_warnings,
     write_files,
 )
 
@@ -102,22 +102,15 @@ def build_parser(argv: Sequence[str] = ()) -> _Parser:
         ("metrics", _cmd_metrics, "detection metrics on two record files", [
             *_SCORED_FILES,
             _FORMAT,
-            _arg(
-                "--allow-mismatch",
-                action="store_true",
-                help="permit scoring with K_ID != K_OOD (a warning record is always emitted)",
-            ),
+            _arg("--allow-mismatch", action="store_true",
+                 help="permit scoring with K_ID != K_OOD (a warning record is always emitted)"),
         ]),
         ("expand", _cmd_expand, "class-cardinality expansion sweep", [
             *_SCORED_FILES,
             _arg("--mode", choices=[m.value for m in ExpansionMode], required=True),
             _arg("--k-max", type=int, required=True, help="largest expanded class count"),
-            _arg(
-                "--evidence",
-                type=_evidence_value,
-                default=0.0,
-                help=f"evidence for appended classes (number or {INVARIANCE_EVIDENCE!r})",
-            ),
+            _arg("--evidence", type=_evidence_value, default=0.0,
+                 help=f"evidence for appended classes (number or {INVARIANCE_EVIDENCE!r})"),
             _FORMAT,
         ]),
         ("restrict", _cmd_restrict, "remove one class from the OOD set", [
@@ -167,13 +160,17 @@ def _print_audit(report) -> None:
             print(f"    ... {len(report.detail) - 20} more")
 
 
-def _deliver(result: dict, args, warnings: tuple[dict, ...] = ()) -> None:
-    for w in warnings:
+def _warn(results: list[dict]) -> None:
+    for w in result_warnings(results):
         print(f"warning: {json.dumps(w)}", file=sys.stderr)
+
+
+def _deliver(result: dict, args) -> None:
+    _warn([result])
     table = render_table(result, args.format)
     print(table, end="")
     if args.out is not None:
-        paths = emit_report([result], args.out, args.format, tables=[table], warnings=warnings)
+        paths = emit_report([result], args.out, args.format, tables=[table])
         print(f"wrote {len(paths)} files to {args.out}")
 
 
@@ -191,11 +188,8 @@ def _cmd_metrics(args) -> int:
     metric = Metric(args.metric)
     orientation = Orientation(args.orientation)
     res = evaluate_groups(id_records, ood_records, metric, orientation)
-    warnings = (mismatch_warning("metrics", res.k_id, res.k_ood),) if res.k_id != res.k_ood else ()
-    result = detection_result_dict(
-        f"metrics_{metric.value}", f"{metric.value} ({orientation.value})", res, orientation.value
-    )
-    _deliver(result, args, warnings)
+    name, condition = f"metrics_{metric.value}", f"{metric.value} ({orientation.value})"
+    _deliver(detection_result_dict(name, condition, res, orientation.value), args)
     return EXIT_OK
 
 
@@ -214,7 +208,7 @@ def _cmd_restrict(args) -> int:
     )
     out = restriction_result_dict("restriction", result, args.remove_class)
     print(f"excluded {out['excluded_count']} records whose gold label was the removed class")
-    _deliver(out, args, result.warnings)
+    _deliver(out, args)
     return EXIT_OK
 
 
@@ -258,10 +252,8 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     serialize_records(id_records, out / "id_records.jsonl")
     serialize_records(ood_records, out / "ood_records.jsonl")
-    print(
-        f"wrote {len(id_records)} ID and {len(ood_records)} OOD records "
-        f"(K={params.k}, seed={params.seed}) to {out}"
-    )
+    counts = f"{len(id_records)} ID and {len(ood_records)} OOD records"
+    print(f"wrote {counts} (K={params.k}, seed={params.seed}) to {out}")
     return EXIT_OK
 
 
@@ -298,6 +290,7 @@ def _cmd_report(args) -> int:
         results.append(result)
     out = args.out if args.out is not None else results_dir
     written = emit_report(results, out, args.format)
+    _warn(results)
     print(f"wrote {len(written)} files to {out}")
     return EXIT_OK
 

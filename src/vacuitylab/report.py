@@ -1,5 +1,8 @@
 """Tables, sweep plots and warning files for experiment results.
 
+A result dict is the only home of its warning records (``warnings``):
+``emit_report`` derives ``warnings.jsonl`` from it, so ``report`` re-emits them.
+
 Human-readable tables round to 3 decimals; machine formats (JSON, CSV)
 carry full double precision (floats serialize via repr and round-trip
 exactly). Plots are hand-emitted SVG with the underlying data embedded
@@ -13,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import ExpansionRun, RestrictionResult
+from .experiments import ExpansionRun, RestrictionResult, mismatch_warning
 from .metrics import DetectionResult
 
 TABLE_COLUMNS = (
@@ -69,17 +72,15 @@ def expansion_result_dict(name: str, run: ExpansionRun) -> dict:
     )
 
 
-def _restriction_row(condition: str, res: DetectionResult, baseline: DetectionResult | None) -> dict:
-    """A restriction row whose condition says so when its two K differ."""
+def _marked_row(condition: str, res: DetectionResult, baseline: DetectionResult | None) -> dict:
+    """A row whose condition says so when its two K differ."""
     return _row(f"{condition} (mismatched K)" if res.k_id != res.k_ood else condition, res, baseline)
 
 
-def restriction_result_dict(
-    name: str, result: RestrictionResult, removed_class_index: int
-) -> dict:
+def restriction_result_dict(name: str, result: RestrictionResult, removed_class_index: int) -> dict:
     rows = [
-        _restriction_row("as-is", result.as_is, None),
-        _restriction_row(f"removed class {removed_class_index}", result.removed, result.as_is),
+        _marked_row("as-is", result.as_is, None),
+        _marked_row(f"removed class {removed_class_index}", result.removed, result.as_is),
     ]
     return _result(
         "restriction", name, result.as_is.metric_name, rows,
@@ -89,7 +90,15 @@ def restriction_result_dict(
 
 
 def detection_result_dict(name: str, condition: str, res: DetectionResult, orientation: str) -> dict:
-    return _result("detection", name, res.metric_name, [_row(condition, res, None)], orientation=orientation)
+    """One row; scored over two K, it is marked and the result carries the ``metrics`` mismatch warning."""
+    warned = {"warnings": [mismatch_warning("metrics", res.k_id, res.k_ood)]} if res.k_id != res.k_ood else {}
+    rows = [_marked_row(condition, res, None)]
+    return _result("detection", name, res.metric_name, rows, orientation=orientation, **warned)
+
+
+def result_warnings(results: list[dict]) -> list[dict]:
+    """Every warning record the results carry, in result order."""
+    return [w for result in results for w in result.get("warnings", ())]
 
 
 def _is_number(value) -> bool:
@@ -103,7 +112,7 @@ def result_problem(result) -> str | None:
     A renderable result is an object whose ``kind`` is one of ``KINDS``,
     whose ``name`` is a plain file stem (it names the files written) and
     whose ``rows`` hold every table column, numbers where the tables and
-    plots compute with them.
+    plots compute with them. ``warnings``, when present, is a list of objects.
     """
     if type(result) is not dict:
         return "expected a JSON object"
@@ -124,6 +133,9 @@ def result_problem(result) -> str | None:
         bad = next((c for c in TABLE_COLUMNS[1:] if not _is_number(row[c])), None)
         if bad is not None:
             return f"rows[{i}].{bad} must be a finite number, got {row[bad]!r}"
+    warnings = result.get("warnings", [])
+    if type(warnings) is not list or any(type(w) is not dict for w in warnings):
+        return f"warnings must be a list of objects, got {warnings!r}"
     return None
 
 
@@ -154,10 +166,7 @@ def render_table(result: dict, fmt: str) -> str:
     if fmt == "md":
         headers = ("Condition", "K_ID", "K_OOD", "AUROC", "dAUROC", "AUPR", "dAUPR", "AUPR_base")
         cols = TABLE_COLUMNS[:8]
-        body = [
-            "| " + " | ".join(headers) + " |",
-            "|" + "|".join("---" for _ in headers) + "|",
-        ]
+        body = ["| " + " | ".join(headers) + " |", "|" + "|".join("---" for _ in headers) + "|"]
         for row in rows:
             body.append("| " + " | ".join(_md_cell(c, row[c]) for c in cols) + " |")
         title = f"{result['kind']}: metric={result['metric']}"
@@ -217,9 +226,7 @@ def sweep_svg(result: dict) -> str:
     rows = result["rows"]
     ks = [row["k_ood"] for row in rows]
     k_min, k_max = min(ks), max(ks)
-    title = (
-        f"{result.get('mode', result['kind'])} sweep - metric: {result['metric']}"
-    )
+    title = f"{result.get('mode', result['kind'])} sweep - metric: {result['metric']}"
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
@@ -266,16 +273,15 @@ def write_files(out_dir, files: dict[str, str]) -> list[Path]:
     return [out / name for name in files]
 
 
-def emit_report(
-    results: list[dict], out_dir, fmt: str = "md", tables: list[str] | None = None, warnings: tuple[dict, ...] = ()
-) -> list[Path]:
+def emit_report(results: list[dict], out_dir, fmt: str = "md", tables: list[str] | None = None) -> list[Path]:
     """Write one table per result, a plot + CSV per expansion sweep, and ``warnings.jsonl`` if warned.
 
     Always writes the machine mirror ``<name>.result.json``, the table itself
     when ``fmt`` is json. ``tables``, when given, holds each result's table as
-    ``render_table`` already rendered it in ``fmt``; ``warnings`` holds their
-    warning records, one JSON line each. Refuses two results that would write one
-    file before writing any; returns every path written. Byte output is deterministic.
+    ``render_table`` already rendered it in ``fmt``. ``warnings.jsonl`` holds the
+    records the results carry under ``warnings``, one JSON line each in result order,
+    so re-emitting a result file re-emits its warnings. Refuses two results that would
+    write one file before writing any; returns every path written. Byte output is deterministic.
     """
     if tables is None:
         tables = [render_table(result, fmt) for result in results]
@@ -293,6 +299,7 @@ def emit_report(
             if first != name:
                 raise ValueError(f"{Path(out_dir) / file}: written by both result {first!r} and result {name!r}")
         files.update(own)
+    warnings = result_warnings(results)
     if warnings:
         files["warnings.jsonl"] = warnings_jsonl(warnings)
     return write_files(out_dir, files)

@@ -886,6 +886,9 @@ BAD_RESULTS = {
         _detection_result(rows=[dict(_detection_result()["rows"][0], auroc="0.7")]),
         "rows[0].auroc must be a finite number, got '0.7'",
     ),
+    "text-warnings": (_detection_result(warnings="x"), "warnings must be a list of objects, got 'x'"),
+    "number-warning": (_detection_result(warnings=[1]), "warnings must be a list of objects, got [1]"),
+    "list-warning": (_detection_result(warnings=[[]]), "warnings must be a list of objects, got [[]]"),
 }
 
 
@@ -1063,10 +1066,25 @@ def test_each_table_is_rendered_once(files, monkeypatch, capsys, fmt):
     ids=["metrics", "metrics-mismatch", "expand", "restrict"],
 )
 def test_wrote_n_files_counts_every_file_written(files, capsys, argv, ood, warned, fmt):
-    """A scored command's count line names every file in --out, warnings.jsonl included."""
-    out = files["out"]
+    """A scored command's count line names every file in --out, warnings.jsonl included.
+
+    ``report`` re-emits the result's warnings: the same ``warning:`` lines and a
+    byte-identical ``warnings.jsonl``, counted in its own line.
+    """
+    out, again = files["out"], files["out"].parent / "again"
     command, *flags = argv
     assert main([command, str(files["id"]), str(files[ood]), *flags, "--format", fmt, "--out", str(out)]) == 0
     written = sorted(p.name for p in out.iterdir())
-    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {len(written)} files to {out}"
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == f"wrote {len(written)} files to {out}"
     assert ("warnings.jsonl" in written) == warned
+    assert main(["report", str(out), "--format", fmt, "--out", str(again)]) == 0
+    rewritten = sorted(p.name for p in again.iterdir())
+    reported = capsys.readouterr()
+    assert reported.out == f"wrote {len(rewritten)} files to {again}\n"
+    assert ("warnings.jsonl" in rewritten) == warned
+    if warned:
+        assert (again / "warnings.jsonl").read_bytes() == (out / "warnings.jsonl").read_bytes()
+    warning_lines = [line for line in captured.err.splitlines() if line.startswith("warning: ")]
+    assert reported.err.splitlines() == warning_lines
+    assert bool(warning_lines) == warned
