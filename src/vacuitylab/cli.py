@@ -15,8 +15,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .experiments import (
     INVARIANCE_EVIDENCE,
     CardinalityMismatchError,
@@ -31,7 +29,7 @@ from .experiments import (
     run_expansion_experiment,
     run_restriction_experiment,
 )
-from .records import Group, RecordParseError, parse_records, serialize_records
+from .records import parse_records, serialize_records
 from .report import (
     detection_result_dict,
     emit_report,
@@ -132,22 +130,8 @@ def build_parser(argv: Sequence[str] = ()) -> _Parser:
 
 
 def _load_groups(args):
-    """Both record files as batches; a record's group must match its file's role."""
-    batches = []
-    for path, role, group in ((args.id_file, "id_file", Group.ID), (args.ood_file, "ood_file", Group.OOD)):
-        batch = parse_records(path)
-        wrong = np.flatnonzero(batch.ood != (group is Group.OOD))
-        if len(wrong):
-            row = wrong[0]
-            found = Group.OOD if batch.ood[row] else Group.ID
-            raise RecordParseError(
-                path,
-                int(batch.lines[row]),
-                f"record {batch.ids[row]!r} is in group {found.value!r}, "
-                f"but the {role} holds {group.value!r} records",
-            )
-        batches.append(batch)
-    return batches
+    """Both record files as batches, both parsed before the pair gate (``audit_cardinality``) checks them."""
+    return parse_records(args.id_file), parse_records(args.ood_file)
 
 
 def _print_audit(report) -> None:
@@ -281,12 +265,9 @@ def _cmd_report(args) -> int:
     results = []
     for path in paths:
         result = _read_json(path)
-        problem = result_problem(result)
+        problem = result_problem(result, path.name.removesuffix(".result.json"))
         if problem is not None:
             raise ValueError(f"{path}: {problem}")
-        # each result is written under its name, so a name that is not the stem would write a second file
-        if result["name"] != path.name.removesuffix(".result.json"):
-            raise ValueError(f"{path}: name {result['name']!r} is not the file's stem")
         results.append(result)
     out = args.out if args.out is not None else results_dir
     written = emit_report(results, out, args.format)

@@ -11,8 +11,10 @@ Every experiment takes each group as a ``RecordBatch`` (what
 ``parse_records`` returns) and never rebuilds one: it changes only the
 evidence matrix it scores (expansion appends columns, restriction deletes
 one), and each K it reports is the width of the matrix it scored. A run
-is a pair of scored groups; a group whose matrix does not change is scored
-once. Each is gated by ``require_scorable`` alone, which refuses a mixed K first.
+is a pair of scored groups, an ID side and an OOD side; a group whose
+matrix does not change is scored once. Each is gated by ``require_scorable``
+alone, whose audit refuses an empty side or a row whose ``group`` is not its
+side's, then a mixed K. A row's label follows its side, never its own field.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .metrics import DetectionResult, ScoredSample, evaluate_scores
-from .records import RecordBatch, require_int, require_number
+from .records import Group, RecordBatch, require_int, require_number
 
 if TYPE_CHECKING:
     from .dirichlet import EvidenceRecord
@@ -85,10 +87,18 @@ class CardinalityMismatchError(ValueError):
 
 
 def audit_cardinality(id_records: RecordBatch, ood_records: RecordBatch) -> AuditReport:
-    """PASS iff every record in both groups shares one class count; an empty group is an error naming it."""
-    for batch in (id_records, ood_records):
+    """PASS iff both groups share one class count; an empty side, or a row of the other side's group, is an error."""
+    for batch, side, other in ((id_records, Group.ID, Group.OOD), (ood_records, Group.OOD, Group.ID)):
+        path = batch.path or "<records>"
         if not len(batch):
-            raise ValueError(f"{batch.path or '<records>'}: no records")
+            raise ValueError(f"{path}: no records")
+        wrong = np.flatnonzero(batch.ood != (side is Group.OOD))
+        if len(wrong):
+            row = wrong[0]
+            raise ValueError(
+                f"{path}:{batch.lines[row]}: record {batch.ids[row]!r} is in group {other.value!r}, "
+                f"but the {side.value} group holds {side.value!r} records"
+            )
     k_id = id_records.class_count() or MIXED
     k_ood = ood_records.class_count() or MIXED
     ok = k_id != MIXED and k_id == k_ood
@@ -152,24 +162,22 @@ def _score_evidence(
     return 1.0 - h if id_positive else h
 
 
-def _labels(batch: RecordBatch, orientation: Orientation) -> np.ndarray:
-    """1 for the rows of the positive group, as each row's ``group`` says."""
-    positive = ~batch.ood if orientation is Orientation.ID_POSITIVE else batch.ood
-    return positive.astype(int)
-
-
 def _scored(
     batch: RecordBatch, evidence: np.ndarray, metric: Metric, orientation: Orientation
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """One group scored as ``evidence``, the rows of ``batch``: its scores, its 0/1 labels and its K."""
-    return _score_evidence(evidence, metric, orientation, batch), _labels(batch, orientation), evidence.shape[1]
+) -> tuple[np.ndarray, int]:
+    """One group scored as ``evidence``, the rows of ``batch``: its scores and its K."""
+    return _score_evidence(evidence, metric, orientation, batch), evidence.shape[1]
 
 
-def _detection(metric: Metric, id_side: tuple, ood_side: tuple) -> DetectionResult:
-    """Detection metrics of two groups as ``_scored`` returns them; each K is the width it was scored at."""
-    (id_scores, id_labels, k_id), (ood_scores, ood_labels, k_ood) = id_side, ood_side
-    scores, labels = np.concatenate([id_scores, ood_scores]), np.concatenate([id_labels, ood_labels])
-    return evaluate_scores(scores, labels, metric.value, k_id, k_ood)
+def _detection(metric: Metric, orientation: Orientation, id_side: tuple, ood_side: tuple) -> DetectionResult:
+    """Detection metrics of two sides as ``_scored`` returns them; every row of the positive side is labelled 1.
+
+    Each K is the width its side was scored at.
+    """
+    (id_scores, k_id), (ood_scores, k_ood) = id_side, ood_side
+    id_positive = orientation is Orientation.ID_POSITIVE
+    labels = np.repeat([int(id_positive), int(not id_positive)], [len(id_scores), len(ood_scores)])
+    return evaluate_scores(np.concatenate([id_scores, ood_scores]), labels, metric.value, k_id, k_ood)
 
 
 def score_record(record: EvidenceRecord, metric: Metric, orientation: Orientation) -> float:
@@ -187,10 +195,11 @@ def score_group(
     ID_POSITIVE labels ID records 1 and scores with 1/u, MP, or
     1 - H/log2(K); OOD_POSITIVE flips the labels and uses u, 1 - MP, or
     H/log2(K). Either orientation yields the same AUROC. The records
-    must share one class count.
+    must share one class count; each one's label follows its own ``group``.
     """
     batch = RecordBatch.from_records(records)
-    scores, labels, _ = _scored(batch, batch.evidence, metric, orientation)
+    scores = _score_evidence(batch.evidence, metric, orientation, batch)
+    labels = batch.ood if orientation is Orientation.OOD_POSITIVE else ~batch.ood
     return [ScoredSample(score=float(s), label=int(label)) for s, label in zip(scores, labels)]
 
 
@@ -203,10 +212,12 @@ def evaluate_groups(
     """Detection metrics of two groups, each of one class count, scored as evidence matrices.
 
     Each group's K is the width of the matrix it was scored as. Labels
-    follow each record's ``group`` field, as in ``score_group``.
+    follow the side: every row of ``id_records`` is an ID row, whatever its
+    ``group`` field says. Nothing here is gated; callers pass both groups
+    through ``require_scorable`` first.
     """
     sides = (_scored(b, b.evidence, metric, orientation) for b in (id_records, ood_records))
-    return _detection(metric, *sides)
+    return _detection(metric, orientation, *sides)
 
 
 @dataclass(frozen=True)
@@ -306,7 +317,7 @@ def run_expansion_experiment(
     ood_wide = widened(ood_records)
     rows = tuple(
         _detection(
-            metric, scored(id_records, id_wide[:, :k]) if matched else id_side, scored(ood_records, ood_wide[:, :k])
+            metric, orientation, id_side or scored(id_records, id_wide[:, :k]), scored(ood_records, ood_wide[:, :k])
         )
         for k in range(base_k, spec.k_max + 1)
     )
@@ -372,10 +383,10 @@ def run_restriction_experiment(
     if k <= 2:
         raise ValueError(f"{path}: cannot remove a class from a 2-class record")
     id_side = _scored(id_records, id_records.evidence, metric, orientation)  # one scoring for both runs
-    as_is = _detection(metric, id_side, _scored(ood_records, ood_records.evidence, metric, orientation))
+    as_is = _detection(metric, orientation, id_side, _scored(ood_records, ood_records.evidence, metric, orientation))
     dropped = np.delete(ood_records.evidence, removed_class_index, axis=1)
-    scores, labels, k_removed = _scored(ood_records, dropped, metric, orientation)
-    removed = _detection(metric, id_side, (scores[~excluded], labels[~excluded], k_removed))
+    scores, k_removed = _scored(ood_records, dropped, metric, orientation)
+    removed = _detection(metric, orientation, id_side, (scores[~excluded], k_removed))
     runs = (("restriction_as_is", as_is), ("restriction_removed", removed))
     return RestrictionResult(
         as_is=as_is,

@@ -106,13 +106,14 @@ def _is_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def result_problem(result) -> str | None:
-    """What keeps a decoded ``*.result.json`` value from being rendered, if anything.
+def result_problem(result, stem: str) -> str | None:
+    """What keeps a decoded ``<stem>.result.json`` value from being rendered, if anything.
 
     A renderable result is an object whose ``kind`` is one of ``KINDS``,
-    whose ``name`` is a plain file stem (it names the files written) and
-    whose ``rows`` hold every table column, numbers where the tables and
-    plots compute with them. ``warnings``, when present, is a list of objects.
+    whose ``name`` is a plain file stem, its file's ``stem`` (it names the files
+    written, so another name would write a second file), and whose ``rows`` hold
+    every table column, numbers where the tables and plots compute with them.
+    ``warnings``, when present, is a list of objects.
     """
     if type(result) is not dict:
         return "expected a JSON object"
@@ -136,6 +137,8 @@ def result_problem(result) -> str | None:
     warnings = result.get("warnings", [])
     if type(warnings) is not list or any(type(w) is not dict for w in warnings):
         return f"warnings must be a list of objects, got {warnings!r}"
+    if name != stem:
+        return f"name {name!r} is not the file's stem"
     return None
 
 

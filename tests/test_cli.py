@@ -551,14 +551,20 @@ def test_file_without_records_names_itself(files, tmp_path, capsys, command, sid
 
 
 @pytest.mark.parametrize(
-    "ood_text, message",
-    [("", "{id}: no records"), ("{broken\n", "{ood}:1: invalid JSON")],
-    ids=["empty", "malformed"],
+    "id_text, ood_text, message",
+    [
+        ("\n", "", "{id}: no records"),
+        ("\n", "{broken\n", "{ood}:1: invalid JSON"),
+        ('{"id": "x", "group": "ood", "classes": ["A", "B"], "evidence": [1, 1]}\n', "{broken\n",
+         "{ood}:1: invalid JSON"),
+    ],
+    ids=["empty", "malformed", "malformed-after-wrong-group"],
 )
-def test_file_without_records_is_reported_after_defects(tmp_path, capsys, ood_text, message):
-    """Both files empty name the ID file; a defect in the OOD file is reported before an empty ID file."""
+def test_file_without_records_is_reported_after_defects(tmp_path, capsys, id_text, ood_text, message):
+    """Both files empty name the ID file; a defect in the OOD file is reported before an empty ID file
+    or a row of the wrong group in it: both files are parsed before the pair gate runs."""
     id_path, ood_path = tmp_path / "id.jsonl", tmp_path / "ood.jsonl"
-    id_path.write_text("\n")
+    id_path.write_text(id_text)
     ood_path.write_text(ood_text)
     assert main(["audit", str(id_path), str(ood_path)]) == 1
     assert capsys.readouterr().err.startswith("error: " + message.format(id=id_path, ood=ood_path))

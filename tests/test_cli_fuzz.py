@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vacuitylab.cli import main
@@ -118,23 +118,37 @@ COMMANDS = [
 ]
 
 
-def input_error(path: Path, ood: bool) -> bool:
-    """True when the file is not a valid record file for its side."""
-    try:
-        batch = parse_records(path)
-    except RecordParseError:
-        return True
-    return bool((batch.ood != ood).any())
+def input_error(paths: list[Path]) -> Path | None:
+    """The file whose ``path:line`` the CLI must name, if any.
+
+    Both files are parsed first, so a defect in either comes before any gate
+    rule. The pair gate then takes the sides in turn: an empty side stops it
+    (an error with no line), and a row whose group is not its side's names it.
+    """
+    batches = []
+    for path in paths:
+        try:
+            batches.append(parse_records(path))
+        except RecordParseError:
+            return path
+    for path, batch, ood in zip(paths, batches, (False, True)):
+        if not len(batch):
+            return None
+        if (batch.ood != ood).any():
+            return path
+    return None
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(id_lines=lines("id"), ood_lines=lines("ood"))
+# an empty ID file stops the pair gate before it reaches the OOD file's wrong-group row
+@example(id_lines=[], ood_lines=['{"id": "a", "group": "id", "classes": ["A", "B"], "evidence": [1, 1]}'])
 def test_cli_survives_arbitrary_record_lines(id_lines, ood_lines):
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / "id.jsonl", Path(tmp) / "ood.jsonl"]
         for path, content in zip(paths, (id_lines, ood_lines)):
             path.write_text("".join(line + "\n" for line in content), encoding="utf-8")
-        bad = [p for p, ood in zip(paths, (False, True)) if input_error(p, ood)]
+        bad = input_error(paths)
         for command in COMMANDS:
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), np.errstate(all="ignore"):
@@ -142,9 +156,9 @@ def test_cli_survives_arbitrary_record_lines(id_lines, ood_lines):
             err = stderr.getvalue()
             assert code in (0, 1, 2), (command, code, err)
             assert "Traceback" not in err
-            if bad:
+            if bad is not None:
                 assert code == 1, (command, code, err)
-                assert re.search(re.escape(str(bad[0])) + r":\d+: ", err), (command, err)
+                assert re.search(re.escape(str(bad)) + r":\d+: ", err), (command, err)
 
 
 # bytes no UTF-8 text holds, a NUL, and multi-byte characters cut short

@@ -85,7 +85,11 @@ class TestAudit:
             RecordBatch.from_records([rec("a", [1, 2, 3, 4])]),
             RecordBatch.from_records([rec("b", [0, 0, 0, 0, 0], "ood")]),
         )
-        assert audit_cardinality(*groups).verdict is audit_cardinality(*groups[::-1]).verdict
+        swapped = (  # the same pair on the other sides, each row relabelled to its new side's group
+            RecordBatch.from_records([rec("b", [0, 0, 0, 0, 0])]),
+            RecordBatch.from_records([rec("a", [1, 2, 3, 4], "ood")]),
+        )
+        assert audit_cardinality(*groups).verdict is audit_cardinality(*swapped).verdict
 
     def test_empty_group_rejected(self, tmp_path):
         """An empty group is an error naming its file, the ID group first."""
@@ -414,6 +418,31 @@ class TestRestriction:
         assert result.as_is.auroc > 0.85
         assert abs(result.removed.auroc - 0.5) < 0.1
         assert result.as_is.auroc - result.removed.auroc > 0.3
+
+
+GATED = {
+    "audit": audit_cardinality,
+    "ood-only-sweep": lambda i, o: run_expansion_experiment(i, o, ExpansionSpec("ood-only", 8), Metric.VACUITY),
+    "restriction": lambda i, o: run_restriction_experiment(o, 1, i, Metric.VACUITY),
+}
+
+
+@pytest.mark.parametrize("call", GATED)
+@pytest.mark.parametrize("side", ["id", "ood"])
+def test_row_of_the_other_group_is_refused(call, side):
+    """A row's group is its side: every gated entry refuses a row marked for the other side, naming its line."""
+    other = "ood" if side == "id" else "id"
+    rows = {
+        "id": [rec(f"id{i}", [5 + i, 1, 1, 1]) for i in range(3)],
+        "ood": [rec(f"q{i}", [1, 2, 3, i], "ood", gold=i % 4) for i in range(4)],
+    }
+    rows[side].append(rec("x", [1, 1, 1, 1], other))
+    with pytest.raises(ValueError) as info:
+        GATED[call](RecordBatch.from_records(rows["id"]), RecordBatch.from_records(rows["ood"]))
+    assert type(info.value) is ValueError
+    assert str(info.value) == (
+        f"<records>:{len(rows[side])}: record 'x' is in group '{other}', but the {side} group holds '{side}' records"
+    )
 
 
 def test_evaluate_groups_reads_k_from_the_scored_matrices():
