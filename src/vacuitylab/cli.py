@@ -172,8 +172,7 @@ def _cmd_metrics(args) -> int:
     metric = Metric(args.metric)
     orientation = Orientation(args.orientation)
     res = evaluate_groups(id_records, ood_records, metric, orientation)
-    name, condition = f"metrics_{metric.value}", f"{metric.value} ({orientation.value})"
-    _deliver(detection_result_dict(name, condition, res, orientation.value), args)
+    _deliver(detection_result_dict(f"metrics_{metric.value}", res, orientation.value), args)
     return EXIT_OK
 
 

@@ -15,6 +15,8 @@ is a pair of scored groups, an ID side and an OOD side; a group whose
 matrix does not change is scored once. Each is gated by ``require_scorable``
 alone, whose audit refuses an empty side or a row whose ``group`` is not its
 side's, then a mixed K. A row's label follows its side, never its own field.
+Experiments return facts only: scores, counts and each run's K. ``report``
+derives a run's ``(mismatched K)`` mark and warning records from its K.
 """
 
 from __future__ import annotations
@@ -330,17 +332,6 @@ def run_expansion_experiment(
     )
 
 
-def mismatch_warning(context: str, k_id: int | str, k_ood: int | str) -> dict:
-    """Machine-readable record for any deliberately mismatched scoring run."""
-    return {
-        "type": "cardinality_mismatch",
-        "context": context,
-        "k_id": k_id,
-        "k_ood": k_ood,
-        "note": "scores computed over different class cardinalities are not comparable",
-    }
-
-
 @dataclass(frozen=True)
 class RestrictionResult:
     """Mismatched as-is run vs the matched run after removing one class."""
@@ -348,7 +339,6 @@ class RestrictionResult:
     as_is: DetectionResult
     removed: DetectionResult
     excluded_ids: tuple[str, ...]
-    warnings: tuple[dict, ...]
 
 
 def run_restriction_experiment(
@@ -363,8 +353,8 @@ def run_restriction_experiment(
     Records whose gold label is the removed class are excluded from the
     "removed" run (they would have no valid answer), and the AUPR baseline
     is recomputed from the new counts. The as-is run deliberately compares
-    mismatched cardinalities; each run whose two matrices differ in K
-    carries a warning record. The ID matrix is scored once for both runs.
+    mismatched cardinalities; each run states its two K, from which ``report``
+    marks and warns on it. The ID matrix is scored once for both runs.
     The removed run scores every OOD row with the class's column deleted, so
     a non-finite S names its record, and keeps the rows not excluded. Before
     either run is scored it refuses, in order: a mixed K
@@ -387,10 +377,8 @@ def run_restriction_experiment(
     dropped = np.delete(ood_records.evidence, removed_class_index, axis=1)
     scores, k_removed = _scored(ood_records, dropped, metric, orientation)
     removed = _detection(metric, orientation, id_side, (scores[~excluded], k_removed))
-    runs = (("restriction_as_is", as_is), ("restriction_removed", removed))
     return RestrictionResult(
         as_is=as_is,
         removed=removed,
         excluded_ids=tuple(ood_records.ids[i] for i in np.flatnonzero(excluded)),
-        warnings=tuple(mismatch_warning(c, r.k_id, r.k_ood) for c, r in runs if r.k_id != r.k_ood),
     )

@@ -1,6 +1,7 @@
 """Tables, sweep plots and warning files for experiment results.
 
-A result dict is the only home of its warning records (``warnings``):
+``_runs`` alone derives a scored run's ``(mismatched K)`` mark and warning
+records from its own K. The result dict is their only home (``warnings``):
 ``emit_report`` derives ``warnings.jsonl`` from it, so ``report`` re-emits them.
 
 Human-readable tables round to 3 decimals; machine formats (JSON, CSV)
@@ -16,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import ExpansionRun, RestrictionResult, mismatch_warning
+from .experiments import ExpansionRun, RestrictionResult
 from .metrics import DetectionResult
 
 TABLE_COLUMNS = (
@@ -72,27 +73,38 @@ def expansion_result_dict(name: str, run: ExpansionRun) -> dict:
     )
 
 
-def _marked_row(condition: str, res: DetectionResult, baseline: DetectionResult | None) -> dict:
-    """A row whose condition says so when its two K differ."""
-    return _row(f"{condition} (mismatched K)" if res.k_id != res.k_ood else condition, res, baseline)
+def _runs(*runs: tuple[str, str, DetectionResult, DetectionResult | None]) -> tuple[list[dict], list[dict]]:
+    """The rows and warning records of scored runs, each given as (context, condition, result, baseline).
+
+    A run over two K is marked `` (mismatched K)`` and gives a ``cardinality_mismatch`` record. Expansion rows
+    skip this rule: each sweep row states its own K, and the OOD-only sweep is the demonstration itself.
+    """
+    rows, warnings = [], []
+    for context, condition, res, baseline in runs:
+        if res.k_id != res.k_ood:
+            condition += " (mismatched K)"
+            warnings.append({"type": "cardinality_mismatch", "context": context, "k_id": res.k_id, "k_ood": res.k_ood,
+                             "note": "scores computed over different class cardinalities are not comparable"})
+        rows.append(_row(condition, res, baseline))
+    return rows, warnings
 
 
 def restriction_result_dict(name: str, result: RestrictionResult, removed_class_index: int) -> dict:
-    rows = [
-        _marked_row("as-is", result.as_is, None),
-        _marked_row(f"removed class {removed_class_index}", result.removed, result.as_is),
-    ]
+    rows, warnings = _runs(
+        ("restriction_as_is", "as-is", result.as_is, None),
+        ("restriction_removed", f"removed class {removed_class_index}", result.removed, result.as_is),
+    )
     return _result(
         "restriction", name, result.as_is.metric_name, rows,
         removed_class_index=removed_class_index, excluded_ids=list(result.excluded_ids),
-        excluded_count=len(result.excluded_ids), warnings=list(result.warnings),
+        excluded_count=len(result.excluded_ids), warnings=warnings,
     )
 
 
-def detection_result_dict(name: str, condition: str, res: DetectionResult, orientation: str) -> dict:
-    """One row; scored over two K, it is marked and the result carries the ``metrics`` mismatch warning."""
-    warned = {"warnings": [mismatch_warning("metrics", res.k_id, res.k_ood)]} if res.k_id != res.k_ood else {}
-    rows = [_marked_row(condition, res, None)]
+def detection_result_dict(name: str, res: DetectionResult, orientation: str) -> dict:
+    """One row, ``<metric> (<orientation>)``; only a run scored over two K carries ``warnings``."""
+    rows, warnings = _runs(("metrics", f"{res.metric_name} ({orientation})", res, None))
+    warned = {"warnings": warnings} if warnings else {}
     return _result("detection", name, res.metric_name, rows, orientation=orientation, **warned)
 
 

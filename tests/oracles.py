@@ -28,6 +28,9 @@ check it against these one-record-at-a-time forms.
 - ``auroc_argsort`` and ``aupr_argsort`` are the rank metrics as they were
   before they shared one sort: each runs its own ``argsort`` (AUPR on
   ``-scores``). They are a bit-for-bit reference for the shared sort.
+- ``gamma_population_auroc`` is the population AUROC of an OOD-only
+  vacuity sweep of ``simulate``'s Gamma population, one integral by scipy:
+  the law each drawn sweep row estimates.
 """
 
 import json
@@ -36,11 +39,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import integrate, stats
 
 from vacuitylab.dirichlet import EvidenceRecord
 from vacuitylab.metrics import ScoredSample
 from vacuitylab.records import Group, RecordBatch, softplus_evidence
 from vacuitylab.special import gamma_family, log_gamma
+from vacuitylab.synthetic import PopulationParams
 from vacuitylab.toy import LossBreakdown, ToyModelGrads, TrainingMode
 
 
@@ -435,3 +440,26 @@ def aupr_argsort(scores: np.ndarray, labels: np.ndarray) -> float:
     precision = tp / ends
     steps = (recall - np.append(0.0, recall[:-1])) * precision
     return float(np.cumsum(steps)[-1])
+
+
+def gamma_population_auroc(params: PopulationParams, m: int, e: float) -> float:
+    """ID-positive vacuity AUROC of ``params``'s population after m classes of evidence e are appended to OOD.
+
+    Every Gamma draw shares one scale, so each group's total evidence is one
+    Gamma variable: G_id = S_id - K ~ Gamma(a_c + (K - 1) a_w) and
+    G_ood = S_ood - K ~ Gamma(K a_o). An OOD row's score S/K becomes
+    (K + m(1 + e) + G_ood)/(K + m), so
+
+        AUROC(m, e) = P((K + G_id)/K > (K + m(1 + e) + G_ood)/(K + m))
+                    = E[P(G_id > K (m e + G_ood)/(K + m))],
+
+    one integral over G_ood (ties have probability 0). At m = 0 it is the
+    matched-K law; as m grows it tends to P(S_id/K > 1 + e).
+    """
+    k = params.k
+    g_id = stats.gamma(params.id_correct_shape + (k - 1) * params.id_wrong_shape, scale=params.scale)
+    g_ood = stats.gamma(k * params.ood_shape, scale=params.scale)
+    value, _ = integrate.quad(
+        lambda g: g_ood.pdf(g) * g_id.sf(k * (m * e + g) / (k + m)), 0.0, np.inf, epsabs=1e-13, epsrel=1e-12
+    )
+    return value

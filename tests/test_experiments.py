@@ -292,29 +292,23 @@ class TestRestriction:
         assert result.removed.aupr_baseline == result.as_is.aupr_baseline
 
     def test_as_is_run_carries_warning(self):
+        """The as-is run is scored over two K, the removed run over one: ``report`` warns on the first alone."""
         id_records, five = self.make_groups()
         result = run_restriction_experiment(five, 4, id_records, Metric.VACUITY)
-        assert any(w["context"] == "restriction_as_is" for w in result.warnings)
-        assert all(w["type"] == "cardinality_mismatch" for w in result.warnings)
         assert result.as_is.k_id == 4 and result.as_is.k_ood == 5
         assert result.removed.k_id == 4 and result.removed.k_ood == 4
 
-    def test_matched_after_removal_has_no_extra_warning(self):
-        id_records, five = self.make_groups()
-        result = run_restriction_experiment(five, 4, id_records, Metric.VACUITY)
-        assert not any(w["context"] == "restriction_removed" for w in result.warnings)
-
     def test_removed_run_reads_k_of_the_dropped_matrix(self):
-        """Each run's K is the width of the matrix it scored, and each mismatch warning says so."""
+        """Each run's K is the width of the matrix it scored."""
         _, five = self.make_groups()
         id_k3 = RecordBatch.from_records([rec(f"id{i}", [5 + i, 1, 1]) for i in range(6)])
         result = run_restriction_experiment(five, 4, id_k3, Metric.VACUITY)
         assert (result.as_is.k_id, result.as_is.k_ood) == (3, 5)
         assert (result.removed.k_id, result.removed.k_ood) == (3, 4)
-        assert [(w["context"], w["k_id"], w["k_ood"]) for w in result.warnings] == [
-            ("restriction_as_is", 3, 5),
-            ("restriction_removed", 3, 4),
-        ]
+
+    def test_result_holds_facts_only(self):
+        fields = [f.name for f in dataclasses.fields(experiments.RestrictionResult)]
+        assert fields == ["as_is", "removed", "excluded_ids"]  # no warnings: ``report`` derives them from each K
 
     @pytest.mark.parametrize(
         "ood_rows, index, message",

@@ -14,7 +14,7 @@ from vacuitylab import (
     overlap_population_params,
     run_expansion_experiment,
 )
-from vacuitylab.experiments import RestrictionResult, mismatch_warning
+from vacuitylab.experiments import ExpansionRun, Orientation, RestrictionResult
 from vacuitylab.metrics import DetectionResult
 from vacuitylab.report import (
     detection_result_dict,
@@ -125,13 +125,64 @@ class TestWarnings:
         assert parsed["type"] == "cardinality_mismatch"
 
 
+def _run(k_id: int, k_ood: int) -> DetectionResult:
+    return DetectionResult(0.75, 0.6, 0.5, 10, 10, "vacuity", k_id, k_ood)
+
+
+def _mismatch(context: str, k_id: int, k_ood: int) -> list:
+    """A ``cardinality_mismatch`` record as its key-value pairs, in the order they are written."""
+    note = "scores computed over different class cardinalities are not comparable"
+    return [("type", "cardinality_mismatch"), ("context", context), ("k_id", k_id), ("k_ood", k_ood), ("note", note)]
+
+
+@pytest.mark.parametrize(
+    "build, conditions, warnings",
+    [
+        (lambda: detection_result_dict("m", _run(4, 4), "id-pos"), ["vacuity (id-pos)"], None),
+        (
+            lambda: detection_result_dict("m", _run(4, 5), "id-pos"),
+            ["vacuity (id-pos) (mismatched K)"],
+            [_mismatch("metrics", 4, 5)],
+        ),
+        (
+            lambda: restriction_result_dict("r", RestrictionResult(_run(4, 5), _run(4, 4), ()), 4),
+            ["as-is (mismatched K)", "removed class 4"],
+            [_mismatch("restriction_as_is", 4, 5)],
+        ),
+        (
+            lambda: restriction_result_dict("r", RestrictionResult(_run(3, 5), _run(3, 4), ()), 4),
+            ["as-is (mismatched K)", "removed class 4 (mismatched K)"],
+            [_mismatch("restriction_as_is", 3, 5), _mismatch("restriction_removed", 3, 4)],
+        ),
+        (
+            lambda: expansion_result_dict(
+                "e",
+                ExpansionRun(
+                    ExpansionMode.OOD_ONLY, Metric.VACUITY, Orientation.ID_POSITIVE, 0.0,
+                    tuple(_run(4, k) for k in range(4, 9)),
+                ),
+            ),
+            ["baseline"] + ["ood-only expansion"] * 4,
+            None,
+        ),
+    ],
+    ids=["detection-matched", "detection-mismatched", "restriction-id-k4", "restriction-id-k3", "expansion"],
+)
+def test_a_run_is_marked_and_warned_exactly_when_its_k_differ(build, conditions, warnings):
+    """Every builder reads each run from its own K; an expansion row states its K and is neither marked nor warned."""
+    result = build()
+    assert [row["condition"] for row in result["rows"]] == conditions
+    if warnings is None:
+        assert "warnings" not in result
+    else:
+        assert [list(w.items()) for w in result["warnings"]] == warnings
+
+
 def _pinned_results() -> dict:
     """One result of each kind; the expansion one as JSON reads it back, with integer-valued numbers."""
     as_is = DetectionResult(0.8123456789012345, 0.7011936183472102, 0.5, 60, 60, "vacuity", 4, 5)
     removed = DetectionResult(0.6543210987654321, 0.59, 0.5454545454545454, 60, 50, "vacuity", 4, 4)
-    restriction = RestrictionResult(
-        as_is, removed, excluded_ids=("q0", "q5"), warnings=(mismatch_warning("restriction_as_is", 4, 5),)
-    )
+    restriction = RestrictionResult(as_is, removed, excluded_ids=("q0", "q5"))
     detection = DetectionResult(0.9876543210123456, 0.3333333333333333, 0.25, 30, 90, "entropy", 3, 3)
     expansion = json.loads(
         '{"kind": "expansion", "name": "e", "metric": "max_prob", "orientation": "ood-pos", '
@@ -141,7 +192,7 @@ def _pinned_results() -> dict:
     )
     return {
         "restriction": restriction_result_dict("restriction", restriction, 4),
-        "detection": detection_result_dict("metrics_entropy", "entropy (ood-pos)", detection, "ood-pos"),
+        "detection": detection_result_dict("metrics_entropy", detection, "ood-pos"),
         "expansion": expansion,
     }
 
