@@ -25,7 +25,6 @@ from .experiments import (
     Verdict,
     audit_cardinality,
     evaluate_groups,
-    require_scorable,
     run_expansion_experiment,
     run_restriction_experiment,
 )
@@ -168,10 +167,9 @@ def _cmd_audit(args) -> int:
 
 def _cmd_metrics(args) -> int:
     id_records, ood_records = _load_groups(args)
-    require_scorable(id_records, ood_records, args.allow_mismatch)
     metric = Metric(args.metric)
     orientation = Orientation(args.orientation)
-    res = evaluate_groups(id_records, ood_records, metric, orientation)
+    res = evaluate_groups(id_records, ood_records, metric, orientation, args.allow_mismatch)
     _deliver(detection_result_dict(f"metrics_{metric.value}", res, orientation.value), args)
     return EXIT_OK
 

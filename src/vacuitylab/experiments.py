@@ -12,9 +12,10 @@ Every experiment takes each group as a ``RecordBatch`` (what
 evidence matrix it scores (expansion appends columns, restriction deletes
 one), and each K it reports is the width of the matrix it scored. A run
 is a pair of scored groups, an ID side and an OOD side; a group whose
-matrix does not change is scored once. Each is gated by ``require_scorable``
-alone, whose audit refuses an empty side or a row whose ``group`` is not its
-side's, then a mixed K. A row's label follows its side, never its own field.
+matrix does not change is scored once. Every scorer gates itself with
+``require_scorable``, whose audit refuses an empty side or a row whose
+``group`` is not its side's, then a mixed K, then two K unless allowed.
+A row's label follows its side, never its own field.
 Experiments return facts only: scores, counts and each run's K. ``report``
 derives a run's ``(mismatched K)`` mark and warning records from its K.
 """
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .metrics import DetectionResult, ScoredSample, evaluate_scores
-from .records import Group, RecordBatch, require_int, require_number
+from .records import Group, RecordBatch, require_int, require_number, strength
 
 if TYPE_CHECKING:
     from .dirichlet import EvidenceRecord
@@ -133,34 +134,33 @@ def require_scorable(id_records: RecordBatch, ood_records: RecordBatch, allow_mi
         )
 
 
-@np.errstate(over="ignore")  # an S that overflows is reported with its record, not as a warning
 def _score_evidence(
     evidence: np.ndarray, metric: Metric, orientation: Orientation, batch: RecordBatch
 ) -> np.ndarray:
     """Detection score of every row of an (n, K) evidence matrix, the rows of ``batch`` widened or not.
 
-    alpha = e + 1 and S = its row sum, which equals the sum of that row
+    S is ``strength``'s sum of each row's e + 1, which equals that row's sum
     taken alone as a 1-D array, so each score equals the per-record
     vacuity, max probability or normalized entropy of that row bit for bit.
     """
-    alpha = evidence + 1.0
-    strength = alpha.sum(axis=1)
-    finite = np.isfinite(strength)
+    s = strength(evidence)
+    finite = np.isfinite(s)
     if not finite.all():
         row = int(np.argmin(finite))
         raise ValueError(
             f"{batch.path or '<records>'}:{batch.lines[row]}: record {batch.ids[row]!r}: "
-            f"evidence sum S is not finite at K={alpha.shape[1]}"
+            f"evidence sum S is not finite at K={evidence.shape[1]}"
         )
     id_positive = orientation is Orientation.ID_POSITIVE
     if metric is Metric.VACUITY:
-        u = alpha.shape[1] / strength
+        u = evidence.shape[1] / s
         return 1.0 / u if id_positive else u
+    alpha = evidence + 1.0
     if metric is Metric.MP:
-        mp = alpha.max(axis=1) / strength
+        mp = alpha.max(axis=1) / s
         return mp if id_positive else 1.0 - mp
-    p = alpha / strength[:, None]
-    h = np.clip((-(p * np.log2(p))).sum(axis=1) / math.log2(alpha.shape[1]), 0.0, 1.0)
+    p = alpha / s[:, None]
+    h = np.clip((-(p * np.log2(p))).sum(axis=1) / math.log2(evidence.shape[1]), 0.0, 1.0)
     return 1.0 - h if id_positive else h
 
 
@@ -210,14 +210,16 @@ def evaluate_groups(
     ood_records: RecordBatch,
     metric: Metric,
     orientation: Orientation,
+    allow_mismatch: bool = False,
 ) -> DetectionResult:
     """Detection metrics of two groups, each of one class count, scored as evidence matrices.
 
-    Each group's K is the width of the matrix it was scored as. Labels
-    follow the side: every row of ``id_records`` is an ID row, whatever its
-    ``group`` field says. Nothing here is gated; callers pass both groups
-    through ``require_scorable`` first.
+    Each group's K is the width of the matrix it was scored as, and every
+    row of ``id_records`` is an ID row. Before scoring, ``require_scorable``
+    refuses a row of the other side's group, a mixed K and, unless
+    ``allow_mismatch``, two different K (``CardinalityMismatchError``).
     """
+    require_scorable(id_records, ood_records, allow_mismatch)
     sides = (_scored(b, b.evidence, metric, orientation) for b in (id_records, ood_records))
     return _detection(metric, orientation, *sides)
 
@@ -258,7 +260,6 @@ class ExpansionRun:
         return self.rows[0]
 
 
-@np.errstate(over="ignore")  # an overflowing fill shows as a non-finite S when its rows are scored
 def _append_columns(evidence: np.ndarray, count: int, appended_evidence: float | str) -> np.ndarray:
     """Evidence matrix with ``count`` appended class columns; the original columns are copied.
 
@@ -271,8 +272,7 @@ def _append_columns(evidence: np.ndarray, count: int, appended_evidence: float |
     if appended_evidence == INVARIANCE_EVIDENCE:
         # The invariance value S/K - 1 is per row; S/K stays constant across
         # repeated appends, so one value covers all `count` new classes.
-        alpha = evidence + 1.0
-        fill = alpha.sum(axis=1, keepdims=True) / k - 1.0
+        fill = strength(evidence)[:, None] / k - 1.0
     else:
         fill = float(appended_evidence)
     try:

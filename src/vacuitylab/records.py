@@ -186,10 +186,10 @@ class RecordBatch:
         return self.values.reshape(len(self), k)
 
 
-def finite_strength(evidence: np.ndarray) -> np.ndarray:
-    """Per row of an (n, K) evidence matrix: is S = sum(evidence + 1) finite, summed as the scorer sums it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.isfinite((evidence + 1.0).sum(axis=1))
+def strength(evidence: np.ndarray) -> np.ndarray:
+    """Per row of an (n, K) evidence matrix, S = sum(evidence + 1): the one sum every check and score uses."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an S that overflows is named by its caller
+        return (evidence + 1.0).sum(axis=1)
 
 
 _NUMBER_TYPES = frozenset({int, float})  # bool is an int subclass, but JSON true/false is not a number
@@ -313,7 +313,7 @@ def _evidence(values: np.ndarray, k: np.ndarray, logits: np.ndarray, widths: set
     if (values < 0).any():
         raise _Refused
     for width in widths:
-        if not finite_strength(values[np.repeat(k == width, k)].reshape(-1, width)).all():
+        if not np.isfinite(strength(values[np.repeat(k == width, k)].reshape(-1, width))).all():
             raise _Refused
     return values
 
@@ -384,7 +384,7 @@ def _line_problem(line: str, lineno: int, first_lines: dict[str, int]) -> str | 
     if logit:
         row = softplus_evidence(row).tolist()
     # S can overflow, in any summation order, only if the magnitudes sum near the float maximum
-    if sum(map(abs, row)) + len(row) > 1e300 and not finite_strength(np.array([row]))[0]:
+    if sum(map(abs, row)) + len(row) > 1e300 and not np.isfinite(strength(np.array([row])))[0]:
         return "total strength S = sum(evidence + 1) overflows"
     if group != _ID and group != _OOD:
         return f"{group!r} is not a valid Group"

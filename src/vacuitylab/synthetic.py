@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import Group, RecordBatch, finite_strength, require_int, require_number
+from .records import Group, RecordBatch, require_int, require_number, strength
 
 STREAM_ID_EVIDENCE = 0
 STREAM_OOD_EVIDENCE = 1
@@ -85,7 +85,7 @@ def generate_evidence_population(params: PopulationParams) -> tuple[RecordBatch,
     ood_evidence = stream_rng(params.seed, STREAM_OOD_EVIDENCE).gamma(
         params.ood_shape, params.scale, (params.n_ood, k)
     )
-    if not (finite_strength(id_evidence).all() and finite_strength(ood_evidence).all()):
+    if not (np.isfinite(strength(id_evidence)).all() and np.isfinite(strength(ood_evidence)).all()):
         raise ValueError(
             f"scale {params.scale!r} draws evidence whose sum S = sum(evidence + 1) is not finite"
         )

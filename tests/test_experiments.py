@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vacuitylab import (
     INVARIANCE_EVIDENCE,
@@ -20,6 +22,7 @@ from vacuitylab import (
     EvidenceRecord,
     ExpansionMode,
     ExpansionSpec,
+    Group,
     Metric,
     Orientation,
     Verdict,
@@ -259,6 +262,56 @@ class TestExpansion:
             assert all(0.0 <= row.auroc <= 1.0 for row in run.rows)
 
 
+@st.composite
+def evidence_matrices(draw, count=1, floor=0.0):
+    """``count`` evidence matrices of one K in 2..10, each of 1..30 rows that sum to at least ``floor * K``."""
+    k = draw(st.integers(2, 10))
+    value = st.integers(0, 4).map(float) if draw(st.booleans()) else st.floats(0.0, 50.0)
+    row = st.lists(value, min_size=k, max_size=k).filter(lambda r: sum(r) >= floor * k)
+    return [np.array(draw(st.lists(row, min_size=1, max_size=30))) for _ in range(count)]
+
+
+APPENDED = 12
+
+
+@settings(max_examples=100, deadline=None)
+@given(evidence_matrices(count=2, floor=1e-3))
+def test_zero_evidence_ood_only_sweep_never_helps_ood(matrices):
+    """Appending m zero-evidence classes turns an OOD score S/K into (S + m)/(K + m), lower whenever S > K.
+
+    ID scores stand still, so every OOD score falls and no AUROC falls as
+    K grows, for any population. Each row's evidence sums to at least
+    1e-3 K, far above one ulp of K, so rounding cannot tie a step.
+    """
+    id_evidence, ood_evidence = matrices
+    k = id_evidence.shape[1]
+    names = [f"c{j}" for j in range(k)]
+    id_records = RecordBatch.from_evidence([f"id{i}" for i in range(len(id_evidence))], Group.ID, names, id_evidence)
+    ood_records = RecordBatch.from_evidence([f"q{i}" for i in range(len(ood_evidence))], Group.OOD, names, ood_evidence)
+    wide = experiments._append_columns(ood_evidence, APPENDED, 0.0)
+    scores = [
+        experiments._score_evidence(wide[:, :width], Metric.VACUITY, Orientation.ID_POSITIVE, ood_records)
+        for width in range(k, k + APPENDED + 1)
+    ]
+    assert all((later < earlier).all() for earlier, later in zip(scores, scores[1:]))
+    run = run_expansion_experiment(id_records, ood_records, ExpansionSpec("ood-only", k + APPENDED), Metric.VACUITY)
+    aurocs = [row.auroc for row in run.rows]
+    assert all(later >= earlier for earlier, later in zip(aurocs, aurocs[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(evidence_matrices(), st.integers(1, APPENDED))
+def test_zero_fill_never_changes_a_prediction(matrices, count):
+    """Evidence is >= 0 and ``np.argmax`` takes the first maximum, so an appended 0.0 never wins a row.
+
+    The invariance fill S/K - 1 has no such guarantee: it can round above a
+    uniform row's shared value ([0.1] * 3 gets 0.10000000000000009).
+    """
+    (evidence,) = matrices
+    wide = experiments._append_columns(evidence, count, 0.0)
+    assert (np.argmax(wide, axis=1) == np.argmax(evidence, axis=1)).all()
+
+
 class TestRestriction:
     def make_groups(self):
         id_records = [rec(f"id{i}", [5 + i, 1, 1, 1]) for i in range(6)]
@@ -369,7 +422,7 @@ class TestRestriction:
         reduced = [remove_class(r, index) for r in ood_rows]
         expected = evaluate_groups(
             id_records, RecordBatch.from_records([r for r in reduced if r is not None]), Metric.VACUITY,
-            Orientation.ID_POSITIVE,
+            Orientation.ID_POSITIVE, allow_mismatch=True,
         )
         assert result.removed == expected
         assert result.excluded_ids == tuple(r.id for r in ood_rows if r.gold_label == index)
@@ -418,6 +471,7 @@ GATED = {
     "audit": audit_cardinality,
     "ood-only-sweep": lambda i, o: run_expansion_experiment(i, o, ExpansionSpec("ood-only", 8), Metric.VACUITY),
     "restriction": lambda i, o: run_restriction_experiment(o, 1, i, Metric.VACUITY),
+    "evaluate-groups": lambda i, o: evaluate_groups(i, o, Metric.VACUITY, Orientation.ID_POSITIVE),
 }
 
 
@@ -442,14 +496,42 @@ def test_row_of_the_other_group_is_refused(call, side):
 def test_evaluate_groups_reads_k_from_the_scored_matrices():
     """K is never passed in: ID at K=4 against OOD at K=5 reads K_OOD=5."""
     parameters = list(inspect.signature(evaluate_groups).parameters)
-    assert parameters == ["id_records", "ood_records", "metric", "orientation"]
+    assert parameters == ["id_records", "ood_records", "metric", "orientation", "allow_mismatch"]
     res = evaluate_groups(
         RecordBatch.from_records([rec("a", [9, 1, 1, 1])]),
         RecordBatch.from_records([rec("b", [1, 1, 1, 1, 0], "ood")]),
         Metric.VACUITY,
         Orientation.ID_POSITIVE,
+        allow_mismatch=True,
     )
     assert (res.k_id, res.k_ood) == (4, 5)
+
+
+class TestEvaluateGroupsGate:
+    """``evaluate_groups`` gates itself as the sweeps do: two K only when allowed, a mixed K never."""
+
+    ID_RECORDS = RecordBatch.from_records([rec(f"id{i}", [5 + i, 1, 1, 1]) for i in range(3)])
+    K5 = RecordBatch.from_records([rec(f"q{i}", [1, 2, 3, i, 1], "ood") for i in range(3)])
+
+    def test_mismatch_is_refused_unless_allowed(self):
+        with pytest.raises(CardinalityMismatchError) as info:
+            evaluate_groups(self.ID_RECORDS, self.K5, Metric.VACUITY, Orientation.ID_POSITIVE)
+        assert str(info.value) == "refusing to score mismatched cardinalities (metrics --allow-mismatch overrides)"
+        report = info.value.report
+        assert (report.verdict, report.k_id, report.k_ood) == (Verdict.FAIL, 4, 5)
+        assert report == audit_cardinality(self.ID_RECORDS, self.K5)
+        res = evaluate_groups(self.ID_RECORDS, self.K5, Metric.VACUITY, Orientation.ID_POSITIVE, allow_mismatch=True)
+        assert (res.k_id, res.k_ood) == (4, 5)
+
+    @pytest.mark.parametrize("side", ["id", "ood"])
+    def test_mixed_k_is_refused_even_when_mismatch_is_allowed(self, side):
+        rows = {"id": [rec("a", [9, 1, 1, 1])], "ood": [rec("b", [1, 1, 1, 1], "ood")]}
+        rows[side].append(rec("x", [1, 2, 3, 4, 5], side))
+        groups = (RecordBatch.from_records(rows["id"]), RecordBatch.from_records(rows["ood"]))
+        with pytest.raises(CardinalityMismatchError) as info:
+            evaluate_groups(*groups, Metric.VACUITY, Orientation.ID_POSITIVE, allow_mismatch=True)
+        assert str(info.value) == "mixed cardinality inside a group cannot be scored"
+        assert info.value.report == audit_cardinality(*groups)
 
 
 # each call on a K=4 pair -> (the call, how many matrices it scores): a matrix that does not change is scored once
