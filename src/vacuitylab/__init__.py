@@ -24,8 +24,8 @@ _EXPORTS = {
         "experiments": (
             "INVARIANCE_EVIDENCE", "MIXED", "AuditReport", "CardinalityMismatchError", "ExpansionMode",
             "ExpansionRun", "ExpansionSpec", "Metric", "Orientation", "RestrictionResult", "Verdict",
-            "audit_cardinality", "run_expansion_experiment", "run_restriction_experiment", "score_group",
-            "score_record",
+            "audit_cardinality", "evaluate_groups", "run_expansion_experiment", "run_restriction_experiment",
+            "score_group", "score_record",
         ),
         "metrics": (
             "DetectionResult", "ScoredSample", "aupr", "aupr_baseline", "aupr_scores", "auroc",

@@ -83,7 +83,7 @@ _SCORED_FILES = [
     _arg("--metric", choices=[m.value for m in Metric], default=Metric.VACUITY.value),
     _arg("--orientation", choices=[o.value for o in Orientation], default=Orientation.ID_POSITIVE.value),
 ]
-_CONFIG = [_arg("--config", required=True, metavar="FILE"), _arg("--seed", type=int, help="override the config seed")]
+_CONFIG = [_arg("--config", required=True, metavar="FILE")]
 
 
 def build_parser(argv: Sequence[str] = ()) -> _Parser:
@@ -168,9 +168,8 @@ def _cmd_audit(args) -> int:
 def _cmd_metrics(args) -> int:
     id_records, ood_records = _load_groups(args)
     metric = Metric(args.metric)
-    orientation = Orientation(args.orientation)
-    res = evaluate_groups(id_records, ood_records, metric, orientation, args.allow_mismatch)
-    _deliver(detection_result_dict(f"metrics_{metric.value}", res, orientation.value), args)
+    res = evaluate_groups(id_records, ood_records, metric, Orientation(args.orientation), args.allow_mismatch)
+    _deliver(detection_result_dict(f"metrics_{metric.value}", res, args.orientation), args)
     return EXIT_OK
 
 
@@ -178,7 +177,8 @@ def _cmd_expand(args) -> int:
     spec = ExpansionSpec(args.mode, args.k_max, args.evidence)
     groups = _load_groups(args)
     run = run_expansion_experiment(*groups, spec, Metric(args.metric), Orientation(args.orientation))
-    _deliver(expansion_result_dict(f"expansion_{spec.mode.value.replace('-', '_')}", run), args)
+    name = f"expansion_{spec.mode.value.replace('-', '_')}"
+    _deliver(expansion_result_dict(name, run, spec, args.orientation), args)
     return EXIT_OK
 
 
@@ -187,7 +187,7 @@ def _cmd_restrict(args) -> int:
     result = run_restriction_experiment(
         ood_records, args.remove_class, id_records, Metric(args.metric), Orientation(args.orientation)
     )
-    out = restriction_result_dict("restriction", result, args.remove_class)
+    out = restriction_result_dict("restriction", result, args.remove_class, args.orientation)
     print(f"excluded {out['excluded_count']} records whose gold label was the removed class")
     _deliver(out, args)
     return EXIT_OK
@@ -208,12 +208,10 @@ def _read_json(path):
 
 
 def _configured(args, build):
-    """``build(config)`` on the --config object, --seed applied; any bad value is an error naming the file."""
+    """``build(config)`` on the --config object, which alone sets the seed; a bad value is an error naming the file."""
     config = _read_json(args.config)
     if type(config) is not dict:
         raise ValueError(f"{args.config}: expected a JSON object")
-    if args.seed is not None:
-        config["seed"] = args.seed
     try:
         return build(config)
     except (TypeError, ValueError, MemoryError) as exc:  # MemoryError: sizes no memory can hold

@@ -16,8 +16,9 @@ matrix does not change is scored once. Every scorer gates itself with
 ``require_scorable``, whose audit refuses an empty side or a row whose
 ``group`` is not its side's, then a mixed K, then two K unless allowed.
 A row's label follows its side, never its own field.
-Experiments return facts only: scores, counts and each run's K. ``report``
-derives a run's ``(mismatched K)`` mark and warning records from its K.
+Experiments return facts only: scores, counts and each run's K. The caller
+states how it asked (orientation, mode, evidence, removed class) to ``report``,
+which derives a run's ``(mismatched K)`` mark and warning records from its K.
 """
 
 from __future__ import annotations
@@ -247,12 +248,8 @@ class ExpansionSpec:
 
 @dataclass(frozen=True)
 class ExpansionRun:
-    """One sweep: the baseline row followed by one row per K from baseline K + 1 to k_max."""
+    """One sweep's rows only: the baseline row, then one per K from baseline K + 1 to k_max."""
 
-    mode: ExpansionMode
-    metric: Metric
-    orientation: Orientation
-    appended_evidence: float | str
     rows: tuple[DetectionResult, ...]
 
     @property
@@ -301,6 +298,7 @@ def run_expansion_experiment(
     once, to ``spec.k_max`` columns; row K scores its first K columns (the
     same values as a matrix widened to K) and reads each K from its matrix.
     An OOD-only sweep scores the unchanged ID matrix once, for every row.
+    The run holds only its rows: the caller hands ``spec`` and the orientation to the report.
     """
     require_scorable(id_records, ood_records, allow_mismatch=False)
     base_k = id_records.evidence.shape[1]
@@ -323,13 +321,7 @@ def run_expansion_experiment(
         )
         for k in range(base_k, spec.k_max + 1)
     )
-    return ExpansionRun(
-        mode=spec.mode,
-        metric=metric,
-        orientation=orientation,
-        appended_evidence=spec.appended_evidence,
-        rows=rows,
-    )
+    return ExpansionRun(rows)
 
 
 @dataclass(frozen=True)

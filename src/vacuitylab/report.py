@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import ExpansionRun, RestrictionResult
+from .experiments import ExpansionRun, ExpansionSpec, RestrictionResult
 from .metrics import DetectionResult
 
 TABLE_COLUMNS = (
@@ -59,17 +59,20 @@ def _row(condition: str, res: DetectionResult, baseline: DetectionResult | None)
     }
 
 
-def _result(kind: str, name: str, metric: str, rows: list[dict], **fields) -> dict:
-    """A result object in its fixed key order: kind, name, metric, the kind's own fields, rows."""
-    return {"kind": kind, "name": name, "metric": metric, **fields, "rows": rows}
+def _result(kind: str, name: str, metric: str, orientation: str, rows: list[dict], **fields) -> dict:
+    """A result object in its fixed key order: kind, name, metric, orientation, the kind's own fields, rows.
+
+    ``metric`` is a scored run's ``metric_name``; ``orientation`` (which side was positive) is the caller's.
+    """
+    return {"kind": kind, "name": name, "metric": metric, "orientation": orientation, **fields, "rows": rows}
 
 
-def expansion_result_dict(name: str, run: ExpansionRun) -> dict:
-    label = f"{run.mode.value} expansion"
+def expansion_result_dict(name: str, run: ExpansionRun, spec: ExpansionSpec, orientation: str) -> dict:
+    label = f"{spec.mode.value} expansion"
     rows = [_row("baseline", run.baseline, None), *(_row(label, res, run.baseline) for res in run.rows[1:])]
     return _result(
-        "expansion", name, run.metric.value, rows,
-        orientation=run.orientation.value, mode=run.mode.value, appended_evidence=run.appended_evidence,
+        "expansion", name, run.baseline.metric_name, orientation, rows,
+        mode=spec.mode.value, appended_evidence=spec.appended_evidence,
     )
 
 
@@ -89,13 +92,13 @@ def _runs(*runs: tuple[str, str, DetectionResult, DetectionResult | None]) -> tu
     return rows, warnings
 
 
-def restriction_result_dict(name: str, result: RestrictionResult, removed_class_index: int) -> dict:
+def restriction_result_dict(name: str, result: RestrictionResult, removed_class_index: int, orientation: str) -> dict:
     rows, warnings = _runs(
         ("restriction_as_is", "as-is", result.as_is, None),
         ("restriction_removed", f"removed class {removed_class_index}", result.removed, result.as_is),
     )
     return _result(
-        "restriction", name, result.as_is.metric_name, rows,
+        "restriction", name, result.as_is.metric_name, orientation, rows,
         removed_class_index=removed_class_index, excluded_ids=list(result.excluded_ids),
         excluded_count=len(result.excluded_ids), warnings=warnings,
     )
@@ -105,7 +108,7 @@ def detection_result_dict(name: str, res: DetectionResult, orientation: str) -> 
     """One row, ``<metric> (<orientation>)``; only a run scored over two K carries ``warnings``."""
     rows, warnings = _runs(("metrics", f"{res.metric_name} ({orientation})", res, None))
     warned = {"warnings": warnings} if warnings else {}
-    return _result("detection", name, res.metric_name, rows, orientation=orientation, **warned)
+    return _result("detection", name, res.metric_name, orientation, rows, **warned)
 
 
 def result_warnings(results: list[dict]) -> list[dict]:

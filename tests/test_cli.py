@@ -234,6 +234,19 @@ class TestRestrict:
         assert [row["condition"] for row in rows] == conditions
         assert [(row["k_id"], row["k_ood"]) for row in rows] == [(id_k, 5), (id_k, 4)]
 
+    @pytest.mark.parametrize("orientation", ["id-pos", "ood-pos"])
+    def test_result_records_its_orientation(self, files, tmp_path, capsys, orientation):
+        """The result names its positive side right after its metric, and report re-emits it byte for byte."""
+        out, again = tmp_path / "d", tmp_path / "e"
+        argv = ["restrict", str(files["id"]), str(files["ood_k5"]), "--remove-class", "0",
+                "--orientation", orientation, "--out", str(out)]
+        assert main(argv) == 0
+        written = (out / "restriction.result.json").read_bytes()
+        assert list(json.loads(written).items())[2:4] == [("metric", "vacuity"), ("orientation", orientation)]
+        assert main(["report", str(out), "--out", str(again)]) == 0
+        capsys.readouterr()
+        assert (again / "restriction.result.json").read_bytes() == written
+
 
 class TestSimulateAndTrainToy:
     def test_simulate_writes_populations(self, tmp_path):
@@ -247,31 +260,30 @@ class TestSimulateAndTrainToy:
 
     @staticmethod
     def _outputs_by_seed(tmp_path, capsys, command, config, read):
-        """``read(out)`` after a run of the config with seed 5, one with seed 9, and the seed-5 config with --seed 9."""
-        runs = [(5, []), (9, []), (5, ["--seed", "9"])]
+        """``read(out)`` after a run of the config with seed 5, one with seed 9, and another with seed 5."""
         outputs = []
-        for i, (seed, flags) in enumerate(runs):
+        for i, seed in enumerate((5, 9, 5)):
             path, out = tmp_path / f"config{i}.json", tmp_path / f"out{i}"
             path.write_text(json.dumps({**config, "seed": seed}))
-            assert main([command, "--config", str(path), "--out", str(out), *flags]) == 0
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
             capsys.readouterr()
             outputs.append(read(out))
         return outputs
 
-    def test_simulate_seed_override(self, tmp_path, capsys):
-        """--seed replaces the config's seed: the run equals that of a config holding seed 9, not seed 5."""
-        own, nine, overridden = self._outputs_by_seed(
+    def test_simulate_seed_is_the_configs(self, tmp_path, capsys):
+        """The config's seed is the run's one seed: seed 9 writes other records than seed 5, which repeats."""
+        five, nine, again = self._outputs_by_seed(
             tmp_path, capsys, "simulate", {"n_id": 5, "n_ood": 5},
             lambda out: [(out / name).read_bytes() for name in ("id_records.jsonl", "ood_records.jsonl")],
         )
-        assert overridden == nine != own
+        assert again == five != nine
 
-    def test_train_toy_seed_override(self, tmp_path, capsys):
-        own, nine, overridden = self._outputs_by_seed(
+    def test_train_toy_seed_is_the_configs(self, tmp_path, capsys):
+        five, nine, again = self._outputs_by_seed(
             tmp_path, capsys, "train-toy", {"mode": "edl", "steps": 5, "n_per_class": 50},
             lambda out: (out / "toy_summary.json").read_bytes(),
         )
-        assert overridden == nine != own
+        assert again == five != nine
 
     def test_train_toy_summary(self, tmp_path, capsys):
         config = tmp_path / "toy.json"
@@ -612,7 +624,7 @@ BASE_ARGV = {
 FLAG_ARGV = {"--format": ["--format", "json"], "--seed": ["--seed", "3"], "--allow-mismatch": ["--allow-mismatch"]}
 DROPPED_FLAGS = [
     *[(command, "--format") for command in ("audit", "simulate", "train-toy")],
-    *[(command, "--seed") for command in ("audit", "metrics", "expand", "restrict", "report")],
+    *[(command, "--seed") for command in BASE_ARGV],  # simulate and train-toy read their seed from --config
     *[(command, "--allow-mismatch") for command in BASE_ARGV if command != "metrics"],
 ]
 
@@ -958,6 +970,23 @@ def test_report_refuses_two_results_that_write_one_file(tmp_path, capsys):
     assert main(["report", str(tmp_path), "--format", "csv", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {out / 'x_sweep.csv'}: written by both result 'x' and result 'x_sweep'\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv"])
+def test_report_renders_a_restriction_result_that_names_no_orientation(files, tmp_path, capsys, fmt):
+    """A restriction result written before results named their orientation still renders, to the same tables."""
+    new, old, out = tmp_path / "new", tmp_path / "old", tmp_path / "out"
+    argv = ["restrict", str(files["id"]), str(files["ood_k5"]), "--remove-class", "4", "--format", fmt]
+    assert main([*argv, "--out", str(new)]) == 0
+    result = json.loads((new / "restriction.result.json").read_text())
+    del result["orientation"]
+    assert report.result_problem(result, "restriction") is None
+    old.mkdir()
+    (old / "restriction.result.json").write_text(json.dumps(result, indent=2) + "\n")
+    assert main(["report", str(old), "--out", str(out), "--format", fmt]) == 0
+    capsys.readouterr()
+    for name in (f"restriction.{fmt}", "warnings.jsonl"):
+        assert (out / name).read_bytes() == (new / name).read_bytes()
 
 
 def test_report_renders_a_valid_detection_result(tmp_path, capsys):

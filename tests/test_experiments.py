@@ -362,6 +362,8 @@ class TestRestriction:
     def test_result_holds_facts_only(self):
         fields = [f.name for f in dataclasses.fields(experiments.RestrictionResult)]
         assert fields == ["as_is", "removed", "excluded_ids"]  # no warnings: ``report`` derives them from each K
+        # no mode, metric, orientation or evidence: the caller states how it asked
+        assert [f.name for f in dataclasses.fields(experiments.ExpansionRun)] == ["rows"]
 
     @pytest.mark.parametrize(
         "ood_rows, index, message",

@@ -15,7 +15,8 @@ PUBLIC = {
     "Orientation", "PopulationParams", "RbfFeaturizer", "RecordBatch", "RecordParseError", "RestrictionResult",
     "ScoredSample", "ToyBatch", "ToyModelGrads", "ToyModelParams", "ToyTrainConfig", "ToyTrainResult",
     "TrainingDiverged", "TrainingMode", "Verdict", "append_classes", "audit_cardinality", "aupr",
-    "aupr_baseline", "aupr_scores", "auroc", "auroc_scores", "digamma", "evaluate_detection", "evaluate_scores",
+    "aupr_baseline", "aupr_scores", "auroc", "auroc_scores", "digamma", "evaluate_detection", "evaluate_groups",
+    "evaluate_scores",
     "far_probe_points", "gamma_family", "generate_evidence_population", "generate_toy_classification",
     "init_params", "log_gamma", "loss_gradient", "overlap_population_params",
     "parse_records", "predict_alpha", "remove_class", "run_expansion_experiment", "run_restriction_experiment",
@@ -26,7 +27,7 @@ SUBMODULES = ("dirichlet", "experiments", "losses", "metrics", "records", "speci
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC) == 57
+    assert len(PUBLIC) == 58
     assert sorted(vacuitylab.__all__) == sorted(PUBLIC)
 
 

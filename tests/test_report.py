@@ -14,7 +14,7 @@ from vacuitylab import (
     overlap_population_params,
     run_expansion_experiment,
 )
-from vacuitylab.experiments import ExpansionRun, Orientation, RestrictionResult
+from vacuitylab.experiments import ExpansionRun, RestrictionResult
 from vacuitylab.metrics import DetectionResult
 from vacuitylab.report import (
     detection_result_dict,
@@ -33,13 +33,9 @@ def expansion_result():
     id_records, ood_records = generate_evidence_population(
         overlap_population_params(seed=3, n_id=80, n_ood=80)
     )
-    run = run_expansion_experiment(
-        id_records,
-        ood_records,
-        ExpansionSpec(mode=ExpansionMode.MATCHED, k_max=6),
-        Metric.VACUITY,
-    )
-    return expansion_result_dict("expansion_matched", run)
+    spec = ExpansionSpec(mode=ExpansionMode.MATCHED, k_max=6)
+    run = run_expansion_experiment(id_records, ood_records, spec, Metric.VACUITY)
+    return expansion_result_dict("expansion_matched", run, spec, "id-pos")
 
 
 class TestTables:
@@ -145,22 +141,21 @@ def _mismatch(context: str, k_id: int, k_ood: int) -> list:
             [_mismatch("metrics", 4, 5)],
         ),
         (
-            lambda: restriction_result_dict("r", RestrictionResult(_run(4, 5), _run(4, 4), ()), 4),
+            lambda: restriction_result_dict("r", RestrictionResult(_run(4, 5), _run(4, 4), ()), 4, "id-pos"),
             ["as-is (mismatched K)", "removed class 4"],
             [_mismatch("restriction_as_is", 4, 5)],
         ),
         (
-            lambda: restriction_result_dict("r", RestrictionResult(_run(3, 5), _run(3, 4), ()), 4),
+            lambda: restriction_result_dict("r", RestrictionResult(_run(3, 5), _run(3, 4), ()), 4, "id-pos"),
             ["as-is (mismatched K)", "removed class 4 (mismatched K)"],
             [_mismatch("restriction_as_is", 3, 5), _mismatch("restriction_removed", 3, 4)],
         ),
         (
             lambda: expansion_result_dict(
                 "e",
-                ExpansionRun(
-                    ExpansionMode.OOD_ONLY, Metric.VACUITY, Orientation.ID_POSITIVE, 0.0,
-                    tuple(_run(4, k) for k in range(4, 9)),
-                ),
+                ExpansionRun(tuple(_run(4, k) for k in range(4, 9))),
+                ExpansionSpec(ExpansionMode.OOD_ONLY, 8, 0.0),
+                "id-pos",
             ),
             ["baseline"] + ["ood-only expansion"] * 4,
             None,
@@ -191,7 +186,7 @@ def _pinned_results() -> dict:
         '"n_positive": 3, "n_negative": 2}]}'
     )
     return {
-        "restriction": restriction_result_dict("restriction", restriction, 4),
+        "restriction": restriction_result_dict("restriction", restriction, 4, "id-pos"),
         "detection": detection_result_dict("metrics_entropy", detection, "ood-pos"),
         "expansion": expansion,
     }
@@ -202,7 +197,7 @@ REPORT_SHA256 = {
     "restriction": {
         "md": "6fbcb7462edfb36ba62a5501a442e6dd5e4586f2d0e4cde85ed0d5143b403a68",
         "csv": "85718135a7ced14106b9303c5b564f8bb247b987bb7e1847824f546b01f85f90",
-        "json": "0d8b17b57d08656e2f675a166560d3c88218b64a51a482db598c9325f8c065ba",
+        "json": "2a4a7ec477fd18331b6b09de1f8db2ec6de21dfd9fcbae7efe260a3d8af21bc2",
         "sweep_csv": "d5056ebe99f3d82ef7cbd8714808ded75d0e50ea0c7ef15fe47634f66a2718e3",
         "sweep_svg": "b663f860d860ebe78af8e948f0a7ae41ccdd3bbb9db014595087dbba5254c5c6",
     },
