@@ -4,8 +4,8 @@ The central trap these experiments expose: vacuity u = K/S is not
 comparable across different K. Appending zero-evidence classes to the
 OOD group alone drives every OOD vacuity up by (S - K) / (S (S + 1)) per
 class while ID scores stand still, so AUROC/AUPR climb without any change
-in model predictions. Appending to *both* groups is a rank-preserving
-reparameterization and leaves both metrics bit-identical.
+in model predictions. Appending to *both* groups keeps every vacuity rank
+(its metrics stay bit-identical), but max probability and entropy move.
 
 Every experiment takes each group as a ``RecordBatch`` (what
 ``parse_records`` returns) and never rebuilds one: it changes only the
@@ -135,14 +135,12 @@ def require_scorable(id_records: RecordBatch, ood_records: RecordBatch, allow_mi
         )
 
 
-def _score_evidence(
-    evidence: np.ndarray, metric: Metric, orientation: Orientation, batch: RecordBatch
-) -> np.ndarray:
-    """Detection score of every row of an (n, K) evidence matrix, the rows of ``batch`` widened or not.
+def _score_evidence(evidence: np.ndarray, metric: Metric, batch: RecordBatch) -> np.ndarray:
+    """ID-positive score (1/u, max probability or 1 - H/log2(K)) of every row of an (n, K) evidence matrix.
 
-    S is ``strength``'s sum of each row's e + 1, which equals that row's sum
-    taken alone as a 1-D array, so each score equals the per-record
-    vacuity, max probability or normalized entropy of that row bit for bit.
+    The rows are those of ``batch``, widened or not. S is ``strength``'s sum
+    of each row's e + 1, which equals that row's sum taken alone as a 1-D
+    array, so each score equals the per-record score of that row bit for bit.
     """
     s = strength(evidence)
     finite = np.isfinite(s)
@@ -152,40 +150,42 @@ def _score_evidence(
             f"{batch.path or '<records>'}:{batch.lines[row]}: record {batch.ids[row]!r}: "
             f"evidence sum S is not finite at K={evidence.shape[1]}"
         )
-    id_positive = orientation is Orientation.ID_POSITIVE
     if metric is Metric.VACUITY:
-        u = evidence.shape[1] / s
-        return 1.0 / u if id_positive else u
+        return 1.0 / (evidence.shape[1] / s)
     alpha = evidence + 1.0
     if metric is Metric.MP:
-        mp = alpha.max(axis=1) / s
-        return mp if id_positive else 1.0 - mp
+        return alpha.max(axis=1) / s
     p = alpha / s[:, None]
-    h = np.clip((-(p * np.log2(p))).sum(axis=1) / math.log2(evidence.shape[1]), 0.0, 1.0)
-    return 1.0 - h if id_positive else h
+    return 1.0 - np.clip((-(p * np.log2(p))).sum(axis=1) / math.log2(evidence.shape[1]), 0.0, 1.0)
 
 
-def _scored(
-    batch: RecordBatch, evidence: np.ndarray, metric: Metric, orientation: Orientation
-) -> tuple[np.ndarray, int]:
-    """One group scored as ``evidence``, the rows of ``batch``: its scores and its K."""
-    return _score_evidence(evidence, metric, orientation, batch), evidence.shape[1]
+def _scored(batch: RecordBatch, evidence: np.ndarray, metric: Metric) -> tuple[np.ndarray, int]:
+    """One group scored as ``evidence``, the rows of ``batch``: its ID-positive scores and its K."""
+    return _score_evidence(evidence, metric, batch), evidence.shape[1]
+
+
+def _oriented(scores: np.ndarray, is_id: np.ndarray, orientation: Orientation) -> tuple[np.ndarray, np.ndarray]:
+    """The one orientation rule: OOD_POSITIVE negates the ID-positive scores and labels the OOD rows 1.
+
+    A negation reverses every rank and keeps every tie, so AUROC is
+    bit-identical in either orientation; only AUPR depends on it.
+    """
+    if orientation is Orientation.ID_POSITIVE:
+        return scores, is_id
+    return -scores, ~is_id
 
 
 def _detection(metric: Metric, orientation: Orientation, id_side: tuple, ood_side: tuple) -> DetectionResult:
-    """Detection metrics of two sides as ``_scored`` returns them; every row of the positive side is labelled 1.
-
-    Each K is the width its side was scored at.
-    """
+    """Detection metrics of two ``_scored`` sides, oriented by ``_oriented``; each K is its side's scored width."""
     (id_scores, k_id), (ood_scores, k_ood) = id_side, ood_side
-    id_positive = orientation is Orientation.ID_POSITIVE
-    labels = np.repeat([int(id_positive), int(not id_positive)], [len(id_scores), len(ood_scores)])
-    return evaluate_scores(np.concatenate([id_scores, ood_scores]), labels, metric.value, k_id, k_ood)
+    is_id = np.repeat([True, False], [len(id_scores), len(ood_scores)])
+    scores, labels = _oriented(np.concatenate([id_scores, ood_scores]), is_id, orientation)
+    return evaluate_scores(scores, labels, metric.value, k_id, k_ood)
 
 
 def score_record(record: EvidenceRecord, metric: Metric, orientation: Orientation) -> float:
-    batch = RecordBatch.from_records([record])
-    return float(_score_evidence(batch.evidence, metric, orientation, batch)[0])
+    """One record's ``score_group`` score: the ID-positive score, negated under OOD_POSITIVE."""
+    return score_group([record], metric, orientation)[0].score
 
 
 def score_group(
@@ -193,16 +193,14 @@ def score_group(
     metric: Metric,
     orientation: Orientation = Orientation.ID_POSITIVE,
 ) -> list[ScoredSample]:
-    """Score records for detection: higher = more positive-class.
+    """Score records for detection, oriented by ``_oriented``: higher = more positive-class.
 
-    ID_POSITIVE labels ID records 1 and scores with 1/u, MP, or
-    1 - H/log2(K); OOD_POSITIVE flips the labels and uses u, 1 - MP, or
-    H/log2(K). Either orientation yields the same AUROC. The records
+    ID_POSITIVE labels ID records 1 and scores with 1/u, MP or 1 - H/log2(K);
+    OOD_POSITIVE labels OOD records 1 and negates those scores. The records
     must share one class count; each one's label follows its own ``group``.
     """
     batch = RecordBatch.from_records(records)
-    scores = _score_evidence(batch.evidence, metric, orientation, batch)
-    labels = batch.ood if orientation is Orientation.OOD_POSITIVE else ~batch.ood
+    scores, labels = _oriented(_score_evidence(batch.evidence, metric, batch), ~batch.ood, orientation)
     return [ScoredSample(score=float(s), label=int(label)) for s, label in zip(scores, labels)]
 
 
@@ -215,13 +213,14 @@ def evaluate_groups(
 ) -> DetectionResult:
     """Detection metrics of two groups, each of one class count, scored as evidence matrices.
 
-    Each group's K is the width of the matrix it was scored as, and every
-    row of ``id_records`` is an ID row. Before scoring, ``require_scorable``
-    refuses a row of the other side's group, a mixed K and, unless
-    ``allow_mismatch``, two different K (``CardinalityMismatchError``).
+    Each group's K is the width of the matrix it was scored as, and every row of
+    ``id_records`` is an ID row; ``orientation`` picks the positive side, which moves
+    the AUPR but not one bit of the AUROC. Before scoring, ``require_scorable`` refuses
+    a row of the other side's group, a mixed K and, unless ``allow_mismatch``, two
+    different K (``CardinalityMismatchError``).
     """
     require_scorable(id_records, ood_records, allow_mismatch)
-    sides = (_scored(b, b.evidence, metric, orientation) for b in (id_records, ood_records))
+    sides = (_scored(b, b.evidence, metric) for b in (id_records, ood_records))
     return _detection(metric, orientation, *sides)
 
 
@@ -308,16 +307,16 @@ def run_expansion_experiment(
     def widened(batch: RecordBatch) -> np.ndarray:
         return _append_columns(batch.evidence, spec.k_max - base_k, spec.appended_evidence)
 
-    def scored(batch: RecordBatch, evidence: np.ndarray) -> tuple:
-        return _scored(batch, evidence, metric, orientation)
-
     matched = spec.mode is ExpansionMode.MATCHED
     id_wide = widened(id_records) if matched else None
-    id_side = None if matched else scored(id_records, id_records.evidence)  # one scoring for every row
+    id_side = None if matched else _scored(id_records, id_records.evidence, metric)  # one scoring for every row
     ood_wide = widened(ood_records)
     rows = tuple(
         _detection(
-            metric, orientation, id_side or scored(id_records, id_wide[:, :k]), scored(ood_records, ood_wide[:, :k])
+            metric,
+            orientation,
+            id_side or _scored(id_records, id_wide[:, :k], metric),
+            _scored(ood_records, ood_wide[:, :k], metric),
         )
         for k in range(base_k, spec.k_max + 1)
     )
@@ -364,10 +363,10 @@ def run_restriction_experiment(
         raise ValueError(f"{path}: removing class {removed_class_index} excluded every record")
     if k <= 2:
         raise ValueError(f"{path}: cannot remove a class from a 2-class record")
-    id_side = _scored(id_records, id_records.evidence, metric, orientation)  # one scoring for both runs
-    as_is = _detection(metric, orientation, id_side, _scored(ood_records, ood_records.evidence, metric, orientation))
+    id_side = _scored(id_records, id_records.evidence, metric)  # one scoring for both runs
+    as_is = _detection(metric, orientation, id_side, _scored(ood_records, ood_records.evidence, metric))
     dropped = np.delete(ood_records.evidence, removed_class_index, axis=1)
-    scores, k_removed = _scored(ood_records, dropped, metric, orientation)
+    scores, k_removed = _scored(ood_records, dropped, metric)
     removed = _detection(metric, orientation, id_side, (scores[~excluded], k_removed))
     return RestrictionResult(
         as_is=as_is,

@@ -79,8 +79,8 @@ def test_invariance_property_suite():
         assert abs(u_kept - u) <= 1e-12 * u
         expanded = _append_columns(evidence[None, :], 1, INVARIANCE_EVIDENCE)
         batch = RecordBatch.from_records([record])
-        score = _score_evidence(expanded, Metric.VACUITY, Orientation.OOD_POSITIVE, batch)
-        assert abs(score[0] - u) <= 1e-12 * u
+        score = _score_evidence(expanded, Metric.VACUITY, batch)
+        assert abs(score[0] - 1.0 / u) <= 1e-12 / u
         delta = float(rng.uniform(1e-3, 0.5))
         sign = 1.0 if (rng.random() < 0.5 or alpha_new - delta < 1.0) else -1.0
         u_moved = (state.k + 1) / (state.strength + alpha_new + sign * delta)
@@ -106,8 +106,8 @@ def test_zero_evidence_inflation_lemma():
         u_after = vacuity(evidence_to_alpha(append_classes(record, 1, 0.0)))
         expanded = _append_columns(evidence[None, :], 1, 0.0)
         batch = RecordBatch.from_records([record])
-        score = _score_evidence(expanded, Metric.VACUITY, Orientation.OOD_POSITIVE, batch)
-        assert score[0] == u_after
+        score = _score_evidence(expanded, Metric.VACUITY, batch)
+        assert score[0] == 1.0 / u_after
         assert u_after > u_before
         assert abs((u_after - u_before) - (s - k) / (s * (s + 1.0))) <= 1e-12
     assert time.perf_counter() - start < 1.0

@@ -96,13 +96,12 @@ def test_expanded_scores_match_append_classes_bit_for_bit(groups, count, appende
     batch = RecordBatch.from_records(records)
     expanded = _append_columns(batch.evidence, count, appended_evidence)
     for metric in Metric:
-        for orientation in Orientation:
-            scores = _score_evidence(expanded, metric, orientation, batch)
-            expected = [
-                per_record_score(expand_record(r, count, appended_evidence), metric, orientation)
-                for r in records
-            ]
-            assert scores.tolist() == expected
+        scores = _score_evidence(expanded, metric, batch)
+        expected = [
+            per_record_score(expand_record(r, count, appended_evidence), metric, Orientation.ID_POSITIVE)
+            for r in records
+        ]
+        assert scores.tolist() == expected
 
 
 @settings(max_examples=40, deadline=None)

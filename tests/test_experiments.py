@@ -1,9 +1,9 @@
 """Cardinality audit, expansion sweeps, and the class-restriction experiment.
 
 Two exact claims anchor this module: matched zero-evidence expansion is a
-rank-preserving reparameterization (AUROC/AUPR bit-identical to baseline),
-while OOD-only zero-evidence expansion raises every OOD vacuity and can
-only help the detector.
+rank-preserving reparameterization of vacuity (AUROC/AUPR bit-identical to
+baseline), while OOD-only zero-evidence expansion raises every OOD vacuity
+and can only help the detector.
 """
 
 import dataclasses
@@ -130,7 +130,7 @@ class TestScoreGroup:
             [rec("a", [1, 2]), rec("b", [1, 2], "ood")], Metric.VACUITY, Orientation.OOD_POSITIVE
         )
         assert [s.label for s in samples] == [0, 1]
-        assert samples[1].score == pytest.approx(vacuity(evidence_to_alpha(rec("b", [1, 2]))))
+        assert samples[1].score == pytest.approx(-1.0 / vacuity(evidence_to_alpha(rec("b", [1, 2]))))
 
     def test_mixed_class_counts_rejected(self):
         with pytest.raises(ValueError, match="rows have different class counts"):
@@ -163,6 +163,16 @@ class TestExpansion:
             assert row.aupr == base.aupr
             assert row.aupr_baseline == base.aupr_baseline
         assert [(row.k_id, row.k_ood) for row in run.rows] == [(k, k) for k in range(4, 9)]
+
+    @pytest.mark.parametrize(
+        "metric, base, k8", [(Metric.MP, 0.920668, 0.901764), (Metric.NORM_ENTROPY, 0.927944, 0.835764)]
+    )
+    def test_matched_zero_evidence_moves_mp_and_entropy(self, population, metric, base, k8):
+        """A matched append keeps only vacuity's ranks: on the demo, K = 8 moves mp by -0.019 and entropy by -0.092."""
+        run = run_expansion_experiment(*population, ExpansionSpec(ExpansionMode.MATCHED, 8), metric)
+        assert run.baseline.auroc == pytest.approx(base, abs=1e-12)
+        assert run.rows[-1].auroc == pytest.approx(k8, abs=1e-12)
+        assert (run.rows[-1].k_id, run.rows[-1].k_ood) == (8, 8)
 
     def test_ood_only_zero_evidence_inflates(self, population):
         id_records, ood_records = population
@@ -263,10 +273,13 @@ class TestExpansion:
 
 
 @st.composite
-def evidence_matrices(draw, count=1, floor=0.0):
-    """``count`` evidence matrices of one K in 2..10, each of 1..30 rows that sum to at least ``floor * K``."""
+def evidence_matrices(draw, count=1, floor=0.0, ties=False):
+    """``count`` evidence matrices of one K in 2..10, each of 1..30 rows that sum to at least ``floor * K``.
+
+    With ``ties`` every entry is an integer in 0..4, so scores tie often.
+    """
     k = draw(st.integers(2, 10))
-    value = st.integers(0, 4).map(float) if draw(st.booleans()) else st.floats(0.0, 50.0)
+    value = st.integers(0, 4).map(float) if ties or draw(st.booleans()) else st.floats(0.0, 50.0)
     row = st.lists(value, min_size=k, max_size=k).filter(lambda r: sum(r) >= floor * k)
     return [np.array(draw(st.lists(row, min_size=1, max_size=30))) for _ in range(count)]
 
@@ -290,13 +303,41 @@ def test_zero_evidence_ood_only_sweep_never_helps_ood(matrices):
     ood_records = RecordBatch.from_evidence([f"q{i}" for i in range(len(ood_evidence))], Group.OOD, names, ood_evidence)
     wide = experiments._append_columns(ood_evidence, APPENDED, 0.0)
     scores = [
-        experiments._score_evidence(wide[:, :width], Metric.VACUITY, Orientation.ID_POSITIVE, ood_records)
+        experiments._score_evidence(wide[:, :width], Metric.VACUITY, ood_records)
         for width in range(k, k + APPENDED + 1)
     ]
     assert all((later < earlier).all() for earlier, later in zip(scores, scores[1:]))
     run = run_expansion_experiment(id_records, ood_records, ExpansionSpec("ood-only", k + APPENDED), Metric.VACUITY)
     aurocs = [row.auroc for row in run.rows]
     assert all(later >= earlier for earlier, later in zip(aurocs, aurocs[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(evidence_matrices(count=2, ties=True), st.integers(1, 3), st.sampled_from([0.0, 2.0, INVARIANCE_EVIDENCE]))
+def test_orientation_keeps_every_auroc_bit(matrices, extra, appended):
+    """Scores are ID-positive and OOD-positive negates them, which reverses every rank and keeps every tie.
+
+    So for every metric, on tie-heavy batches, ``evaluate_groups`` and every
+    row of an OOD-only and of a matched sweep give the same AUROC bits in
+    both orientations, and the positive and negative counts swap.
+    """
+    id_evidence, ood_evidence = matrices
+    k = id_evidence.shape[1]
+    names = [f"c{j}" for j in range(k)]
+    id_records = RecordBatch.from_evidence([f"id{i}" for i in range(len(id_evidence))], Group.ID, names, id_evidence)
+    ood_records = RecordBatch.from_evidence([f"q{i}" for i in range(len(ood_evidence))], Group.OOD, names, ood_evidence)
+    for metric in Metric:
+        results = {}
+        for orientation in Orientation:
+            specs = (ExpansionSpec(mode, k + extra, appended) for mode in ExpansionMode)
+            sweeps = (run_expansion_experiment(id_records, ood_records, spec, metric, orientation) for spec in specs)
+            results[orientation] = [evaluate_groups(id_records, ood_records, metric, orientation)] + [
+                row for run in sweeps for row in run.rows
+            ]
+        for id_pos, ood_pos in zip(results[Orientation.ID_POSITIVE], results[Orientation.OOD_POSITIVE]):
+            assert id_pos.auroc.hex() == ood_pos.auroc.hex()
+            assert (id_pos.n_positive, id_pos.n_negative) == (ood_pos.n_negative, ood_pos.n_positive)
+        assert len(results[Orientation.OOD_POSITIVE]) == 1 + 2 * (extra + 1)
 
 
 @settings(max_examples=100, deadline=None)
