@@ -2,16 +2,18 @@
 
 Reproducibility contract: all sampling uses numpy's PCG64 bit generator,
 seeded through ``SeedSequence(seed, spawn_key=(stream,))`` with one fixed
-stream id per purpose:
+stream id per purpose, each group drawn whole in the order shown:
 
-    stream 0: ID evidence population
-    stream 1: OOD evidence population
+    stream 0: ID evidence: n labels, an (n, K) wrong-shape matrix, then
+              n correct-class components written over the labelled entries
+    stream 1: OOD evidence: one (n, K) matrix
     stream 2: toy classification point clouds
 
 Given the same seed and numpy version, regenerated populations are
-bitwise identical. Evidence is Gamma-distributed: non-negative and
-right-skewed, which is the shape a softplus head produces; the shape
-parameters are configuration, not doctrine.
+bitwise identical. Stream 0 was once drawn row by row (label, K wrong,
+correct): same law, but ID files of n >= 2 records written so differ.
+Evidence is Gamma-distributed: non-negative and right-skewed, which is the
+shape a softplus head produces; the shape parameters are configuration.
 """
 
 from __future__ import annotations
@@ -63,32 +65,28 @@ def _class_names(k: int) -> tuple[str, ...]:
 def generate_evidence_population(params: PopulationParams) -> tuple[RecordBatch, RecordBatch]:
     """Draw (id_records, ood_records), deterministic given ``params.seed``.
 
-    Per ID record the draw order is: correct-class index, K wrong-shape
-    components, then the correct-class component. OOD records draw K iid
-    moderate-shape components, as one (n, K) draw, and carry no gold label.
-    A draw whose S = sum(evidence + 1) is not finite, which a large ``scale``
-    can give, is an error: no record file could hold it.
+    ID draws every record's correct-class index, then an (n, K) wrong-shape
+    matrix, then each record's correct-class component (not row by row, as
+    it once was). OOD records draw K iid moderate-shape components, as one
+    (n, K) draw, and carry no gold label. A group whose S = sum(evidence + 1)
+    is not finite, which a large ``scale`` or shape can give, is an error
+    naming it (ID first): no record file could hold it.
     """
     n, k = params.n_id, params.k
-    # the matrix first: a size no memory can hold fails here, not after a name per class
-    id_evidence = np.empty((n, k))
-    names = _class_names(k)
-
     rng_id = stream_rng(params.seed, STREAM_ID_EVIDENCE)
-    labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        correct = int(rng_id.integers(k))
-        id_evidence[i] = rng_id.gamma(params.id_wrong_shape, params.scale, k)
-        id_evidence[i, correct] = rng_id.gamma(params.id_correct_shape, params.scale)
-        labels[i] = correct
-
-    ood_evidence = stream_rng(params.seed, STREAM_OOD_EVIDENCE).gamma(
-        params.ood_shape, params.scale, (params.n_ood, k)
-    )
-    if not (np.isfinite(strength(id_evidence)).all() and np.isfinite(strength(ood_evidence)).all()):
-        raise ValueError(
-            f"scale {params.scale!r} draws evidence whose sum S = sum(evidence + 1) is not finite"
-        )
+    labels = rng_id.integers(k, size=n)
+    # the matrix before the names: a size no memory can hold fails here, not after a name per class
+    id_evidence = rng_id.gamma(params.id_wrong_shape, params.scale, (n, k))
+    id_evidence[np.arange(n), labels] = rng_id.gamma(params.id_correct_shape, params.scale, n)
+    ood_rng = stream_rng(params.seed, STREAM_OOD_EVIDENCE)
+    ood_evidence = ood_rng.gamma(params.ood_shape, params.scale, (params.n_ood, k))
+    checks = (("ID", id_evidence, ("id_correct_shape", "id_wrong_shape")), ("OOD", ood_evidence, ("ood_shape",)))
+    for group, evidence, shapes in checks:
+        if not np.isfinite(strength(evidence)).all():
+            named = ", ".join(f"{name} {getattr(params, name)!r}" for name in shapes)
+            raise ValueError(f"{group} draw with {named} and scale {params.scale!r} gives evidence whose "
+                             "sum S = sum(evidence + 1) is not finite")
+    names = _class_names(k)
     return (
         RecordBatch.from_evidence([f"id-{i:05d}" for i in range(n)], Group.ID, names, id_evidence, labels),
         RecordBatch.from_evidence(

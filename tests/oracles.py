@@ -31,6 +31,9 @@ check it against these one-record-at-a-time forms.
 - ``gamma_population_auroc`` is the population AUROC of an OOD-only
   vacuity sweep of ``simulate``'s Gamma population, one integral by scipy:
   the law each drawn sweep row estimates.
+- ``per_row_population`` is ``generate_evidence_population`` with the
+  per-row ID loop it ran before the ID group was drawn whole: the
+  population older pins were written from.
 """
 
 import json
@@ -45,7 +48,12 @@ from vacuitylab.dirichlet import EvidenceRecord
 from vacuitylab.metrics import ScoredSample
 from vacuitylab.records import Group, RecordBatch, softplus_evidence
 from vacuitylab.special import gamma_family, log_gamma
-from vacuitylab.synthetic import PopulationParams
+from vacuitylab.synthetic import (
+    STREAM_ID_EVIDENCE,
+    PopulationParams,
+    generate_evidence_population,
+    stream_rng,
+)
 from vacuitylab.toy import LossBreakdown, ToyModelGrads, TrainingMode
 
 
@@ -156,6 +164,23 @@ def records_of(batch: RecordBatch) -> list[EvidenceRecord]:
         )
         for row, start in enumerate(starts)
     ]
+
+
+def per_row_population(params: PopulationParams) -> tuple[RecordBatch, RecordBatch]:
+    """``generate_evidence_population`` with its former per-row ID draw; the OOD group is the same."""
+    n, k = params.n_id, params.k
+    id_evidence = np.empty((n, k))
+    rng_id = stream_rng(params.seed, STREAM_ID_EVIDENCE)
+    labels = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        correct = int(rng_id.integers(k))
+        id_evidence[i] = rng_id.gamma(params.id_wrong_shape, params.scale, k)
+        id_evidence[i, correct] = rng_id.gamma(params.id_correct_shape, params.scale)
+        labels[i] = correct
+
+    _, ood_records = generate_evidence_population(params)
+    ids = [f"id-{i:05d}" for i in range(n)]
+    return RecordBatch.from_evidence(ids, Group.ID, ood_records.class_names[0], id_evidence, labels), ood_records
 
 
 def parse_records_per_line(path) -> RecordBatch:

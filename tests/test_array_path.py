@@ -23,7 +23,6 @@ from vacuitylab import (
     RecordBatch,
     ScoredSample,
     append_classes,
-    generate_evidence_population,
     overlap_population_params,
     run_expansion_experiment,
 )
@@ -39,6 +38,7 @@ from oracles import (
     invariance_concentration,
     max_probability,
     normalized_entropy,
+    per_row_population,
     vacuity,
 )
 
@@ -171,7 +171,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("mode, evidence, metric, orientation", GOLDEN.keys())
 def test_expand_result_bytes_are_pinned(tmp_path, mode, evidence, metric, orientation):
-    id_records, ood_records = generate_evidence_population(overlap_population_params(seed=0))
+    id_records, ood_records = per_row_population(overlap_population_params(seed=0))
     serialize_records(id_records, tmp_path / "id.jsonl")
     serialize_records(ood_records, tmp_path / "ood.jsonl")
     out = tmp_path / "out"

@@ -636,17 +636,18 @@ def test_flag_a_command_does_not_read_is_usage_error(capsys, command, flag):
     assert err.startswith("usage error: unrecognized arguments: ") and flag in err
 
 
-# sha256 of the files the expansion demo script wrote (seed 0, --k-max 8) before the CLI replaced it
+# sha256 of the files the README's expansion demo writes (seed 0, --k-max 8); the OOD file is the one the
+# expansion demo script wrote before the CLI replaced it, and the rest follow the whole-group ID draw
 DEMO_SHA256 = {
-    "expansion_matched.md": "30525373eccdd336e3ffa41747e33e44413eddba87b7649b177a0fe3f080d894",
-    "expansion_matched.result.json": "aa50c00dc0c3fc0b8d0e3038de553f5efaf214f03a903f03afdf79a7834f6d58",
-    "expansion_matched_sweep.csv": "d27b79a3e693cc948ac70be67e953de4fee0534783b5eb104599236031de8d80",
-    "expansion_matched_sweep.svg": "03b54c2ef4c9cf00665d3d5bc90a9d8f5ef850f90eafc89865d7703dc2eb3c32",
-    "expansion_ood_only.md": "5671eb687b6865555bfa408ac80fe8ff87bc017dfcace1d23fafa9ca2ded4b57",
-    "expansion_ood_only.result.json": "60233014ecaefa4f18b07328fd80064ed3355e8d98517c9cee4d92e5d333fa7e",
-    "expansion_ood_only_sweep.csv": "7993c966907ba1abe9c0f63d37c64a07dfdc36ffcee57145ab7059f489fcfff0",
-    "expansion_ood_only_sweep.svg": "fa574fb730d3d2369b0d3ca791a5cfdfb6b3ba47ceb56ef6697cb3587b8d21f2",
-    "id_records.jsonl": "0dd0dd4cef848fcc9830c1c8ff787476759ba18f2b7465d38bb94a6142c00491",
+    "expansion_matched.md": "042192d924809b180094f95bfa0e6d75f9a63c77074521c114211d7c16997775",
+    "expansion_matched.result.json": "673c651353bd0300cbc7931385430a09e3cdb647d69e8a4828d6060b4597a5e5",
+    "expansion_matched_sweep.csv": "2c487671a4cf928781d19ac84634ce2b7eecd3271d9b5a6c925f542636ed0d63",
+    "expansion_matched_sweep.svg": "49fda212c3c45cdaa363c23a86a60027418ab9bb42ccf1de25d73a7d6969f18b",
+    "expansion_ood_only.md": "faa3a0ec985837ed7767e338aa432cc23a4932d3537bff71c86e5c757c72617f",
+    "expansion_ood_only.result.json": "2b1a5a66d29a57c221a53d4cde1425761d6a83ea9e3073d8ecc9c3fa8b786d07",
+    "expansion_ood_only_sweep.csv": "7ac8ad33a3d8969a520ff09134557a13437a7d0a50ac57ef71f1b43b3d6b0708",
+    "expansion_ood_only_sweep.svg": "d82f9271688bc2395bfb53597dea1eb85a8379e13844f59970f76c549b2e8d82",
+    "id_records.jsonl": "1fb9bf8821adec90045fde31498c1b16aff7ef50ee5530464b3c5b995ac5452a",
     "ood_records.jsonl": "72165f23f10a667c1bb154d595fd6a81adb8d3a9a6dc436c4fe4b7b520a80e06",
 }
 
@@ -1005,32 +1006,36 @@ def test_huge_integer_literal_names_the_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, drawn",
     [
-        {"scale": 1e308},
-        # every drawn value is finite (checked below), but their sum S overflows
-        {"scale": 1e307, "k": 30, "n_id": 1, "n_ood": 1, "id_correct_shape": 1.0, "id_wrong_shape": 1.0,
-         "ood_shape": 1.0},
+        ({"scale": 1e308}, "ID draw with id_correct_shape 20.0, id_wrong_shape 0.5"),
+        # every drawn value is finite (checked below), but both groups' sums S overflow: ID is named first
+        ({"scale": 1e307, "k": 30, "n_id": 1, "n_ood": 1, "id_correct_shape": 1.0, "id_wrong_shape": 1.0,
+          "ood_shape": 1.0}, "ID draw with id_correct_shape 1.0, id_wrong_shape 1.0"),
+        ({"n_id": 5, "n_ood": 5, "id_wrong_shape": 1e308}, "ID draw with id_correct_shape 20.0, id_wrong_shape 1e+308"),
+        ({"n_id": 5, "n_ood": 5, "ood_shape": 1e308}, "OOD draw with ood_shape 1e+308"),
     ],
-    ids=["infinite-value", "overflowing-sum"],
+    ids=["infinite-value", "overflowing-sum", "id-shape", "ood-shape"],
 )
-def test_simulate_refuses_draws_no_record_file_can_hold(tmp_path, capsys, config):
+def test_simulate_refuses_draws_no_record_file_can_hold(tmp_path, capsys, config, drawn):
     path = tmp_path / "population.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"error: {path}: scale {config['scale']!r} draws evidence "
+        f"error: {path}: {drawn} and scale {config.get('scale', 1.0)!r} gives evidence "
         "whose sum S = sum(evidence + 1) is not finite\n"
     )
     assert not out.exists()
     if "k" in config:
         id_rng, ood_rng = stream_rng(0, 0), stream_rng(0, 1)
-        id_rng.integers(30)
-        draws = [id_rng.gamma(1.0, 1e307, 30), [id_rng.gamma(1.0, 1e307)], ood_rng.gamma(1.0, 1e307, 30)]
-        assert all(np.isfinite(d).all() for d in draws)
-        with np.errstate(over="ignore"):
-            assert not np.isfinite(np.sum(draws[2]) + 30)
+        labels = id_rng.integers(30, size=1)
+        id_evidence = id_rng.gamma(1.0, 1e307, (1, 30))
+        id_evidence[0, labels] = id_rng.gamma(1.0, 1e307, 1)
+        for evidence in (id_evidence, ood_rng.gamma(1.0, 1e307, (1, 30))):
+            assert np.isfinite(evidence).all()
+            with np.errstate(over="ignore"):
+                assert not np.isfinite(np.sum(evidence) + 30)
 
 
 @pytest.mark.parametrize("mode", ["ood-only", "matched"])

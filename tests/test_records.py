@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vacuitylab import RecordBatch, RecordParseError, parse_records, serialize_records
+from vacuitylab import PopulationParams, RecordBatch, RecordParseError, parse_records, serialize_records
 from vacuitylab.cli import main
 from vacuitylab.dirichlet import EvidenceRecord
 from vacuitylab.records import _earliest_defect
 
-from oracles import parse_records_per_line, records_of
+from oracles import parse_records_per_line, per_row_population, records_of
 
 
 def write_lines(path, lines):
@@ -256,25 +256,28 @@ class TestColumnarWriter:
         assert not (tmp_path / "b.jsonl").exists()
 
 
-# sha256 of simulate's two files, written by the per-record writer before the columnar one
+# sha256 of simulate's ID and OOD files, and of the ID file of the per-row ID draw simulate ran before the
+# whole-group one; the per-row ID and the OOD digests were written by the per-record writer before the columnar one
 SIMULATE_SHA256 = {
     "overlap-k4": (
         {"n_id": 300, "n_ood": 200, "k": 4, "id_correct_shape": 6.0, "id_wrong_shape": 0.8,
          "ood_shape": 2.0, "scale": 1.0, "seed": 3},
-        "d62e751bc7eca985800f65ca9fdf2849b500cff6029631417ced7bea67326b4c",
+        "1a4cd40059436400559489f747cdb929ad2d2fddb1a58eb96d15842344a83047",
         "a77370186db000ee44703c244dd909348c082efe3b688075598848afb183f2e0",
+        "d62e751bc7eca985800f65ca9fdf2849b500cff6029631417ced7bea67326b4c",
     ),
     "k30": (
         {"n_id": 120, "n_ood": 80, "k": 30, "seed": 5},
-        "20850be4424f545716aeacdac3174dbc49a30eb6f778b846ffd4ec70348e10dd",
+        "312990bd2bb1e8dfeb243d784272a5cefecfa12d8dc1d66ecfa0b2e828a90be3",
         "7603b6cd36f39877e1c14cce989ad90aeb9a9a17b73be2953655d3b60e42c973",
+        "20850be4424f545716aeacdac3174dbc49a30eb6f778b846ffd4ec70348e10dd",
     ),
 }
 
 
 @pytest.mark.parametrize("name", SIMULATE_SHA256)
 def test_simulate_bytes_are_pinned(tmp_path, name):
-    config, id_sha, ood_sha = SIMULATE_SHA256[name]
+    config, id_sha, ood_sha, _ = SIMULATE_SHA256[name]
     (tmp_path / "population.json").write_text(json.dumps(config))
     assert main(["simulate", "--config", str(tmp_path / "population.json"), "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "id_records.jsonl").read_bytes()).hexdigest() == id_sha
@@ -282,6 +285,13 @@ def test_simulate_bytes_are_pinned(tmp_path, name):
     if name == "k30":
         first = json.loads((tmp_path / "id_records.jsonl").read_text().splitlines()[0])
         assert first["classes"] == [f"C{i}" for i in range(1, 31)]
+
+
+@pytest.mark.parametrize("name", SIMULATE_SHA256)
+def test_writer_bytes_of_the_per_row_population_are_pinned(tmp_path, name):
+    config, *_, per_row_id_sha = SIMULATE_SHA256[name]
+    serialize_records(per_row_population(PopulationParams(**config))[0], tmp_path / "id_records.jsonl")
+    assert hashlib.sha256((tmp_path / "id_records.jsonl").read_bytes()).hexdigest() == per_row_id_sha
 
 
 class TestDuplicateIds:

@@ -9,6 +9,7 @@ from vacuitylab import (
     generate_toy_classification,
     overlap_population_params,
 )
+from vacuitylab.synthetic import stream_rng
 
 from oracles import evidence_to_alpha, records_of, vacuity
 
@@ -25,6 +26,22 @@ class TestEvidencePopulation:
         assert [r.evidence for r in records_of(a_id)] == [r.evidence for r in records_of(b_id)]
         assert [r.evidence for r in records_of(a_ood)] == [r.evidence for r in records_of(b_ood)]
         assert [r.gold_label for r in records_of(a_id)] == [r.gold_label for r in records_of(b_id)]
+
+    @pytest.mark.parametrize("n", [1, 300])
+    @pytest.mark.parametrize("k", [2, 4, 30])
+    def test_groups_are_drawn_whole_in_the_documented_order(self, n, k):
+        """Stream 0: n labels, an (n, K) wrong-shape matrix, n correct-class components; stream 1: one (n, K) matrix."""
+        params = PopulationParams(
+            n_id=n, n_ood=n, k=k, id_correct_shape=6.0, id_wrong_shape=0.8, ood_shape=2.0, scale=1.5, seed=17
+        )
+        id_rng, ood_rng = stream_rng(17, 0), stream_rng(17, 1)
+        labels = id_rng.integers(k, size=n)
+        id_evidence = id_rng.gamma(0.8, 1.5, (n, k))
+        id_evidence[np.arange(n), labels] = id_rng.gamma(6.0, 1.5, n)
+        id_records, ood_records = generate_evidence_population(params)
+        np.testing.assert_array_equal(id_records.labels, labels)
+        np.testing.assert_array_equal(id_records.values, id_evidence.ravel())
+        np.testing.assert_array_equal(ood_records.values, ood_rng.gamma(2.0, 1.5, (n, k)).ravel())
 
     def test_default_params_separate_populations(self):
         id_records, ood_records = generate_evidence_population(PopulationParams(seed=0))
