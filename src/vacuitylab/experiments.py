@@ -263,12 +263,15 @@ def _append_columns(evidence: np.ndarray, count: int, appended_evidence: float |
     first K + m columns. Scores are recomputed from the widened rows, never
     from the closed form (S + m)/(K + m), which can differ from the row sum
     in the last ulp. A width no memory can hold is an error naming it.
+
+    The invariance fill S/K - 1 is clipped at the row's largest evidence (a
+    uniform row's can round above it), so ``np.argmax`` keeps every row's class.
     """
     n, k = evidence.shape
     if appended_evidence == INVARIANCE_EVIDENCE:
-        # The invariance value S/K - 1 is per row; S/K stays constant across
+        # The invariance value is per row; S/K stays constant across
         # repeated appends, so one value covers all `count` new classes.
-        fill = strength(evidence)[:, None] / k - 1.0
+        fill = np.minimum(strength(evidence) / k - 1.0, evidence.max(axis=1))[:, None]
     else:
         fill = float(appended_evidence)
     try:

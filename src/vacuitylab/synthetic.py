@@ -1,8 +1,8 @@
 """Seeded generators for desk-scale experiments.
 
-Reproducibility contract: all sampling uses numpy's PCG64 bit generator,
-seeded through ``SeedSequence(seed, spawn_key=(stream,))`` with one fixed
-stream id per purpose, each group drawn whole in the order shown:
+Reproducibility contract: every draw in this module uses numpy's PCG64 bit
+generator, seeded through ``SeedSequence(seed, spawn_key=(stream,))`` with
+one fixed stream id per purpose, each group drawn whole in the order shown:
 
     stream 0: ID evidence: n labels, an (n, K) wrong-shape matrix, then
               n correct-class components written over the labelled entries
@@ -12,6 +12,8 @@ stream id per purpose, each group drawn whole in the order shown:
 Given the same seed and numpy version, regenerated populations are
 bitwise identical. Stream 0 was once drawn row by row (label, K wrong,
 correct): same law, but ID files of n >= 2 records written so differ.
+The toy trainer's IB noise follows another rule, stated in ``toy``: step
+seeds from ``SeedSequence(seed).generate_state``, one ``default_rng`` each.
 Evidence is Gamma-distributed: non-negative and right-skewed, which is the
 shape a softplus head produces; the shape parameters are configuration.
 """
@@ -31,7 +33,7 @@ STREAM_TOY_POINTS = 2
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
-    """The package-wide stream-splitting rule; see the module docstring."""
+    """This module's stream-splitting rule; see the module docstring."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 

@@ -7,9 +7,12 @@ off the data manifold all features vanish, the logits fall back to the
 bias, and vacuity rises.
 
 Training is plain full-batch gradient descent with a constant learning
-rate; everything is deterministic given the config seed. Gradients are
-analytic and are validated against central finite differences in the
-test suite.
+rate, deterministic given the config seed: the blobs are ``synthetic``'s
+stream 2, and step i draws its IB noise from ``default_rng(s[i])`` with
+``s = SeedSequence(seed).generate_state(max(steps, 1))``, not from a
+``synthetic`` stream; the final loss and ``predict_alpha`` draw from
+``default_rng(0)``. Gradients are analytic and are validated against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -52,42 +55,38 @@ class LossBreakdown:
 
     total = mse_term + lambda_weight * kl_term        (EDL mode)
     total = mse_term + beta_weight * ib_info_term     (IB mode)
+
+    with the weights the caller passed.
     """
 
     mse_term: float
     kl_term: float
     ib_info_term: float
-    lambda_weight: float
-    beta_weight: float
     total: float
 
 
 @dataclass(frozen=True)
 class ToyModelParams:
-    """Linear evidential head; the sigma head exists only in IB mode."""
+    """Linear evidential head; a sigma head makes it an IB-EDL model."""
 
     weights: np.ndarray  # (K, feature_dim)
     bias: np.ndarray  # (K,)
-    mode: TrainingMode
     sigma_weights: np.ndarray | None = None
     sigma_bias: np.ndarray | None = None
-    sigma_mult: float = 0.0
 
     def __post_init__(self) -> None:
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
             raise ValueError("weights must be (K, d) with a matching (K,) bias")
-        has_sigma = self.sigma_weights is not None and self.sigma_bias is not None
-        if self.mode is TrainingMode.IB_EDL:
-            if not has_sigma:
-                raise ValueError("IB mode requires a sigma head")
-            if (
-                self.sigma_weights.shape != self.weights.shape
-                or self.sigma_bias.shape != self.bias.shape
-            ):
-                raise ValueError("sigma head must match the mean head's shapes")
-        elif self.sigma_weights is not None or self.sigma_bias is not None:
-            raise ValueError("EDL mode must not carry a sigma head")
-        require_number("sigma_mult", self.sigma_mult)
+        if (self.sigma_weights is None) != (self.sigma_bias is None):
+            raise ValueError("a sigma head needs both sigma_weights and sigma_bias")
+        if self.sigma_weights is not None and (
+            self.sigma_weights.shape != self.weights.shape or self.sigma_bias.shape != self.bias.shape
+        ):
+            raise ValueError("sigma head must match the mean head's shapes")
+
+    @property
+    def mode(self) -> TrainingMode:
+        return TrainingMode.EDL if self.sigma_weights is None else TrainingMode.IB_EDL
 
     @property
     def n_classes(self) -> int:
@@ -109,18 +108,14 @@ class ToyModelGrads:
     sigma_bias: np.ndarray | None = None
 
 
-def init_params(
-    mode: TrainingMode, n_classes: int, feature_dim: int, sigma_mult: float = 0.0
-) -> ToyModelParams:
+def init_params(mode: TrainingMode, n_classes: int, feature_dim: int) -> ToyModelParams:
     """Zero-initialized parameters (deterministic by construction)."""
     ib = mode is TrainingMode.IB_EDL
     return ToyModelParams(
         weights=np.zeros((n_classes, feature_dim)),
         bias=np.zeros(n_classes),
-        mode=mode,
         sigma_weights=np.zeros((n_classes, feature_dim)) if ib else None,
         sigma_bias=np.zeros(n_classes) if ib else None,
-        sigma_mult=sigma_mult,
     )
 
 
@@ -173,21 +168,21 @@ class ToyBatch:
 # order does depend on the layout.
 
 
-def _forward(params: ToyModelParams, x: np.ndarray, rng_seed: int, training: bool, work: losses.LossArrays):
+def _forward(params: ToyModelParams, x: np.ndarray, rng_seed: int, noise_scale: float, work: losses.LossArrays):
     """alpha = softplus(z) + 1, with z, and in IB mode sigma and eps (else None).
 
-    z = mu in EDL mode and mu + scale * sigma * eps in IB mode, where eps is
-    drawn from a generator seeded by ``rng_seed`` and the noise scale is 1
-    in training and ``params.sigma_mult`` otherwise. mu, and in IB mode
+    z = mu in EDL mode and mu + noise_scale * sigma * eps in IB mode, where
+    eps is drawn from a generator seeded by ``rng_seed``. mu, and in IB mode
     sigma_raw and z, are written into ``work``.
     """
+    require_number("noise_scale", noise_scale)
     z = mu = np.add(x @ params.weights.T, params.bias, out=work.mu)
     sigma = eps = None
     if params.mode is TrainingMode.IB_EDL:
         sigma_raw = np.add(x @ params.sigma_weights.T, params.sigma_bias, out=work.sigma_raw)
         sigma = softplus_evidence(sigma_raw)
         eps = np.random.default_rng(rng_seed).standard_normal(mu.shape)
-        z = np.multiply(sigma, 1.0 if training else params.sigma_mult, out=work.z)
+        z = np.multiply(sigma, noise_scale, out=work.z)
         z *= eps
         z += mu
     alpha = softplus_evidence(z)
@@ -205,19 +200,17 @@ def _batch_means(d_logits: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nd
     return weights, bias
 
 
-def _evaluate(params, batch: ToyBatch, lam, beta, rng_seed, training, gradient):
+def _evaluate(params, batch: ToyBatch, lam, beta, rng_seed, noise_scale, gradient):
     """One forward pass: the loss terms, then the gradients if asked for and the loss is finite."""
     w, y, not_y = batch.work, batch.y_onehot, batch.not_y
-    alpha, z, sigma, eps = _forward(params, batch.x, rng_seed, training, w)
+    alpha, z, sigma, eps = _forward(params, batch.x, rng_seed, noise_scale, w)
     mse = losses.expected_brier(alpha, y, w)
     if params.mode is TrainingMode.EDL:
         kl = losses.kl_to_uniform(alpha, y, not_y, batch.log_gamma_k, w)
-        loss = LossBreakdown(mse_term=mse, kl_term=kl, ib_info_term=0.0,
-                             lambda_weight=lam, beta_weight=0.0, total=mse + lam * kl)
+        loss = LossBreakdown(mse_term=mse, kl_term=kl, ib_info_term=0.0, total=mse + lam * kl)
     else:
         info = losses.ib_info(w.mu, sigma, w)
-        loss = LossBreakdown(mse_term=mse, kl_term=0.0, ib_info_term=info,
-                             lambda_weight=0.0, beta_weight=beta, total=mse + beta * info)
+        loss = LossBreakdown(mse_term=mse, kl_term=0.0, ib_info_term=info, total=mse + beta * info)
     if not gradient or not math.isfinite(loss.total):
         return ToyModelGrads(loss=loss, weights=None, bias=None)
 
@@ -229,12 +222,12 @@ def _evaluate(params, batch: ToyBatch, lam, beta, rng_seed, training, gradient):
         return ToyModelGrads(loss=loss, weights=weights, bias=bias)
 
     # d_z = d_alpha sigmoid(z); the logit gradients are d_z + beta mu for the mean
-    # head and (d_z scale eps + beta (sigma - 1 / sigma)) sigmoid(sigma_raw) for sigma's
+    # head and (d_z noise_scale eps + beta (sigma - 1 / sigma)) sigmoid(sigma_raw) for sigma's
     d_z = d_alpha
     d_z *= _sigmoid(z, t)
     np.multiply(w.mu, beta, out=t)
     weights, bias = _batch_means(np.add(d_z, t, out=w.grad), batch.x)
-    np.multiply(eps, 1.0 if training else params.sigma_mult, out=t)
+    np.multiply(eps, noise_scale, out=t)
     t *= d_z
     np.divide(1.0, sigma, out=u)
     np.subtract(sigma, u, out=u)
@@ -251,16 +244,16 @@ def total_loss(
     lambda_weight: float,
     beta_weight: float,
     rng_seed: int,
-    training: bool = True,
+    noise_scale: float = 1.0,
 ) -> LossBreakdown:
     """Mean per-example loss over a batch.
 
     EDL mode ignores ``beta_weight``; IB mode ignores ``lambda_weight``.
-    In IB mode the latent noise is z = mu + sigma * eps with eps drawn from
-    a generator seeded by ``rng_seed`` (so repeat calls are bitwise equal);
-    with ``training=False`` the noise is scaled by ``params.sigma_mult``.
+    In IB mode the latent noise is z = mu + noise_scale * sigma * eps with
+    eps drawn from a generator seeded by ``rng_seed`` (so repeat calls are
+    bitwise equal); training uses scale 1.
     """
-    return _evaluate(params, batch, lambda_weight, beta_weight, rng_seed, training, False).loss
+    return _evaluate(params, batch, lambda_weight, beta_weight, rng_seed, noise_scale, False).loss
 
 
 def loss_gradient(
@@ -269,13 +262,13 @@ def loss_gradient(
     lambda_weight: float,
     beta_weight: float,
     rng_seed: int,
-    training: bool = True,
+    noise_scale: float = 1.0,
 ) -> ToyModelGrads:
     """Analytic gradient of ``total_loss`` with the IB noise held fixed by seed.
 
     The same forward pass yields the loss, returned as ``grads.loss``.
     """
-    return _evaluate(params, batch, lambda_weight, beta_weight, rng_seed, training, True)
+    return _evaluate(params, batch, lambda_weight, beta_weight, rng_seed, noise_scale, True)
 
 
 @dataclass(frozen=True)
@@ -357,10 +350,10 @@ def far_probe_points(points: np.ndarray) -> np.ndarray:
     return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def predict_alpha(params: ToyModelParams, featurizer: RbfFeaturizer, points) -> np.ndarray:
-    """Inference-time concentrations (IB noise scaled by sigma_mult, drawn with seed 0)."""
+def predict_alpha(params: ToyModelParams, featurizer: RbfFeaturizer, points, noise_scale: float = 0.0) -> np.ndarray:
+    """Inference-time concentrations (IB noise scaled by ``noise_scale``, drawn with seed 0)."""
     feats = featurizer.transform(points)
-    return _forward(params, feats, 0, False, losses.LossArrays(feats.shape[0], params.n_classes))[0]
+    return _forward(params, feats, 0, noise_scale, losses.LossArrays(feats.shape[0], params.n_classes))[0]
 
 
 def _mean_vacuity(alpha: np.ndarray) -> float:
@@ -381,14 +374,13 @@ def train_toy(config: ToyTrainConfig) -> ToyTrainResult:
 
     featurizer = RbfFeaturizer.for_data(pts, grid=config.rbf_grid)
     feats = featurizer.transform(pts)
-    params = init_params(config.mode, n_classes, feats.shape[1], config.sigma_mult)
+    params = init_params(config.mode, n_classes, feats.shape[1])
 
     batch = ToyBatch.of(params, feats, y)
     root = np.random.SeedSequence(config.seed)
     step_seeds = root.generate_state(max(config.steps, 1), dtype=np.uint64)
 
-    heads = ("weights", "bias", "sigma_weights", "sigma_bias")
-    heads = heads if config.mode is TrainingMode.IB_EDL else heads[:2]
+    heads = [h for h in ("weights", "bias", "sigma_weights", "sigma_bias") if getattr(params, h) is not None]
     arrays = [getattr(params, h) for h in heads]  # updated in place, step by step
     last_finite_loss = None
     with np.errstate(all="ignore"):  # a step whose loss is not finite raises TrainingDiverged instead
@@ -407,7 +399,7 @@ def train_toy(config: ToyTrainConfig) -> ToyTrainResult:
     final_lambda = config.lambda_at(config.steps - 1) if config.steps else config.lambda_at(0)
     with np.errstate(all="ignore"):  # a non-finite final loss is an error below
         try:
-            final_loss = total_loss(params, batch, final_lambda, config.beta_weight, 0, training=False).total
+            final_loss = total_loss(params, batch, final_lambda, config.beta_weight, 0, config.sigma_mult).total
         except ValueError as exc:  # NaN logits after the last update
             raise TrainingDiverged(config.steps, str(exc), last_finite_loss) from None
         if not math.isfinite(final_loss):
@@ -415,8 +407,8 @@ def train_toy(config: ToyTrainConfig) -> ToyTrainResult:
             if math.isfinite(total_loss(params, batch, final_lambda, config.beta_weight, 0).total):
                 raise ValueError(f"sigma_mult {config.sigma_mult} is too large: the inference loss is {final_loss}")
             raise TrainingDiverged(config.steps, f"loss = {final_loss}", last_finite_loss)
-        alpha_id = predict_alpha(params, featurizer, pts)
-        alpha_far = predict_alpha(params, featurizer, far_probe_points(pts))
+        alpha_id = predict_alpha(params, featurizer, pts, config.sigma_mult)
+        alpha_far = predict_alpha(params, featurizer, far_probe_points(pts), config.sigma_mult)
     summary = {
         "mode": config.mode.value,
         "steps": config.steps,

@@ -298,7 +298,7 @@ def ib_info_rows(mu, sigma) -> np.ndarray:
     return 0.5 * ((mu**2).sum(axis=1) + (sigma**2).sum(axis=1) - 2.0 * np.log(sigma).sum(axis=1))
 
 
-def row_major_step(params, features, labels, lam, beta, rng_seed, training=True) -> ToyModelGrads:
+def row_major_step(params, features, labels, lam, beta, rng_seed, noise_scale=1.0) -> ToyModelGrads:
     """The loss terms and gradients of ``toy.loss_gradient``, from row-major arrays and the row forms above."""
     x = np.asarray(features, dtype=float)
     n, k = x.shape[0], params.n_classes
@@ -309,9 +309,8 @@ def row_major_step(params, features, labels, lam, beta, rng_seed, training=True)
     else:
         sigma_raw = x @ params.sigma_weights.T + params.sigma_bias
         sigma = softplus_evidence(sigma_raw)
-        scale = 1.0 if training else params.sigma_mult
         eps = np.random.default_rng(rng_seed).standard_normal(mu.shape)
-        z = mu + scale * sigma * eps
+        z = mu + noise_scale * sigma * eps
     alpha = softplus_evidence(z) + 1.0
     brier = ExpectedBrier(alpha, y_onehot)
     mse = float(brier.rows().mean())
@@ -324,18 +323,16 @@ def row_major_step(params, features, labels, lam, beta, rng_seed, training=True)
         alpha_tilde = y_onehot + (1.0 - y_onehot) * alpha
         kl_rows, psi1 = kl_to_uniform_rows(alpha_tilde, log_gamma(float(k)))
         kl = float(kl_rows.mean())
-        loss = LossBreakdown(mse_term=mse, kl_term=kl, ib_info_term=0.0,
-                             lambda_weight=lam, beta_weight=0.0, total=mse + lam * kl)
+        loss = LossBreakdown(mse_term=mse, kl_term=kl, ib_info_term=0.0, total=mse + lam * kl)
         d_kl = kl_to_uniform_grad(alpha_tilde, psi1) * (1.0 - y_onehot)
         d_logits = (d_alpha + lam * d_kl) * sigmoid(z)
         return ToyModelGrads(loss=loss, weights=d_logits.T @ x / n, bias=d_logits.mean(axis=0))
 
     info = float(ib_info_rows(mu, sigma).mean())
-    loss = LossBreakdown(mse_term=mse, kl_term=0.0, ib_info_term=info,
-                         lambda_weight=0.0, beta_weight=beta, total=mse + beta * info)
+    loss = LossBreakdown(mse_term=mse, kl_term=0.0, ib_info_term=info, total=mse + beta * info)
     d_z = d_alpha * sigmoid(z)
     d_mu = d_z + beta * mu
-    d_sigma_raw = (d_z * (scale * eps) + beta * (sigma - 1.0 / sigma)) * sigmoid(sigma_raw)
+    d_sigma_raw = (d_z * (noise_scale * eps) + beta * (sigma - 1.0 / sigma)) * sigmoid(sigma_raw)
     return ToyModelGrads(
         loss=loss,
         weights=d_mu.T @ x / n,

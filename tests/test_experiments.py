@@ -342,17 +342,26 @@ def test_orientation_keeps_every_auroc_bit(matrices, extra, appended):
         assert len(results[Orientation.OOD_POSITIVE]) == 1 + 2 * (extra + 1)
 
 
-@settings(max_examples=100, deadline=None)
-@given(evidence_matrices(), st.integers(1, APPENDED))
-def test_zero_fill_never_changes_a_prediction(matrices, count):
-    """Evidence is >= 0 and ``np.argmax`` takes the first maximum, so an appended 0.0 never wins a row.
+@settings(max_examples=200, deadline=None)
+@given(evidence_matrices(), st.integers(1, APPENDED), st.sampled_from([0.0, INVARIANCE_EVIDENCE]))
+def test_zero_fill_never_changes_a_prediction(matrices, count, fill):
+    """Neither a zero nor an invariance fill wins a row, since ``np.argmax`` takes the first maximum.
 
-    The invariance fill S/K - 1 has no such guarantee: it can round above a
-    uniform row's shared value ([0.1] * 3 gets 0.10000000000000009).
+    Evidence is >= 0, so an appended 0.0 never exceeds a row's maximum, and
+    the invariance fill S/K - 1 is clipped at it. The draws rarely make a
+    uniform row, whose unclipped fill rounds above it; the pins below do.
     """
     (evidence,) = matrices
-    wide = experiments._append_columns(evidence, count, 0.0)
+    wide = experiments._append_columns(evidence, count, fill)
     assert (np.argmax(wide, axis=1) == np.argmax(evidence, axis=1)).all()
+
+
+@pytest.mark.parametrize("row", [[0.1] * 3, [0.3] * 4])
+def test_invariance_fill_keeps_a_uniform_row(row):
+    """S/K - 1 rounds above these rows' value (0.10000000000000009, 0.30000000000000004): the fill is the value itself."""
+    wide = experiments._append_columns(np.array([row]), 2, INVARIANCE_EVIDENCE)
+    assert wide[0].tolist() == row + row[:2]
+    assert np.argmax(wide, axis=1).tolist() == [0]
 
 
 class TestRestriction:

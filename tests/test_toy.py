@@ -8,6 +8,7 @@ and far-away probes.
 """
 
 import copy
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -53,7 +54,6 @@ def random_params(rng, mode, k=3, d=4):
     return ToyModelParams(
         weights=rng.normal(0, 1, (k, d)),
         bias=rng.normal(0, 1, k),
-        mode=mode,
         **sigma_kwargs,
     )
 
@@ -76,10 +76,8 @@ def fd_gradient(params, features, labels, lam, beta, seed, attr, index):
         perturbed = ToyModelParams(
             weights=arrays["weights"],
             bias=arrays["bias"],
-            mode=params.mode,
             sigma_weights=arrays["sigma_weights"],
             sigma_bias=arrays["sigma_bias"],
-            sigma_mult=params.sigma_mult,
         )
         return total_loss(perturbed, ToyBatch.of(perturbed, features, labels), lam, beta, seed).total
 
@@ -133,9 +131,7 @@ class TestTotalLoss:
 
     def test_kl_zero_when_only_true_evidence(self):
         # one feature pushing only the true class: alpha_tilde stays at 1
-        params = ToyModelParams(
-            weights=np.array([[5.0], [-50.0]]), bias=np.array([0.0, -50.0]), mode=TrainingMode.EDL
-        )
+        params = ToyModelParams(weights=np.array([[5.0], [-50.0]]), bias=np.array([0.0, -50.0]))
         x = np.array([[1.0]])
         y = np.array([0])
         breakdown = total_loss(params, ToyBatch.of(params, x, y), 1.0, 0.0, 0)
@@ -157,16 +153,14 @@ class TestTotalLoss:
         params = random_params(rng, TrainingMode.IB_EDL)
         x, y = random_batch(rng)
         breakdown = total_loss(params, ToyBatch.of(params, x, y), 123.0, 0.25, 0)
-        assert breakdown.lambda_weight == 0.0  # IB mode ignores lambda
-        assert breakdown.beta_weight == 0.25
         assert breakdown.total == breakdown.mse_term + 0.25 * breakdown.ib_info_term
 
     def test_inference_with_zero_sigma_mult_is_seed_free(self):
         rng = np.random.default_rng(5)
         params = random_params(rng, TrainingMode.IB_EDL)
         x, y = random_batch(rng)
-        a = total_loss(params, ToyBatch.of(params, x, y), 0.0, 0.1, rng_seed=1, training=False)
-        b = total_loss(params, ToyBatch.of(params, x, y), 0.0, 0.1, rng_seed=999, training=False)
+        a = total_loss(params, ToyBatch.of(params, x, y), 0.0, 0.1, rng_seed=1, noise_scale=0.0)
+        b = total_loss(params, ToyBatch.of(params, x, y), 0.0, 0.1, rng_seed=999, noise_scale=0.0)
         assert a == b
 
     def test_empty_batch_rejected(self):
@@ -210,7 +204,6 @@ class TestLossGradient:
             params = ToyModelParams(
                 weights=params.weights - 0.5 * g.weights,
                 bias=params.bias - 0.5 * g.bias,
-                mode=params.mode,
             )
         assert norms[-1] < norms[0]
 
@@ -230,21 +223,20 @@ HEADS = ("weights", "bias", "sigma_weights", "sigma_bias")
 def step_cases(mode, k):
     """The class-major step and the row-major reference on the benchmark toy's batch size and features.
 
-    Yields both at the training noise scale and at inference with
-    sigma_mult = 0.7 (the IB noise scale; EDL ignores it).
+    Yields both at the training noise scale 1 and at the noise scale 0.7
+    (EDL ignores it).
     """
     points, _ = generate_toy_classification(250, 3.0, seed=k)
     features = RbfFeaturizer.for_data(points).transform(points)
     rng = np.random.default_rng(k)
     params = random_params(rng, mode, k=k, d=features.shape[1])
-    params = ToyModelParams(params.weights, params.bias, mode, params.sigma_weights, params.sigma_bias, 0.7)
     labels = rng.integers(0, k, len(features))
     batch = ToyBatch.of(params, features, labels)
     assert batch.y_onehot.flags.f_contiguous
-    assert toy._forward(params, batch.x, 5, True, batch.work)[0].flags.f_contiguous
-    for training in (True, False):
-        yield (loss_gradient(params, batch, 0.7, 1e-2, 5, training),
-               row_major_step(params, features, labels, 0.7, 1e-2, 5, training))
+    assert toy._forward(params, batch.x, 5, 1.0, batch.work)[0].flags.f_contiguous
+    for noise_scale in (1.0, 0.7):
+        yield (loss_gradient(params, batch, 0.7, 1e-2, 5, noise_scale),
+               row_major_step(params, features, labels, 0.7, 1e-2, 5, noise_scale))
 
 
 def assert_same_step(got, expected):
@@ -289,7 +281,7 @@ def test_work_arrays_do_not_leak_between_calls(mode):
     assert loss_gradient(second, batch, 0.7, 1e-2, 6).loss != grads.loss
     assert_same_step(grads, kept)
     # a loss-only evaluation between two steps changes neither the first step nor the next
-    total_loss(second, batch, 0.7, 1e-2, 6, training=False)
+    total_loss(second, batch, 0.7, 1e-2, 6, noise_scale=0.0)
     assert_same_step(loss_gradient(first, batch, 0.7, 1e-2, 5), kept)
     assert_same_step(grads, kept)
 
@@ -413,6 +405,19 @@ class TestTrainToy:
             with pytest.raises(ValueError, match="sigma_mult 1e[+]160 is too large: the inference loss is nan"):
                 train_toy(config)
 
+    def test_configured_noise_scale_reaches_the_summary(self):
+        """The summary's ID vacuity is read at the config's sigma_mult, not at 0 as in every golden run."""
+        config = ToyTrainConfig(mode=TrainingMode.IB_EDL, steps=5, sigma_mult=0.5, seed=3, n_per_class=60, separation=4.0)
+        result = train_toy(config)
+        points, _ = generate_toy_classification(60, 4.0, 3)
+
+        def mean_vacuity(noise_scale):
+            alpha = predict_alpha(result.params, result.featurizer, points, noise_scale)
+            return float((alpha.shape[1] / alpha.sum(axis=1)).mean())
+
+        assert result.summary["mean_id_vacuity"] == mean_vacuity(0.5)
+        assert result.summary["mean_id_vacuity"] != mean_vacuity(0.0)
+
     def test_config_is_the_only_parameter(self):
         """The config holds the whole run, blobs included: there are no points or labels to pass."""
         assert list(inspect.signature(train_toy).parameters) == ["config"]
@@ -425,17 +430,20 @@ class TestTrainToy:
 
 
 class TestParamsValidation:
-    def test_sigma_head_only_in_ib_mode(self):
-        with pytest.raises(ValueError, match="sigma head"):
-            ToyModelParams(
-                weights=np.zeros((2, 3)),
-                bias=np.zeros(2),
-                mode=TrainingMode.EDL,
-                sigma_weights=np.zeros((2, 3)),
-                sigma_bias=np.zeros(2),
-            )
-        with pytest.raises(ValueError, match="sigma head"):
-            ToyModelParams(weights=np.zeros((2, 3)), bias=np.zeros(2), mode=TrainingMode.IB_EDL)
+    @pytest.mark.parametrize(
+        "half", [{"sigma_weights": np.zeros((2, 3))}, {"sigma_bias": np.zeros(2)}], ids=["weights-only", "bias-only"]
+    )
+    def test_half_sigma_head_rejected(self, half):
+        with pytest.raises(ValueError, match="^a sigma head needs both sigma_weights and sigma_bias$"):
+            ToyModelParams(weights=np.zeros((2, 3)), bias=np.zeros(2), **half)
+
+    def test_mode_follows_the_heads(self):
+        """A model is IB-EDL exactly when it has a sigma head."""
+        for mode in TrainingMode:
+            assert init_params(mode, 2, 3).mode is mode
+        assert ToyModelParams(np.zeros((2, 3)), np.zeros(2)).mode is TrainingMode.EDL
+        assert ToyModelParams(np.zeros((2, 3)), np.zeros(2), np.zeros((2, 3)), np.zeros(2)).mode is TrainingMode.IB_EDL
+        assert [f.name for f in dataclasses.fields(ToyModelParams)] == list(HEADS)
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -443,16 +451,15 @@ class TestParamsValidation:
             ({"bias": np.zeros(3)}, r"weights must be \(K, d\) with a matching \(K,\) bias"),
             ({"weights": np.zeros(2)}, r"weights must be \(K, d\) with a matching \(K,\) bias"),
             (
-                {"mode": TrainingMode.IB_EDL, "sigma_weights": np.zeros((2, 2)), "sigma_bias": np.zeros(2)},
+                {"sigma_weights": np.zeros((2, 2)), "sigma_bias": np.zeros(2)},
                 "sigma head must match the mean head's shapes",
             ),
-            ({"sigma_mult": -0.5}, "sigma_mult must be >= 0, got -0.5"),
         ],
-        ids=["bias-length", "flat-weights", "sigma-shape", "negative-sigma-mult"],
+        ids=["bias-length", "flat-weights", "sigma-shape"],
     )
     def test_malformed_params_rejected(self, fields, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            ToyModelParams(**{"weights": np.zeros((2, 3)), "bias": np.zeros(2), "mode": TrainingMode.EDL, **fields})
+            ToyModelParams(**{"weights": np.zeros((2, 3)), "bias": np.zeros(2), **fields})
 
     @pytest.mark.parametrize(
         "features, labels, message",

@@ -23,12 +23,15 @@ from vacuitylab import (
     append_classes,
     generate_toy_classification,
     init_params,
+    predict_alpha,
     remove_class,
 )
 
 RECORD = EvidenceRecord("r", "id", ("A", "B"), (1.0, 2.0))
 RECORD3 = EvidenceRecord("r", "id", ("A", "B", "C"), (1.0, 2.0, 3.0), gold_label=2)
 POINTS = np.array([[0.0, 0.0], [1.0, 2.0]])
+FEATURIZER = RbfFeaturizer.for_data(POINTS, grid=2)
+IB_PARAMS = init_params(TrainingMode.IB_EDL, 2, FEATURIZER.centers.shape[0])
 
 # field -> (call with the value under test, a valid value, values below the minimum)
 ENTRIES = {
@@ -36,7 +39,7 @@ ENTRIES = {
     "ExpansionSpec.appended_evidence": (lambda v: ExpansionSpec("ood-only", 6, v), 0.5, (-1.0,)),
     "generate_toy_classification.n_per_class": (lambda v: generate_toy_classification(v, 4.0, 0), 3, (0,)),
     "generate_toy_classification.separation": (lambda v: generate_toy_classification(3, v, 0), 4.0, (0.0,)),
-    "init_params.sigma_mult": (lambda v: init_params(TrainingMode.IB_EDL, 2, 3, v), 0.5, (-0.5,)),
+    "predict_alpha.noise_scale": (lambda v: predict_alpha(IB_PARAMS, FEATURIZER, POINTS, v), 0.5, (-0.5,)),
     "RbfFeaturizer.for_data.grid": (lambda v: RbfFeaturizer.for_data(POINTS, grid=v), 2, (0, 1)),
     "append_classes.count": (lambda v: append_classes(RECORD, v, 0.0), 1, (-1,)),
     "append_classes.appended_evidence": (lambda v: append_classes(RECORD, 1, v), 0.5, (-1.0,)),
