@@ -461,6 +461,15 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ToyModelParams(**{"weights": np.zeros((2, 3)), "bias": np.zeros(2), **fields})
 
+    @pytest.mark.parametrize("evaluate", [total_loss, loss_gradient], ids=["loss", "step"])
+    def test_negative_noise_scale_rejected(self, evaluate):
+        """The IB noise scale is an argument of the loss and the step, and a negative one is refused there."""
+        rng = np.random.default_rng(4)
+        params = random_params(rng, TrainingMode.IB_EDL)
+        x, y = random_batch(rng)
+        with pytest.raises(ValueError, match="^noise_scale must be >= 0, got -0.5$"):
+            evaluate(params, ToyBatch.of(params, x, y), 0.0, 0.1, 0, noise_scale=-0.5)
+
     @pytest.mark.parametrize(
         "features, labels, message",
         [
